@@ -114,14 +114,17 @@ def _charge_set(L, R, L_s, R_s):
     )
 
 
-def charges_numeric(sol, tau=0.0, quad_points=256):
+def charges_numeric(sol, tau=0.0, quad_points=None):
     """Charges by trapezoidal quadrature of the tau-currents over sigma.
 
     The integrands are trigonometric polynomials in sigma, so the uniform
     periodic trapezoid rule is exact once quad_points exceeds the bandwidth;
-    below 4(|m|+|n|)+16 a warning is emitted.
+    below the bound 4(|m|+|n|+|m_s|+|n_s|)+16 a warning is emitted.  The
+    default is the larger of 256 and that bound.
     """
     n_min = 4 * (abs(sol.m) + abs(sol.n) + abs(sol.m_s) + abs(sol.n_s)) + 16
+    if quad_points is None:
+        quad_points = max(256, n_min)
     if quad_points < n_min:
         warnings.warn(f"quad_points={quad_points} below recommended {n_min}; "
                       "quadrature may lose spectral accuracy", stacklevel=2)

@@ -25,7 +25,14 @@ from .algebra import (
 from .charges import charge_coefficients, charges_analytic, charges_numeric
 from .geometry import DEFAULT_THRESHOLDS, verify_solution
 from .solutions import embedding_surface, family_solution, params_from_dict
-from .symplectic import ParticleChart, ParticleChartPoint, StringChart, StringChartPoint, poisson_bracket
+from .symplectic import (
+    ParticleChart,
+    ParticleChartPoint,
+    StringChart,
+    StringChartPoint,
+    bracket_table,
+    expected_bracket,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,8 +74,24 @@ def _csv(rows, columns):
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_null(value):
+    """The payload with every non-finite float replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _json(payload):
-    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+    """Strict JSON: non-finite numbers are written as null."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
+    return text + "\n"
 
 
 def _parse_range(spec, name):
@@ -124,6 +147,8 @@ def cmd_verify(args):
 
 
 def cmd_sample(args):
+    if args.tau_steps < 1 or args.sigma_steps < 1:
+        raise ValidationError("--tau-steps and --sigma-steps must be at least 1")
     sol = family_solution(args.f, args.b, args.n)
     taus = np.linspace(0.0, 2.0 * math.pi, args.tau_steps, endpoint=False)
     sigmas = np.linspace(0.0, 2.0 * math.pi, args.sigma_steps, endpoint=False)
@@ -220,16 +245,15 @@ _SPH_PAIRS = [("Ls1", "Ls2"), ("Ls2", "Ls3"), ("Ls3", "Ls1"),
 
 def _algebra_residual(chart, form, x):
     """Max deviation of the charge brackets from the left/right algebra."""
-    from .symplectic import expected_bracket
-
     worst = 0.0
     names = [f"{side}{i}" for side in ("L", "R") for i in range(3)] + \
             [f"{side}{i}" for side in ("Ls", "Rs") for i in (1, 2, 3)]
-    values = {name: chart.charge_function(name)(x) for name in names}
-    for a in names:
-        for b in names:
-            got = poisson_bracket(chart.charge_function(a), chart.charge_function(b), form, x)
-            worst = max(worst, abs(got - expected_bracket(a, b, values)))
+    functions = [chart.charge_function(name) for name in names]
+    values = {name: fn(x) for name, fn in zip(names, functions)}
+    table = bracket_table(functions, form, x)
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            worst = max(worst, abs(float(table[i, j]) - expected_bracket(a, b, values)))
     return worst
 
 

@@ -15,13 +15,20 @@ numerically in the test suite by differentiating the canonical 1-form
 <R g^{-1} dg> directly.
 
 The string phase space is the twelve-parameter solution chart
-(l, r, l_s, r_s, f, b, phi1, phi2); its form is obtained by numerically
-differentiating the presymplectic 1-form
+(l, r, l_s, r_s, f, b, phi1, phi2) with the presymplectic 1-form
 
-    theta = (1/2pi) int dsigma [ <R g^{-1} dg> + <R_s h^{-1} dh> ],
+    theta_j = (1/2pi) int dsigma [ <R_tau, V_j> + <R_tau^s, V_j^s> ],
+    V_j = g^{-1} d_j g,   V_j^s = h^{-1} d_j h.
 
-whose orbit blocks reproduce the charge coefficients, the remainder being
-the (f, b, phi1, phi2) sector that has no closed form here.
+Chart coordinate fields commute, so the covariant-phase-space identity
+d theta(X, Y) = X theta(Y) - Y theta(X) - theta([X, Y]) gives the form
+sector by sector as
+
+    omega_ij = <d_i R_tau, V_j> - <d_j R_tau, V_i> - <R_tau, [V_i, V_j]>,
+
+which needs one central-difference layer for d_j g and d_j R_tau.  Its
+orbit blocks reproduce the charge coefficients, the remainder being the
+(f, b, phi1, phi2) sector that has no closed form here.
 
 Poisson brackets use {F, G} = -grad(F)^T omega^{-1} grad(G); the global
 sign is fixed once by matching {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho on
@@ -37,6 +44,8 @@ import numpy as np
 
 from .bridge import admissible as _admissible
 from .algebra import (
+    EPS,
+    EPS_MIXED,
     AdsGroupElement,
     DegenerateConfigurationError,
     SphereGroupElement,
@@ -55,8 +64,13 @@ from .solutions import SimpleFamilyPoint, SolutionParams, evaluate_matrices
 _T0, _T1, _T2 = ads_basis()
 _S1, _S2, _S3 = sphere_basis()
 
-DEFAULT_FORM_STEP = 2e-5
+# One central-difference layer: h ~ eps^(1/3) balances the h^2 truncation,
+# which grows near the l = r chart singularity, against eps/h roundoff.
+DEFAULT_FORM_STEP = 5e-6
 DEFAULT_GRAD_STEP = 1e-6
+
+# inner-product signs <X, Y> = sign * tr(XY) / 2 on AdS and on the sphere
+_SECTOR_SIGNS = (0.5, -0.5)
 
 
 @dataclass(frozen=True)
@@ -82,11 +96,19 @@ class TwoFormMatrix:
     def condition_number(self):
         return float(np.linalg.cond(self.matrix))
 
-    def inverse(self):
+    def _require_nonsingular(self):
         det = np.linalg.det(self.matrix)
         if not np.isfinite(det) or abs(det) < 1e-300:
             raise DegenerateConfigurationError("symplectic form is singular")
+
+    def inverse(self):
+        self._require_nonsingular()
         return np.linalg.inv(self.matrix)
+
+    def solve(self, rhs):
+        """omega^{-1} rhs, with the same singular-form guard as inverse()."""
+        self._require_nonsingular()
+        return np.linalg.solve(self.matrix, rhs)
 
     def entry(self, label_a, label_b):
         return float(self.matrix[self.index(label_a), self.index(label_b)])
@@ -106,11 +128,12 @@ def gradient(fn, x, step=DEFAULT_GRAD_STEP):
     return g
 
 
-def numeric_exterior_derivative(theta_fn, x, labels, step=DEFAULT_FORM_STEP):
+def numeric_exterior_derivative(theta_fn, x, labels, step):
     """d(theta) of a 1-form given by its component vector theta_fn(x).
 
     omega_ij = d_i theta_j - d_j theta_i by central differences;
-    antisymmetric by construction.
+    antisymmetric by construction.  The step has no default: the best one
+    depends on how many difference layers theta_fn itself contains.
     """
     x = np.asarray(x, dtype=float)
     k = x.size
@@ -130,9 +153,17 @@ def poisson_bracket(F, G, omega, x, step=DEFAULT_GRAD_STEP):
     {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho.
     """
     form = omega(x) if callable(omega) else omega
-    dF = gradient(F, x, step)
-    dG = gradient(G, x, step)
-    return float(-dF @ form.inverse() @ dG)
+    return float(bracket_table([F, G], form, x, step)[0, 1])
+
+
+def bracket_table(functions, form, x, step=DEFAULT_GRAD_STEP):
+    """All pairwise brackets {F_a, F_b} at x as one matrix.
+
+    The gradients are stacked into G and the table -G omega^{-1} G^T comes
+    from a single solve, which keeps the singular-form guard of inverse().
+    """
+    grads = np.stack([gradient(fn, x, step) for fn in functions])
+    return -grads @ form.solve(grads.T)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +439,8 @@ class StringChart:
     """Chart machinery for the string solution space.
 
     Reconstructs a full solution from the twelve coordinates, evaluates the
-    presymplectic 1-form by sigma-quadrature and the symplectic form as its
-    numeric exterior derivative.
+    presymplectic 1-form by sigma-quadrature and the symplectic form from
+    the d(theta) identity, both over one central-difference layer.
 
     The translation gauge pins the four constant-element phases to two chart
     angles as phi1 = phi_l = -phi_r and phi2 = phi_l^s = -phi_r^s.  In this
@@ -481,37 +512,52 @@ class StringChart:
             lhat_s=pt.lhat_s, rhat_s=pt.rhat_s, h0=h0,
         )
 
-    def _fields(self, x):
-        sol = self.solution(x)
-        return evaluate_matrices(sol, self.tau, self.sigma)
+    def _chart_fields(self, x):
+        """Per-sector (R_tau, V_j, d_j R_tau) at chart vector x, sigma-sampled.
+
+        V_j = g^{-1} d_j g and d_j R_tau come from one central difference of
+        the closed-form fields over the 24 displaced solutions; the arrays
+        are (sigma, 2, 2) for R_tau and (12, sigma, 2, 2) for the others.
+        """
+        def fields(z):
+            sol = self.solution(z)
+            g, h = evaluate_matrices(sol, self.tau, self.sigma)
+            ads, sph = current_matrices(sol, self.tau, self.sigma)
+            return (g, ads.R_tau), (h, sph.R_tau)
+
+        shifts = self.step * np.eye(12)
+        plus = [fields(x + e) for e in shifts]
+        minus = [fields(x - e) for e in shifts]
+        out = []
+        for k, (mat, r_tau) in enumerate(fields(x)):
+            d_mat = np.stack([p[k][0] - m[k][0] for p, m in zip(plus, minus)])
+            d_r = np.stack([p[k][1] - m[k][1] for p, m in zip(plus, minus)])
+            out.append((r_tau, np.linalg.inv(mat) @ d_mat / (2.0 * self.step),
+                        d_r / (2.0 * self.step)))
+        return out
 
     def presymplectic(self, x=None):
         """Components theta_j of the presymplectic 1-form at chart vector x."""
         x = self._x0 if x is None else np.asarray(x, dtype=float)
-        sol = self.solution(x)
-        ads, sph = current_matrices(sol, self.tau, self.sigma)
-        g, h = evaluate_matrices(sol, self.tau, self.sigma)
-        ginv = np.linalg.inv(g)
-        hinv = np.linalg.inv(h)
-        r_g = ads.R_tau
-        r_h = sph.R_tau
-        out = np.empty(12)
-        for j in range(12):
-            e = np.zeros(12)
-            e[j] = self.step
-            g_p, h_p = self._fields(x + e)
-            g_m, h_m = self._fields(x - e)
-            dg = (g_p - g_m) / (2.0 * self.step)
-            dh = (h_p - h_m) / (2.0 * self.step)
-            term_g = 0.5 * np.einsum("sij,sji->s", r_g, ginv @ dg)
-            term_h = -0.5 * np.einsum("sij,sji->s", r_h, hinv @ dh)
-            out[j] = float(np.mean(term_g).real + np.mean(term_h).real)
-        return out
+        out = np.zeros(12)
+        for sign, (r, v, _) in zip(_SECTOR_SIGNS, self._chart_fields(x)):
+            out += sign * np.einsum("sab,jsba->j", r, v).real
+        return out / self.sigma.size
 
     def form(self, x=None):
-        """Numeric symplectic form omega = d(theta) at chart vector x."""
+        """Symplectic form omega = d(theta) at chart vector x.
+
+        omega_ij = <d_i R, V_j> - <d_j R, V_i> - <R, [V_i, V_j]> per sector,
+        i.e. K - K^T with K_ij = <d_i R, V_j> - <R V_i V_j>, sigma-averaged.
+        """
         x = self._x0 if x is None else np.asarray(x, dtype=float)
-        return numeric_exterior_derivative(self.presymplectic, x, self.labels, self.step)
+        k_mat = np.zeros((12, 12))
+        for sign, (r, v, dr) in zip(_SECTOR_SIGNS, self._chart_fields(x)):
+            rv = r @ v
+            k_mat += sign * (np.einsum("isab,jsba->ij", dr, v)
+                             - np.einsum("isab,jsba->ij", rv, v)).real
+        k_mat /= self.sigma.size
+        return TwoFormMatrix(k_mat - k_mat.T, self.labels)
 
     def presymplectic_isometry(self, generator, side="left", sector="ads", x=None):
         """theta paired with an isometry vector field (momentum-map pairing).
@@ -601,14 +647,6 @@ class StringChart:
         )
 
 
-_EPS_LOWER = np.zeros((3, 3, 3))
-for _perm, _sgn in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                    ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-    _EPS_LOWER[_perm] = _sgn
-_ETA_DIAG = np.array([-1.0, 1.0, 1.0])
-_EPS_MIXED = np.einsum("mns,s->mns", _EPS_LOWER, _ETA_DIAG)  # eps_{mn}^rho
-
-
 def expected_bracket(name_a, name_b, values):
     """Target value of {A, B} for charge components and Casimir functions.
 
@@ -629,13 +667,13 @@ def expected_bracket(name_a, name_b, values):
     if fam_a != fam_b or i is None or j is None:
         return 0.0
     if fam_a == "L":
-        return float(-2.0 * sum(_EPS_MIXED[i, j, r] * values[f"L{r}"] for r in range(3)))
+        return float(-2.0 * sum(EPS_MIXED[i, j, r] * values[f"L{r}"] for r in range(3)))
     if fam_a == "R":
-        return float(2.0 * sum(_EPS_MIXED[i, j, r] * values[f"R{r}"] for r in range(3)))
+        return float(2.0 * sum(EPS_MIXED[i, j, r] * values[f"R{r}"] for r in range(3)))
     if fam_a == "Ls":
-        return float(2.0 * sum(_EPS_LOWER[i - 1, j - 1, l] * values[f"Ls{l + 1}"]
+        return float(2.0 * sum(EPS[i - 1, j - 1, l] * values[f"Ls{l + 1}"]
                                for l in range(3)))
-    return float(-2.0 * sum(_EPS_LOWER[i - 1, j - 1, l] * values[f"Rs{l + 1}"]
+    return float(-2.0 * sum(EPS[i - 1, j - 1, l] * values[f"Rs{l + 1}"]
                             for l in range(3)))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,13 @@ from ads3s3.solutions import family_solution, params_to_dict
 
 F_REF = "1.6666666666666667"
 B_REF = "1.25"
+
+
+def strict_loads(text):
+    """json.loads that rejects the NaN and Infinity extensions."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 def run(capsys, *argv):
@@ -35,6 +43,12 @@ class TestBridgeCommand:
         code, out, _ = run(capsys, "bridge", "--f", "1", "--b", "1", "--n", "1")
         assert code == 0
         assert json.loads(out)["degenerate"]
+
+    def test_degenerate_corner_is_strict_json(self, capsys):
+        code, out, _ = run(capsys, "bridge", "--f", "1", "--b", "1", "--n", "1")
+        assert code == 0
+        payload = strict_loads(out)
+        assert payload["coshalpha"] is None and payload["cosbeta"] is None
 
     def test_missing_point_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bridge")
@@ -115,6 +129,15 @@ class TestSampleCommand:
             x = np.array(r[6:10])
             assert abs(math.hypot(x[0], x[1]) - math.hypot(x[2], x[3])) <= 1e-12
 
+    def test_nonpositive_steps_exit_one(self, capsys):
+        for flag in ("--tau-steps", "--sigma-steps"):
+            for value in ("0", "-1"):
+                code, out, err = run(capsys, "sample", "--f", F_REF, "--b", B_REF,
+                                     flag, value)
+                assert code == 1 and out == ""
+                assert len(err.strip().splitlines()) == 1
+                assert "at least 1" in err
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -166,6 +189,18 @@ class TestChargesCommand:
         payload = json.loads(out)
         assert abs(payload["mL"] - 2 * 1.2465277777777777) <= 1e-9
         assert abs(payload["asymmetry_mR_over_mL"] - 1.6963788300835656) <= 1e-9
+
+    def test_degenerate_corner_is_strict_json(self, capsys):
+        code, out, _ = run(capsys, "charges", "--f", "1", "--b", "1", "--n", "1")
+        assert code == 0
+        strict_loads(out)
+
+    def test_high_winding_quadrature_follows_bound(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "charges", "--f", F_REF, "--b", B_REF, "--n", "40")
+        assert code == 0
+        assert strict_loads(out)["quadrature_gap"] <= 1e-10
 
 
 class TestBracketsCommand:

@@ -14,7 +14,12 @@ from ads3s3.algebra import (
     inner,
 )
 from ads3s3.bridge import bridge
-from ads3s3.charges import charge_coefficients, charges_analytic, charges_numeric
+from ads3s3.charges import (
+    charge_coefficients,
+    charges_analytic,
+    charges_numeric,
+    current_matrices,
+)
 from ads3s3.geometry import eom_residual
 from ads3s3.solutions import evaluate_matrices, theta_invariants
 from ads3s3.symplectic import (
@@ -24,6 +29,7 @@ from ads3s3.symplectic import (
     StringChartPoint,
     TwoFormMatrix,
     _ads_from_chart,
+    bracket_table,
     expected_bracket,
     g_from_LR,
     gradient,
@@ -93,6 +99,40 @@ def bracket_table_residual(chart, form, x, names=ALL_NAMES, step=1e-6):
         for j, b in enumerate(names):
             worst = max(worst, abs(table[i, j] - expected_bracket(a, b, values)))
     return worst
+
+
+NESTED_STEP = 2e-5  # the step the nested-difference form is accurate at
+
+
+def rebuilt_presymplectic(chart, x, step):
+    """theta_j with g^{-1} d_j g from fields rebuilt at x +- step e_j."""
+    def fields(z):
+        return evaluate_matrices(chart.solution(z), chart.tau, chart.sigma)
+
+    sol = chart.solution(x)
+    ads, sph = current_matrices(sol, chart.tau, chart.sigma)
+    g, h = fields(x)
+    ginv, hinv = np.linalg.inv(g), np.linalg.inv(h)
+    out = np.empty(12)
+    for j in range(12):
+        e = np.zeros(12)
+        e[j] = step
+        g_p, h_p = fields(x + e)
+        g_m, h_m = fields(x - e)
+        term_g = 0.5 * np.einsum("sij,sji->s", ads.R_tau, ginv @ (g_p - g_m) / (2 * step))
+        term_h = -0.5 * np.einsum("sij,sji->s", sph.R_tau, hinv @ (h_p - h_m) / (2 * step))
+        out[j] = float(np.mean(term_g).real + np.mean(term_h).real)
+    return out
+
+
+def nested_difference_form(chart, x):
+    """Reference string form: numeric d(theta) over rebuilt fields.
+
+    Two nested central differences (600 solution builds), independent of
+    the d(theta) identity that StringChart.form evaluates.
+    """
+    return numeric_exterior_derivative(lambda z: rebuilt_presymplectic(chart, z, NESTED_STEP),
+                                       x, chart.labels, NESTED_STEP)
 
 
 class TestGFromLR:
@@ -527,6 +567,18 @@ class TestStringSymplectic:
         sv = np.linalg.svd(form.matrix, compute_uv=False)
         assert sv.min() > 1e-3
 
+    def test_matches_nested_difference_oracle(self):
+        rng = np.random.default_rng(95)
+        cases = [(1, -1.0), (1, -1.0), (1, -1.0), (2, -1.0), (2, -1.0), (2, 1.0)]
+        for n, gauge in cases:
+            point = random_string_point(rng, n=n)
+            chart = StringChart(point, sphere_gauge_sign=gauge)
+            x = chart.coords(point)
+            assert np.max(np.abs(chart.presymplectic(x)
+                                 - rebuilt_presymplectic(chart, x, chart.step))) <= 1e-10
+            got = chart.form(x).matrix
+            assert np.max(np.abs(got - nested_difference_form(chart, x).matrix)) <= 1e-6
+
     def test_symmetric_sphere_gauge_is_degenerate_here(self):
         # with phi2 on both right phases (+ sign) the sigma-translation acts
         # inside the slice for this winding sector: d(phi1) - d(phi2) is an
@@ -566,3 +618,25 @@ class TestPoissonBracketProperties:
         form = TwoFormMatrix(np.zeros((2, 2)), ("a", "b"))
         with pytest.raises(DegenerateConfigurationError):
             poisson_bracket(lambda x: x[0], lambda x: x[1], form, np.zeros(2))
+
+    def test_singular_form_rejected_by_table(self):
+        form = TwoFormMatrix(np.zeros((2, 2)), ("a", "b"))
+        with pytest.raises(DegenerateConfigurationError):
+            bracket_table([lambda x: x[0], lambda x: x[1]], form, np.zeros(2))
+
+    def test_table_matches_pairwise_brackets(self):
+        rng = np.random.default_rng(96)
+        for chart_cls, point in ((ParticleChart, random_particle_point(rng)),
+                                 (StringChart, random_string_point(rng, n=2))):
+            chart = chart_cls(point)
+            x = chart.coords(point)
+            form = chart.form(x)
+            functions = [chart.charge_function(name) for name in ALL_NAMES]
+            table = bracket_table(functions, form, x)
+            grads = [gradient(fn, x) for fn in functions]
+            inv = form.inverse()
+            for i, fa in enumerate(functions):
+                for j, fb in enumerate(functions):
+                    assert abs(table[i, j] - poisson_bracket(fa, fb, form, x)) <= 1e-10
+                    # the explicit -dF omega^{-1} dG, independent of the solve
+                    assert abs(table[i, j] + grads[i] @ inv @ grads[j]) <= 1e-10
