@@ -438,3 +438,25 @@ class UnitSphereVector:
     @property
     def matrix(self):
         return self.element.matrix
+
+
+def aligning_rotation(vhat):
+    """Group element A with A e A^{-1} = vhat, e = t0 (timelike) or s3 (sphere).
+
+    A = (I - vhat e) / sqrt(2 (1 + c)), c the t0 or s3 coefficient of vhat,
+    is the minimal boost or rotation from e to vhat: (I - v e) e = v (I - v e)
+    and det(I - v e) = 2 (1 + c).  It is the identity at vhat = e and keeps
+    1 + c >= 2 on the hyperboloid.  Where the sphere quotient would divide by
+    less than 1 (c < -1/2), the same rotation is built from the chart angles,
+    A = exp(polar/2 (sin az s1 - cos az s2)), which stays defined at the
+    antipode polar = pi.
+    """
+    if isinstance(vhat, UnitTimelikeVector):
+        c0 = vhat.coeffs[0]
+        return AdsGroupElement((np.eye(2) - vhat.matrix @ T0) / math.sqrt(2.0 * (1.0 + c0)))
+    c3 = vhat.coeffs[2]
+    if c3 >= -0.5:
+        return SphereGroupElement((np.eye(2) - vhat.matrix @ S3) / math.sqrt(2.0 * (1.0 + c3)))
+    phi = vhat.azimuth
+    axis = SphereAlgebraElement(np.array([math.sin(phi), -math.cos(phi), 0.0]))
+    return exp_algebra(axis, 0.5 * vhat.polar)

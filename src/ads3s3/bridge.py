@@ -20,6 +20,7 @@ together with the cross identities 4 mu mubar cosh alpha = E^2 and
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,16 +59,42 @@ def f_max(b):
     return 0.5 * (b + math.sqrt(b * b + 8.0))
 
 
+class FamilyRelations(namedtuple("FamilyRelations", (
+        "f", "b", "e2", "a2", "e", "a", "E", "F", "A", "B", "lam", "rho", "lam_s", "rho_s",
+        "cosh2theta", "cos2theta_s", "m", "n", "m_s", "n_s"))):
+    """Everything the one-winding family fixes at (f, b, n); see family_relations."""
+
+    __slots__ = ()
+
+
+def family_relations(f, b, n):
+    """The one-winding family at (f, b) and winding n, written once.
+
+    e^2 = f^2 - 1, a^2 = b^2 - 1, (E, F, A, B) = n (e, f, a, b),
+    lam, rho = (E +- F)/2, lam_s, rho_s = (A + B)/2, (B - A)/2, the two angle
+    invariants of the module docstring and the windings m = -n, m_s = n_s = n.
+    No admissibility check: scans tabulate points outside the band too.
+    """
+    e2 = f * f - 1.0
+    a2 = b * b - 1.0
+    e = math.sqrt(max(0.0, e2))
+    a = math.sqrt(max(0.0, a2))
+    E, F, A, B = n * e, n * f, n * a, n * b
+    return FamilyRelations(
+        f, b, e2, a2, e, a, E, F, A, B,
+        0.5 * (E + F), 0.5 * (E - F), 0.5 * (A + B), 0.5 * (B - A),
+        b * f - b * b + 1.0, f * f - b * f - 1.0, -n, n, n, n)
+
+
+def family_angles(cosh2theta, cos2theta_s):
+    """theta >= 0 and theta_s in [0, pi/2], with the invariants clipped to their ranges."""
+    return (0.5 * math.acosh(max(cosh2theta, 1.0)),
+            0.5 * math.acos(min(1.0, max(-1.0, cos2theta_s))))
+
+
 def invariants_from_ads(f, b, n):
     """(mu^2, mubar^2, cosh alpha) from the AdS-sector current equations."""
-    c2t = b * f - b * b + 1.0
-    e2 = f * f - 1.0
-    mu2 = 0.25 * n * n * (f - 1.0) * (f + c2t)
-    mubar2 = 0.25 * n * n * (f + 1.0) * (f - c2t)
-    sinh2_2t = c2t * c2t - 1.0
-    denom = e2 - sinh2_2t
-    coshalpha = math.sqrt(e2) / math.sqrt(denom) if denom > 0.0 and e2 > 0.0 else math.nan
-    return mu2, mubar2, coshalpha
+    return _ads_invariants(family_relations(f, b, n))
 
 
 def invariants_from_sphere(f, b, n):
@@ -76,12 +103,25 @@ def invariants_from_sphere(f, b, n):
     Uses the branch cos beta = a / sqrt(a^2 + sin^2 2theta_s), the one
     consistent with 4 mu mubar cos beta = A^2.
     """
-    c2ts = f * f - b * f - 1.0
-    a2 = b * b - 1.0
+    return _sphere_invariants(family_relations(f, b, n))
+
+
+def _ads_invariants(rel):
+    f, n, c2t, e2 = rel.f, rel.n, rel.cosh2theta, rel.e2
+    mu2 = 0.25 * n * n * (f - 1.0) * (f + c2t)
+    mubar2 = 0.25 * n * n * (f + 1.0) * (f - c2t)
+    sinh2_2t = c2t * c2t - 1.0
+    denom = e2 - sinh2_2t
+    coshalpha = rel.e / math.sqrt(denom) if denom > 0.0 and e2 > 0.0 else math.nan
+    return mu2, mubar2, coshalpha
+
+
+def _sphere_invariants(rel):
+    b, n, c2ts, a2 = rel.b, rel.n, rel.cos2theta_s, rel.a2
     mu2 = 0.25 * n * n * (b + 1.0) * (b + c2ts)
     mubar2 = 0.25 * n * n * (b - 1.0) * (b - c2ts)
     denom = a2 + (1.0 - c2ts * c2ts)
-    cosbeta = math.sqrt(a2) / math.sqrt(denom) if denom > 0.0 and a2 > 0.0 else math.nan
+    cosbeta = rel.a / math.sqrt(denom) if denom > 0.0 and a2 > 0.0 else math.nan
     return mu2, mubar2, cosbeta
 
 
@@ -138,13 +178,11 @@ def bridge(f, b, n=1):
         raise RegionError(ok.reason)
     n = int(n)
 
-    c2t = b * f - b * b + 1.0
-    c2ts = f * f - b * f - 1.0
-    theta = 0.5 * math.acosh(max(c2t, 1.0))
-    theta_s = 0.5 * math.acos(min(1.0, max(-1.0, c2ts)))
-
-    mu2_a, mubar2_a, coshalpha = invariants_from_ads(f, b, n)
-    mu2_s, mubar2_s, cosbeta = invariants_from_sphere(f, b, n)
+    rel = family_relations(f, b, n)
+    c2ts = rel.cos2theta_s
+    theta, theta_s = family_angles(rel.cosh2theta, c2ts)
+    mu2_a, mubar2_a, coshalpha = _ads_invariants(rel)
+    mu2_s, mubar2_s, cosbeta = _sphere_invariants(rel)
     gap = max(abs(mu2_a - mu2_s), abs(mubar2_a - mubar2_s))
     scale = max(1.0, abs(mu2_a), abs(mubar2_a))
     if gap > 1e-12 * scale:
@@ -152,9 +190,6 @@ def bridge(f, b, n=1):
 
     mu2 = max(0.0, mu2_a)
     mubar2 = max(0.0, mubar2_a)
-    e = math.sqrt(max(0.0, f * f - 1.0))
-    a = math.sqrt(max(0.0, b * b - 1.0))
-    E, F, A, B = n * e, n * f, n * a, n * b
 
     flags = []
     if f <= b:
@@ -167,10 +202,9 @@ def bridge(f, b, n=1):
         flags.append("mu*mubar=0 (alpha/beta undefined)")
 
     return InvariantBlock(
-        n=n, f=f, b=b, e=e, a=a, E=E, F=F, A=A, B=B,
-        lam=0.5 * (E + F), rho=0.5 * (E - F),
-        lam_s=0.5 * (A + B), rho_s=0.5 * (B - A),
-        cosh2theta=c2t, cos2theta_s=c2ts, theta=theta, theta_s=theta_s,
+        n=n, f=f, b=b, e=rel.e, a=rel.a, E=rel.E, F=rel.F, A=rel.A, B=rel.B,
+        lam=rel.lam, rho=rel.rho, lam_s=rel.lam_s, rho_s=rel.rho_s,
+        cosh2theta=rel.cosh2theta, cos2theta_s=c2ts, theta=theta, theta_s=theta_s,
         mu2=mu2, mubar2=mubar2, mu=math.sqrt(mu2), mubar=math.sqrt(mubar2),
         coshalpha=coshalpha, cosbeta=cosbeta,
         degenerate=tuple(flags),
@@ -188,14 +222,12 @@ def scan_region(f_range, b_range, n=1):
     rows = []
     for f in f_vals:
         for b in b_vals:
-            ok = admissible(f, b)
-            c2t = b * f - b * b + 1.0
-            c2ts = f * f - b * f - 1.0
-            mu2_a, mubar2_a, coshalpha = invariants_from_ads(f, b, n)
-            _, _, cosbeta = invariants_from_sphere(f, b, n)
+            rel = family_relations(f, b, n)
+            mu2_a, mubar2_a, coshalpha = _ads_invariants(rel)
+            _, _, cosbeta = _sphere_invariants(rel)
             rows.append({
-                "f": f, "b": b, "admissible": bool(ok),
-                "cosh2theta": c2t, "cos2theta_s": c2ts,
+                "f": f, "b": b, "admissible": bool(admissible(f, b)),
+                "cosh2theta": rel.cosh2theta, "cos2theta_s": rel.cos2theta_s,
                 "mu2": mu2_a, "mubar2": mubar2_a,
                 "coshalpha": coshalpha, "cosbeta": cosbeta,
             })
@@ -204,6 +236,8 @@ def scan_region(f_range, b_range, n=1):
 
 def _grid_values(rng, name):
     start, stop, count = rng
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{name} grid bounds must be finite")
     count = int(count)
     if count < 1:
         raise ValueError(f"empty {name} grid")
@@ -211,7 +245,7 @@ def _grid_values(rng, name):
         return [float(start)]
     if stop < start:
         raise ValueError(f"{name} range must be monotone")
-    return list(np.linspace(float(start), float(stop), count))
+    return np.linspace(float(start), float(stop), count).tolist()
 
 
 @dataclass(frozen=True)

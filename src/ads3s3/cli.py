@@ -237,12 +237,6 @@ def _random_string_point(rng, n=1):
     )
 
 
-_ADS_PAIRS = [("L0", "L1"), ("L0", "L2"), ("L1", "L2"),
-              ("R0", "R1"), ("R0", "R2"), ("R1", "R2")]
-_SPH_PAIRS = [("Ls1", "Ls2"), ("Ls2", "Ls3"), ("Ls3", "Ls1"),
-              ("Rs1", "Rs2"), ("Rs2", "Rs3"), ("Rs3", "Rs1")]
-
-
 def _algebra_residual(chart, form, x):
     """Max deviation of the charge brackets from the left/right algebra."""
     worst = 0.0

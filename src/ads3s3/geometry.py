@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DegenerateConfigurationError, ads_dot
-from .charges import charge_coefficients, charges_analytic, charges_numeric, current_matrices
+from .charges import charges_analytic, charges_numeric, current_matrices
 from .solutions import embedding_surface, evaluate_matrices
 
 DEFAULT_STEP = 1e-4

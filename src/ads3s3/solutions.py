@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bridge import admissible as _admissible
+from .bridge import FamilyRelations, admissible as _admissible, family_angles, family_relations
 from .algebra import (
     AdsGroupElement,
     DegenerateConfigurationError,
@@ -26,9 +26,10 @@ from .algebra import (
     UnitSphereVector,
     UnitTimelikeVector,
     ValidationError,
+    adjoint,
     ads_basis,
+    aligning_rotation,
     exp_algebra,
-    normalized_commutator,
     sphere_basis,
 )
 
@@ -135,28 +136,17 @@ def apply_isometry(sol, g_left=None, g_right=None, h_left=None, h_right=None):
     h_left = h_left if h_left is not None else SphereGroupElement.identity()
     h_right = h_right if h_right is not None else SphereGroupElement.identity()
 
-    gl, glinv = g_left.matrix, g_left.inverse().matrix
-    gr, grinv = g_right.matrix, g_right.inverse().matrix
-    hl, hlinv = h_left.matrix, h_left.inverse().matrix
-    hr, hrinv = h_right.matrix, h_right.inverse().matrix
-
-    def ads_coeffs(mat):
-        return np.array([0.5 * (mat[0, 1] - mat[1, 0]),
-                         0.5 * (mat[0, 1] + mat[1, 0]),
-                         0.5 * (mat[0, 0] - mat[1, 1])])
-
-    def sph_coeffs(mat):
-        return np.array([(-0.5 * np.trace(s.matrix @ mat)).real
-                         for s in (_S1, _S2, _S3)])
+    def moved(vec_cls, g, vhat):
+        return vec_cls.from_coeffs(adjoint(g, vhat.element).coeffs)
 
     return replace(
         sol,
-        lhat=UnitTimelikeVector.from_coeffs(ads_coeffs(gl @ sol.lhat.matrix @ glinv)),
-        rhat=UnitTimelikeVector.from_coeffs(ads_coeffs(grinv @ sol.rhat.matrix @ gr)),
-        g0=AdsGroupElement(gl @ sol.g0.matrix @ gr),
-        lhat_s=UnitSphereVector.from_coeffs(sph_coeffs(hl @ sol.lhat_s.matrix @ hlinv)),
-        rhat_s=UnitSphereVector.from_coeffs(sph_coeffs(hrinv @ sol.rhat_s.matrix @ hr)),
-        h0=SphereGroupElement(hl @ sol.h0.matrix @ hr),
+        lhat=moved(UnitTimelikeVector, g_left, sol.lhat),
+        rhat=moved(UnitTimelikeVector, g_right.inverse(), sol.rhat),
+        g0=AdsGroupElement(g_left.matrix @ sol.g0.matrix @ g_right.matrix),
+        lhat_s=moved(UnitSphereVector, h_left, sol.lhat_s),
+        rhat_s=moved(UnitSphereVector, h_right.inverse(), sol.rhat_s),
+        h0=SphereGroupElement(h_left.matrix @ sol.h0.matrix @ h_right.matrix),
     )
 
 
@@ -184,30 +174,6 @@ class CanonicalAngles:
     m_s: int
     n_s: int
 
-    def theta_l(self, tau, sigma):
-        return self.lam * np.asarray(tau) + 0.5 * self.m * np.asarray(sigma)
-
-    def theta_r(self, tau, sigma):
-        return self.rho * np.asarray(tau) + 0.5 * self.n * np.asarray(sigma)
-
-    def theta_l_s(self, tau, sigma):
-        return self.lam_s * np.asarray(tau) + 0.5 * self.m_s * np.asarray(sigma)
-
-    def theta_r_s(self, tau, sigma):
-        return self.rho_s * np.asarray(tau) + 0.5 * self.n_s * np.asarray(sigma)
-
-    def eta(self, tau, sigma):
-        return self.theta_l(tau, sigma) + self.theta_r(tau, sigma)
-
-    def xi(self, tau, sigma):
-        return self.theta_l(tau, sigma) - self.theta_r(tau, sigma)
-
-    def eta_s(self, tau, sigma):
-        return self.theta_l_s(tau, sigma) - self.theta_r_s(tau, sigma)
-
-    def xi_s(self, tau, sigma):
-        return self.theta_l_s(tau, sigma) + self.theta_r_s(tau, sigma)
-
 
 def ads_kak(g):
     """Decompose g = exp(p t0) exp(theta t1) exp(q t0) with theta >= 0."""
@@ -230,26 +196,6 @@ def sphere_kak(h):
     return 0.5 * (xi_s + eta_s), theta_s, 0.5 * (xi_s - eta_s)
 
 
-def _align_ads(vhat):
-    """Group element a with a v a^{-1} = t0 for future unit timelike v."""
-    c = vhat.coeffs
-    if math.hypot(c[1], c[2]) < 1e-14:
-        return AdsGroupElement.identity()
-    nh, gamma = normalized_commutator(_T0, vhat.element)
-    return exp_algebra(nh, -gamma)
-
-
-def _align_sphere(vhat):
-    """Group element a with a v a^{-1} = s3 for a unit su(2) vector v."""
-    c = vhat.coeffs
-    if math.hypot(c[0], c[1]) < 1e-14:
-        if c[2] > 0.0:
-            return SphereGroupElement.identity()
-        return exp_algebra(_S1, -0.5 * math.pi)
-    nh, gamma = normalized_commutator(_S3, vhat.element)
-    return exp_algebra(nh, -gamma)
-
-
 def canonicalizing_isometry(sol):
     """Isometry elements bringing sol to the canonical frame.
 
@@ -257,15 +203,15 @@ def canonicalizing_isometry(sol):
     solution has l = r = t0, l_s = r_s = s3, g0 = exp(theta t1) and
     h0 = exp(theta_s s2).
     """
-    a_l = _align_ads(sol.lhat)
-    a_r = _align_ads(sol.rhat).inverse()
+    a_l = aligning_rotation(sol.lhat).inverse()
+    a_r = aligning_rotation(sol.rhat)
     g0p = a_l @ sol.g0 @ a_r
     p, theta, q = ads_kak(g0p)
     g_left = exp_algebra(_T0, -p) @ a_l
     g_right = a_r @ exp_algebra(_T0, -q)
 
-    b_l = _align_sphere(sol.lhat_s)
-    b_r = _align_sphere(sol.rhat_s).inverse()
+    b_l = aligning_rotation(sol.lhat_s).inverse()
+    b_r = aligning_rotation(sol.rhat_s)
     h0p = b_l @ sol.h0 @ b_r
     p_s, theta_s, q_s = sphere_kak(h0p)
     h_left = exp_algebra(_S3, -p_s) @ b_l
@@ -295,76 +241,23 @@ def canonical_form(sol):
     return canon, angles
 
 
-@dataclass(frozen=True)
-class SimpleFamilyPoint:
+class SimpleFamilyPoint(FamilyRelations):
     """One-winding sector point: windings m_s = n_s = -m = n > 0.
 
     The rescaled invariants (f, b) must lie in the admissible band
-    b <= f <= (b + sqrt(b^2 + 8))/2 with f, b >= 1.
+    b <= f <= (b + sqrt(b^2 + 8))/2 with f, b >= 1; the fields are those of
+    bridge.family_relations.
     """
 
-    f: float
-    b: float
-    n: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
+    def __new__(cls, f, b, n=1):
+        if n < 1 or int(n) != n:
             raise ValidationError("winding n must be a positive integer")
-        ok = _admissible(self.f, self.b)
+        ok = _admissible(f, b)
         if not ok:
             raise ValidationError(f"inadmissible (f, b): {ok.reason}")
-
-    @property
-    def e(self):
-        return math.sqrt(max(0.0, self.f ** 2 - 1.0))
-
-    @property
-    def a(self):
-        return math.sqrt(max(0.0, self.b ** 2 - 1.0))
-
-    @property
-    def E(self):
-        return self.n * self.e
-
-    @property
-    def F(self):
-        return self.n * self.f
-
-    @property
-    def A(self):
-        return self.n * self.a
-
-    @property
-    def B(self):
-        return self.n * self.b
-
-    @property
-    def lam(self):
-        return 0.5 * (self.E + self.F)
-
-    @property
-    def rho(self):
-        return 0.5 * (self.E - self.F)
-
-    @property
-    def lam_s(self):
-        return 0.5 * (self.A + self.B)
-
-    @property
-    def rho_s(self):
-        return 0.5 * (self.B - self.A)
-
-    @property
-    def m(self):
-        return -self.n
-
-    @property
-    def m_s(self):
-        return self.n
-
-    @property
-    def n_s(self):
-        return self.n
+        return super().__new__(cls, *family_relations(f, b, n))
 
 
 def family_solution(f, b, n=1, theta=None, theta_s=None):
@@ -375,10 +268,7 @@ def family_solution(f, b, n=1, theta=None, theta_s=None):
     """
     pt = SimpleFamilyPoint(f, b, n)
     if theta is None or theta_s is None:
-        c2t = b * f - b * b + 1.0
-        c2ts = f * f - b * f - 1.0
-        theta = 0.5 * math.acosh(max(1.0, c2t))
-        theta_s = 0.5 * math.acos(min(1.0, max(-1.0, c2ts)))
+        theta, theta_s = family_angles(pt.cosh2theta, pt.cos2theta_s)
     return make_solution(
         lam=pt.lam, rho=pt.rho, m=pt.m, n=pt.n,
         lhat=UnitTimelikeVector(), rhat=UnitTimelikeVector(),

@@ -42,16 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import admissible as _admissible
+from .bridge import admissible as _admissible, family_angles, family_relations
 from .algebra import (
     EPS,
     EPS_MIXED,
-    AdsGroupElement,
     DegenerateConfigurationError,
-    SphereGroupElement,
     UnitSphereVector,
     UnitTimelikeVector,
     ValidationError,
+    aligning_rotation,
     ads_basis,
     exp_algebra,
     inner,
@@ -59,7 +58,7 @@ from .algebra import (
     sphere_basis,
 )
 from .charges import current_matrices
-from .solutions import SimpleFamilyPoint, SolutionParams, evaluate_matrices
+from .solutions import SolutionParams, evaluate_matrices
 
 _T0, _T1, _T2 = ads_basis()
 _S1, _S2, _S3 = sphere_basis()
@@ -178,39 +177,23 @@ def particle_evaluate(charge, g0, tau, side="left"):
     raise ValueError("side must be 'left' or 'right'")
 
 
-def _axis_factor(vhat, reference, basis_cls):
-    """exp(theta n) with n the normalized commutator of (reference, vhat).
-
-    Satisfies exp(theta n) reference exp(-theta n) = vhat; identity when
-    vhat is the reference direction.
-    """
-    if np.allclose(vhat.coeffs, reference.coeffs, atol=1e-14):
-        return basis_cls.identity()
-    nh, gamma = normalized_commutator(reference, vhat.element)
-    return exp_algebra(nh, gamma)
-
-
-def g_from_LR(lhat, rhat, phi, m=None):
+def g_from_LR(lhat, rhat, phi):
     """SL(2,R) point with Ad_g r = l, charted by the angle phi.
 
-        g = exp(theta_L n_L) exp(phi t0) exp(theta_R n_R),
-        cosh 2theta_L = -<l t0>,  cosh 2theta_R = -<r t0>.
+        g = A(l) exp(phi t0) A(r)^{-1},   A = algebra.aligning_rotation,
 
-    phi and phi + 2pi give the same matrix (exp(t0, 2pi) = I); the chart
-    lives on the covering line and is identified mod 2pi on comparison.
-    The Casimir scale m is irrelevant for the group element and accepted
-    only for signature symmetry.
+    where A(v) is the boost taking t0 to v.  phi and phi + 2pi give the same
+    matrix (exp(t0, 2pi) = I); the chart lives on the covering line and is
+    identified mod 2pi on comparison.
     """
-    left = _axis_factor(lhat, _T0, AdsGroupElement)
-    right = _axis_factor(rhat, _T0, AdsGroupElement).inverse()
-    return left @ exp_algebra(_T0, float(phi)) @ right
+    return (aligning_rotation(lhat) @ exp_algebra(_T0, float(phi))
+            @ aligning_rotation(rhat).inverse())
 
 
-def h_from_LR(lhat_s, rhat_s, phi_s, m_s=None):
+def h_from_LR(lhat_s, rhat_s, phi_s):
     """SU(2) analogue of g_from_LR with reference axis s3."""
-    left = _axis_factor(lhat_s, _S3, SphereGroupElement)
-    right = _axis_factor(rhat_s, _S3, SphereGroupElement).inverse()
-    return left @ exp_algebra(_S3, float(phi_s)) @ right
+    return (aligning_rotation(lhat_s) @ exp_algebra(_S3, float(phi_s))
+            @ aligning_rotation(rhat_s).inverse())
 
 
 @dataclass(frozen=True)
@@ -254,13 +237,97 @@ class _SphereChartAxes:
         return self.sign * math.sqrt(max(0.0, 1.0 - u * u - v * v))
 
 
-def _ads_chart_coords(vhat):
-    c = vhat.coeffs
-    return float(c[1]), float(c[2])
-
-
 def _ads_from_chart(l1, l2):
     return np.array([math.sqrt(1.0 + l1 * l1 + l2 * l2), l1, l2])
+
+
+# chart slots of the charges L, R (AdS, lower index) and Ls, Rs (sphere)
+_CHARGE_SLOTS = {"L": 0, "R": 1, "Ls": 2, "Rs": 3}
+
+
+class _OrbitChart:
+    """Chart on the four orbit directions (l, r, l_s, r_s) plus extra coordinates.
+
+    The first eight coordinates are (l1, l2, r1, r2), the spatial components
+    of the AdS directions (global on the future hyperboloid), and the (u, v)
+    pairs of the sphere directions in cyclic charts whose dependent axis is
+    the direction's largest component at the base point, so the chart stays
+    away from its coordinate singularity.  Orbit block k of a form is the
+    k-th orbit coefficient over the k-th block normaliser.  Subclasses supply
+    labels, point_class, coefficient_index, the extra coordinates and
+    orbit_coefficients(x).
+    """
+
+    def __init__(self, point):
+        self.ls_axes = _SphereChartAxes.for_vector(point.lhat_s.coeffs)
+        self.rs_axes = _SphereChartAxes.for_vector(point.rhat_s.coeffs)
+        self._x0 = self.coords(point)
+
+    def coords(self, point):
+        l, r = point.lhat.coeffs, point.rhat.coeffs
+        lsu, lsv = self.ls_axes.to_coords(point.lhat_s.coeffs)
+        rsu, rsv = self.rs_axes.to_coords(point.rhat_s.coeffs)
+        return np.array([l[1], l[2], r[1], r[2], lsu, lsv, rsu, rsv,
+                         *self._extra_coords(point)])
+
+    def point(self, x):
+        """Chart vector -> chart point."""
+        return self.point_class(
+            UnitTimelikeVector.from_coeffs(self._direction(0, x)),
+            UnitTimelikeVector.from_coeffs(self._direction(1, x)),
+            UnitSphereVector.from_coeffs(self._direction(2, x)),
+            UnitSphereVector.from_coeffs(self._direction(3, x)),
+            **self._extra_fields(x))
+
+    def _direction(self, k, x):
+        """Coefficients of direction k = 0..3 (l, r, l_s, r_s) at chart vector x."""
+        u, v = x[2 * k], x[2 * k + 1]
+        if k < 2:
+            return _ads_from_chart(u, v)
+        return (self.ls_axes, self.rs_axes)[k - 2].from_coords(u, v)
+
+    def _block_normalisers(self, x):
+        """Signed normalisers -2 l0, 2 r0, 2 w_ls, -2 w_rs of the orbit blocks.
+
+        AdS blocks m dl2^dl1/(2 l0) and m dr1^dr2/(2 r0); the sphere blocks
+        carry the mirrored orientation of the su(2) structure constants.
+        """
+        l0, r0 = self._direction(0, x)[0], self._direction(1, x)[0]
+        w_ls = self.ls_axes.w(x[4], x[5])
+        w_rs = self.rs_axes.w(x[6], x[7])
+        if abs(w_ls) < 1e-8 or abs(w_rs) < 1e-8:
+            raise DegenerateConfigurationError(
+                "sphere chart at its coordinate singularity; rebuild the chart")
+        return -2.0 * l0, 2.0 * r0, 2.0 * w_ls, -2.0 * w_rs
+
+    def orbit_block_coefficients(self, form=None):
+        """Signed orbit coefficients (m_L, m_R, m_L_s, m_R_s) read off a form."""
+        form = self.form() if form is None else form
+        return tuple(scale * float(form.matrix[2 * k, 2 * k + 1])
+                     for k, scale in enumerate(self._block_normalisers(self._x0)))
+
+    def charge_function(self, name):
+        """Chart function for a charge component or an orbit coefficient.
+
+        Names: L0..L2, R0..R2 (AdS, lower index), Ls1..Ls3, Rs1..Rs3 and the
+        keys of coefficient_index.  A charge is its orbit coefficient times
+        its unit direction.
+        """
+        coeffs = self.orbit_coefficients
+        if name in self.coefficient_index:
+            k = self.coefficient_index[name]
+            return lambda x: float(coeffs(x)[k])
+        slot = _CHARGE_SLOTS.get(name[:-1])
+        if slot is None or not name[-1].isdigit():
+            raise ValueError(f"unknown charge function {name!r}")
+        idx = int(name[-1])
+        if slot < 2:
+            def component(vec):
+                return -vec[0] if idx == 0 else vec[idx]
+        else:
+            def component(vec):
+                return vec[idx - 1]
+        return lambda x: float(coeffs(x)[slot] * component(self._direction(slot, x)))
 
 
 @dataclass(frozen=True)
@@ -296,105 +363,42 @@ class ParticleChartPoint:
         return self.phi_s - self.phi / self.m
 
 
-_PARTICLE_LABELS = ("l1", "l2", "r1", "r2", "ls_u", "ls_v", "rs_u", "rs_v", "m_s", "chi")
-
-
-class ParticleChart:
+class ParticleChart(_OrbitChart):
     """Coordinate chart and assembled symplectic form for the particle.
 
-    Sphere orbit charts are chosen per direction vector (dependent axis =
-    largest component) so the chart stays away from its coordinate
-    singularity; the AdS orbit chart (l1, l2) is global on the future
-    hyperboloid.
+    The orbit coefficients are (m, m, m_s, m_s) with m = sqrt(M^2 + m_s^2)
+    fixed by the mass shell; (m_s, chi) close the chart.
     """
 
-    labels = _PARTICLE_LABELS
+    labels = ("l1", "l2", "r1", "r2", "ls_u", "ls_v", "rs_u", "rs_v", "m_s", "chi")
+    point_class = ParticleChartPoint
+    coefficient_index = {"m_L": 0, "m_R": 1, "m_s": 2}
 
     def __init__(self, point):
         self.M = point.M
-        self.ls_axes = _SphereChartAxes.for_vector(point.lhat_s.coeffs)
-        self.rs_axes = _SphereChartAxes.for_vector(point.rhat_s.coeffs)
-        self._x0 = self.coords(point)
+        super().__init__(point)
 
-    def coords(self, point):
-        l1, l2 = _ads_chart_coords(point.lhat)
-        r1, r2 = _ads_chart_coords(point.rhat)
-        lsu, lsv = self.ls_axes.to_coords(point.lhat_s.coeffs)
-        rsu, rsv = self.rs_axes.to_coords(point.rhat_s.coeffs)
-        return np.array([l1, l2, r1, r2, lsu, lsv, rsu, rsv, point.m_s, point.chi])
+    def _extra_coords(self, point):
+        return point.m_s, point.chi
 
-    def point(self, x):
-        """Chart vector -> ParticleChartPoint (phi gauge-fixed to zero)."""
-        return ParticleChartPoint(
-            lhat=UnitTimelikeVector.from_coeffs(_ads_from_chart(x[0], x[1])),
-            rhat=UnitTimelikeVector.from_coeffs(_ads_from_chart(x[2], x[3])),
-            lhat_s=UnitSphereVector.from_coeffs(self.ls_axes.from_coords(x[4], x[5])),
-            rhat_s=UnitSphereVector.from_coeffs(self.rs_axes.from_coords(x[6], x[7])),
-            m_s=float(x[8]), M=self.M, phi=0.0, phi_s=float(x[9]),
-        )
+    def _extra_fields(self, x):
+        # phi gauge-fixed to zero
+        return dict(m_s=float(x[8]), M=self.M, phi=0.0, phi_s=float(x[9]))
+
+    def orbit_coefficients(self, x):
+        m_s = float(x[8])
+        m = math.sqrt(self.M ** 2 + m_s ** 2)
+        return m, m, m_s, m_s
 
     def form(self, x=None):
         """Assembled block-diagonal symplectic form at chart vector x."""
         x = self._x0 if x is None else np.asarray(x, dtype=float)
-        m_s = float(x[8])
-        m = math.sqrt(self.M ** 2 + m_s ** 2)
-        l0 = math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2)
-        r0 = math.sqrt(1.0 + x[2] ** 2 + x[3] ** 2)
-        w_ls = self.ls_axes.w(x[4], x[5])
-        w_rs = self.rs_axes.w(x[6], x[7])
-        if abs(w_ls) < 1e-8 or abs(w_rs) < 1e-8:
-            raise DegenerateConfigurationError(
-                "sphere chart at its coordinate singularity; rebuild the chart")
         omega = np.zeros((10, 10))
-        # AdS blocks: m dl2^dl1/(2 l0) and m dr1^dr2/(2 r0)
-        omega[0, 1] = -m / (2.0 * l0)
-        omega[2, 3] = m / (2.0 * r0)
-        # sphere blocks: mirrored orientation (su(2) structure constants)
-        omega[4, 5] = m_s / (2.0 * w_ls)
-        omega[6, 7] = -m_s / (2.0 * w_rs)
-        # reduced (m_s, chi) pair
-        omega[8, 9] = 1.0
+        for k, (coeff, scale) in enumerate(zip(self.orbit_coefficients(x),
+                                               self._block_normalisers(x))):
+            omega[2 * k, 2 * k + 1] = coeff / scale
+        omega[8, 9] = 1.0  # reduced (m_s, chi) pair
         return TwoFormMatrix(omega - omega.T, self.labels)
-
-    def charge_function(self, name):
-        """Chart function for a charge component or Casimir.
-
-        Names: L0..L2, R0..R2 (AdS, lower index), Ls1..Ls3, Rs1..Rs3,
-        m_L (= m_R = m) and m_s.
-        """
-        M = self.M
-
-        def m_of(x):
-            return math.sqrt(M ** 2 + x[8] ** 2)
-
-        if name in ("m_L", "m_R"):
-            return m_of
-        if name == "m_s":
-            return lambda x: float(x[8])
-        kind, idx = name[0], int(name[-1])
-        if name.startswith("Ls"):
-            axes = self.ls_axes
-
-            def fn(x):
-                return float(x[8] * axes.from_coords(x[4], x[5])[idx - 1])
-        elif name.startswith("Rs"):
-            axes = self.rs_axes
-
-            def fn(x):
-                return float(x[8] * axes.from_coords(x[6], x[7])[idx - 1])
-        elif kind == "L":
-            def fn(x):
-                vec = _ads_from_chart(x[0], x[1])
-                comp = -vec[0] if idx == 0 else vec[idx]
-                return float(m_of(x) * comp)
-        elif kind == "R":
-            def fn(x):
-                vec = _ads_from_chart(x[2], x[3])
-                comp = -vec[0] if idx == 0 else vec[idx]
-                return float(m_of(x) * comp)
-        else:
-            raise ValueError(f"unknown charge function {name!r}")
-        return fn
 
 
 def particle_symplectic(point):
@@ -431,11 +435,7 @@ class StringChartPoint:
             raise ValidationError("chart needs l_s and r_s non-(anti)parallel")
 
 
-_STRING_LABELS = ("l1", "l2", "r1", "r2", "ls_u", "ls_v", "rs_u", "rs_v",
-                  "f", "b", "phi1", "phi2")
-
-
-class StringChart:
+class StringChart(_OrbitChart):
     """Chart machinery for the string solution space.
 
     Reconstructs a full solution from the twelve coordinates, evaluates the
@@ -452,7 +452,10 @@ class StringChart:
     symplectic.  sphere_gauge_sign=+1 reproduces the degenerate slice.
     """
 
-    labels = _STRING_LABELS
+    labels = ("l1", "l2", "r1", "r2", "ls_u", "ls_v", "rs_u", "rs_v",
+              "f", "b", "phi1", "phi2")
+    point_class = StringChartPoint
+    coefficient_index = {"m_L": 0, "m_R": 1, "m_L_s": 2, "m_R_s": 3}
 
     def __init__(self, point, tau=0.0, sigma_points=64, step=DEFAULT_FORM_STEP,
                  sphere_gauge_sign=-1.0):
@@ -461,27 +464,21 @@ class StringChart:
         self.sigma = np.linspace(0.0, 2.0 * math.pi, int(sigma_points), endpoint=False)
         self.step = float(step)
         self.sphere_gauge_sign = float(sphere_gauge_sign)
-        self.ls_axes = _SphereChartAxes.for_vector(point.lhat_s.coeffs)
-        self.rs_axes = _SphereChartAxes.for_vector(point.rhat_s.coeffs)
-        self._x0 = self.coords(point)
+        super().__init__(point)
 
-    def coords(self, point):
-        l1, l2 = _ads_chart_coords(point.lhat)
-        r1, r2 = _ads_chart_coords(point.rhat)
-        lsu, lsv = self.ls_axes.to_coords(point.lhat_s.coeffs)
-        rsu, rsv = self.rs_axes.to_coords(point.rhat_s.coeffs)
-        return np.array([l1, l2, r1, r2, lsu, lsv, rsu, rsv,
-                         point.f, point.b, point.phi1, point.phi2])
+    def _extra_coords(self, point):
+        return point.f, point.b, point.phi1, point.phi2
 
-    def point(self, x):
-        return StringChartPoint(
-            lhat=UnitTimelikeVector.from_coeffs(_ads_from_chart(x[0], x[1])),
-            rhat=UnitTimelikeVector.from_coeffs(_ads_from_chart(x[2], x[3])),
-            lhat_s=UnitSphereVector.from_coeffs(self.ls_axes.from_coords(x[4], x[5])),
-            rhat_s=UnitSphereVector.from_coeffs(self.rs_axes.from_coords(x[6], x[7])),
-            f=float(x[8]), b=float(x[9]), phi1=float(x[10]), phi2=float(x[11]),
-            n=self.n,
-        )
+    def _extra_fields(self, x):
+        return dict(f=float(x[8]), b=float(x[9]), phi1=float(x[10]), phi2=float(x[11]),
+                    n=self.n)
+
+    def orbit_coefficients(self, x):
+        """(lam + rho c2t, lam c2t + rho, lam_s + rho_s c2ts, lam_s c2ts + rho_s) at (f, b)."""
+        rel = family_relations(float(x[8]), float(x[9]), self.n)
+        c2t, c2ts = rel.cosh2theta, rel.cos2theta_s
+        return (rel.lam + rel.rho * c2t, rel.lam * c2t + rel.rho,
+                rel.lam_s + rel.rho_s * c2ts, rel.lam_s * c2ts + rel.rho_s)
 
     def solution(self, x):
         """Solution parameters at chart vector x.
@@ -491,11 +488,8 @@ class StringChart:
         from the invariant bridge at (f, b).
         """
         pt = self.point(x)
-        fam = SimpleFamilyPoint(pt.f, pt.b, self.n)
-        c2t = pt.b * pt.f - pt.b * pt.b + 1.0
-        c2ts = pt.f * pt.f - pt.b * pt.f - 1.0
-        theta = 0.5 * math.acosh(max(1.0, c2t))
-        theta_s = 0.5 * math.acos(min(1.0, max(-1.0, c2ts)))
+        rel = family_relations(pt.f, pt.b, self.n)
+        theta, theta_s = family_angles(rel.cosh2theta, rel.cos2theta_s)
 
         nh, gamma = normalized_commutator(pt.lhat.element, pt.rhat.element)
         g0 = (exp_algebra(pt.lhat.element, pt.phi1)
@@ -506,9 +500,9 @@ class StringChart:
               @ exp_algebra(nh_s, -(gamma_s + theta_s))
               @ exp_algebra(pt.rhat_s.element, self.sphere_gauge_sign * pt.phi2))
         return SolutionParams(
-            lam=fam.lam, rho=fam.rho, m=fam.m, n=fam.n,
+            lam=rel.lam, rho=rel.rho, m=rel.m, n=rel.n,
             lhat=pt.lhat, rhat=pt.rhat, g0=g0,
-            lam_s=fam.lam_s, rho_s=fam.rho_s, m_s=fam.m_s, n_s=fam.n_s,
+            lam_s=rel.lam_s, rho_s=rel.rho_s, m_s=rel.m_s, n_s=rel.n_s,
             lhat_s=pt.lhat_s, rhat_s=pt.rhat_s, h0=h0,
         )
 
@@ -582,69 +576,6 @@ class StringChart:
         else:
             raise ValueError("sector must be 'ads' or 'sphere'")
         return float(np.mean(vals).real)
-
-    def charge_function(self, name):
-        """Chart function for charge components and invariant coefficients.
-
-        Names as in ParticleChart plus m_L, m_R, m_L_s, m_R_s for the four
-        (signed) orbit coefficients lam + rho cosh2theta etc.
-        """
-        n = self.n
-
-        def fam_coeffs(x):
-            f, b = float(x[8]), float(x[9])
-            e = math.sqrt(max(0.0, f * f - 1.0))
-            a = math.sqrt(max(0.0, b * b - 1.0))
-            lam, rho = 0.5 * n * (e + f), 0.5 * n * (e - f)
-            lam_s, rho_s = 0.5 * n * (a + b), 0.5 * n * (b - a)
-            c2t = b * f - b * b + 1.0
-            c2ts = f * f - b * f - 1.0
-            return (lam + rho * c2t, lam * c2t + rho,
-                    lam_s + rho_s * c2ts, lam_s * c2ts + rho_s)
-
-        coeff_index = {"m_L": 0, "m_R": 1, "m_L_s": 2, "m_R_s": 3}
-        if name in coeff_index:
-            k = coeff_index[name]
-            return lambda x: float(fam_coeffs(x)[k])
-        kind, idx = name[0], int(name[-1])
-        if name.startswith("Ls"):
-            axes = self.ls_axes
-
-            def fn(x):
-                return float(fam_coeffs(x)[2] * axes.from_coords(x[4], x[5])[idx - 1])
-        elif name.startswith("Rs"):
-            axes = self.rs_axes
-
-            def fn(x):
-                return float(fam_coeffs(x)[3] * axes.from_coords(x[6], x[7])[idx - 1])
-        elif kind == "L":
-            def fn(x):
-                vec = _ads_from_chart(x[0], x[1])
-                comp = -vec[0] if idx == 0 else vec[idx]
-                return float(fam_coeffs(x)[0] * comp)
-        elif kind == "R":
-            def fn(x):
-                vec = _ads_from_chart(x[2], x[3])
-                comp = -vec[0] if idx == 0 else vec[idx]
-                return float(fam_coeffs(x)[1] * comp)
-        else:
-            raise ValueError(f"unknown charge function {name!r}")
-        return fn
-
-    def orbit_block_coefficients(self, form=None):
-        """Signed orbit coefficients (m_L, m_R, m_L_s, m_R_s) read off a form."""
-        form = self.form() if form is None else form
-        x = self._x0
-        l0 = math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2)
-        r0 = math.sqrt(1.0 + x[2] ** 2 + x[3] ** 2)
-        w_ls = self.ls_axes.w(x[4], x[5])
-        w_rs = self.rs_axes.w(x[6], x[7])
-        return (
-            -2.0 * l0 * form.entry("l1", "l2"),
-            2.0 * r0 * form.entry("r1", "r2"),
-            2.0 * w_ls * form.entry("ls_u", "ls_v"),
-            -2.0 * w_rs * form.entry("rs_u", "rs_v"),
-        )
 
 
 def expected_bracket(name_a, name_b, values):

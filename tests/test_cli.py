@@ -165,6 +165,23 @@ class TestScanCommand:
         code, _, _ = run(capsys, "scan")
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["nan:2:3,1:2:2", "1:inf:3,1:2:2", "1:2:3,-inf:2:2"])
+    def test_non_finite_bounds_exit_one(self, capsys, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "scan", "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().split("\n")) == 1 and "finite" in err
+
+    def test_admissible_band_scan_is_quiet(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "scan", "--grid", "0.5:4:20,0.5:3:20", "--n", "3")
+        assert code == 0
+        assert err == ""
+        assert len(out.strip().split("\n")) == 401
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "scan", "--grid", "1.6:1.7:2,1.2:1.3:2",
                            "--format", "json")

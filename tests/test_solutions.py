@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ads3s3.solutions import (
     theta_invariants,
     winding_numbers,
 )
+from ads3s3.symplectic import g_from_LR, h_from_LR
 
 T0, T1, T2 = al.ads_basis()
 S1, S2, S3 = al.sphere_basis()
@@ -129,13 +131,17 @@ class TestEvaluate:
         _, ang = canonical_form(sol)
         th, ths = ang.theta, ang.theta_s
         for tau, sig in ((0.0, 0.0), (0.7, 1.3), (1.9, 5.0)):
-            eta, xi = ang.eta(tau, sig), ang.xi(tau, sig)
+            th_l = ang.lam * tau + 0.5 * ang.m * sig
+            th_r = ang.rho * tau + 0.5 * ang.n * sig
+            th_ls = ang.lam_s * tau + 0.5 * ang.m_s * sig
+            th_rs = ang.rho_s * tau + 0.5 * ang.n_s * sig
+            eta, xi = th_l + th_r, th_l - th_r
             g_expect = np.array([
                 [math.sinh(th) * math.sin(xi) + math.cosh(th) * math.cos(eta),
                  math.cosh(th) * math.sin(eta) + math.sinh(th) * math.cos(xi)],
                 [math.sinh(th) * math.cos(xi) - math.cosh(th) * math.sin(eta),
                  math.cosh(th) * math.cos(eta) - math.sinh(th) * math.sin(xi)]])
-            eta_s, xi_s = ang.eta_s(tau, sig), ang.xi_s(tau, sig)
+            eta_s, xi_s = th_ls - th_rs, th_ls + th_rs
             h_expect = np.array([
                 [math.cos(ths) * np.exp(1j * xi_s), math.sin(ths) * np.exp(1j * eta_s)],
                 [-math.sin(ths) * np.exp(-1j * eta_s), math.cos(ths) * np.exp(-1j * xi_s)]])
@@ -242,6 +248,51 @@ class TestCanonicalForm:
         canon, ang = canonical_form(sol)
         assert abs(ang.theta) <= 1e-12
         assert np.max(np.abs(canon.g0.matrix - np.eye(2))) <= 1e-12
+
+
+# directions within 1e-7 of the reference axis t0 / s3, and at and near the
+# sphere antipode -s3, where the commutator of the direction with the axis
+# vanishes and gives no rotation axis
+AXIAL_RAPIDITIES = (1e-13, 1e-9, 1e-7)
+AXIAL_POLARS = (1e-13, 1e-9, 1e-7, math.pi - 1e-9)
+
+
+class TestAxisAlignedDirections:
+    def check_canonical(self, sol):
+        _, ang = canonical_form(sol)
+        c2t, c2ts = theta_invariants(sol)
+        assert abs(math.cosh(2 * ang.theta) - c2t) <= 1e-12
+        assert abs(math.cos(2 * ang.theta_s) - c2ts) <= 1e-12
+
+    def test_canonical_form_near_reference_axes(self):
+        rng = np.random.default_rng(45)
+        for psi in AXIAL_RAPIDITIES:
+            for side in ("lhat", "rhat"):
+                sol = random_solution(rng)
+                self.check_canonical(replace(
+                    sol, **{side: UnitTimelikeVector(psi, rng.uniform(0, 2 * math.pi))}))
+        for polar in AXIAL_POLARS:
+            for side in ("lhat_s", "rhat_s"):
+                sol = random_solution(rng)
+                self.check_canonical(replace(
+                    sol, **{side: UnitSphereVector(polar, rng.uniform(0, 2 * math.pi))}))
+
+    def test_group_points_from_directions_near_reference_axes(self):
+        rng = np.random.default_rng(46)
+        other_t = UnitTimelikeVector(0.7, 2.1)
+        for psi in AXIAL_RAPIDITIES:
+            v = UnitTimelikeVector(psi, rng.uniform(0, 2 * math.pi))
+            for lhat, rhat in ((v, other_t), (other_t, v), (v, v)):
+                g = g_from_LR(lhat, rhat, rng.uniform(0, 2 * math.pi))
+                moved = g.matrix @ rhat.matrix @ g.inverse().matrix
+                assert np.max(np.abs(moved - lhat.matrix)) <= 1e-12
+        other_s = UnitSphereVector(1.1, 0.4)
+        for polar in AXIAL_POLARS + (math.pi,):
+            v = UnitSphereVector(polar, rng.uniform(0, 2 * math.pi))
+            for lhat, rhat in ((v, other_s), (other_s, v), (v, v)):
+                h = h_from_LR(lhat, rhat, rng.uniform(0, 2 * math.pi))
+                moved = h.matrix @ rhat.matrix @ h.inverse().matrix
+                assert np.max(np.abs(moved - lhat.matrix)) <= 1e-12
 
 
 class TestSimpleFamily:
