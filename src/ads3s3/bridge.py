@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import ValidationError
+
 
 class RegionError(ValueError):
     """(f, b) point lies outside the admissible region."""
@@ -52,6 +54,13 @@ def admissible(f, b):
     if f * f - b * f - 2.0 > 0.0:
         return Admissibility(False, "cos2theta_s out of range (f^2 - b f - 2 > 0)")
     return Admissibility(True)
+
+
+def check_winding(n):
+    """n as an int; ValidationError unless it is a positive integer."""
+    if n < 1 or int(n) != n:
+        raise ValidationError("winding n must be a positive integer")
+    return int(n)
 
 
 def f_max(b):
@@ -171,12 +180,10 @@ def bridge(f, b, n=1):
     requires them to agree to 1e-12; degenerate boundary points are returned
     with flags instead of errors so that scans can traverse them.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError("winding n must be a positive integer")
+    n = check_winding(n)
     ok = admissible(f, b)
     if not ok:
         raise RegionError(ok.reason)
-    n = int(n)
 
     rel = family_relations(f, b, n)
     c2ts = rel.cos2theta_s
@@ -217,6 +224,7 @@ def scan_region(f_range, b_range, n=1):
     f_range and b_range are (start, stop, count) with count >= 1; rows are
     ordered f-major then b, one dict per grid point.
     """
+    check_winding(n)
     f_vals = _grid_values(f_range, "f")
     b_vals = _grid_values(b_range, "b")
     rows = []
@@ -237,14 +245,14 @@ def scan_region(f_range, b_range, n=1):
 def _grid_values(rng, name):
     start, stop, count = rng
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(f"{name} grid bounds must be finite")
+        raise ValidationError(f"{name} grid bounds must be finite")
     count = int(count)
     if count < 1:
-        raise ValueError(f"empty {name} grid")
+        raise ValidationError(f"empty {name} grid")
     if count == 1:
         return [float(start)]
     if stop < start:
-        raise ValueError(f"{name} range must be monotone")
+        raise ValidationError(f"{name} range must be monotone")
     return np.linspace(float(start), float(stop), count).tolist()
 
 

@@ -139,8 +139,6 @@ def cmd_verify(args):
             grid = (int(t), int(s))
         except ValueError as exc:
             raise ValidationError(f"bad --grid {args.grid!r}; expected TxS") from exc
-        if grid[0] < 1 or grid[1] < 1:
-            raise ValidationError("verification grid must be at least 1x1")
     report = verify_solution(sol, grid=grid, thresholds=thresholds)
     _emit(_json(report.as_dict()), args.out)
     return 0 if report.ok else 2
@@ -177,10 +175,7 @@ def cmd_scan(args):
         raise ValidationError(f"bad --grid {args.grid!r}") from exc
     f_range = _parse_range(f_spec, "f")
     b_range = _parse_range(b_spec, "b")
-    try:
-        rows = scan_region(f_range, b_range, args.n)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    rows = scan_region(f_range, b_range, args.n)
     columns = ["f", "b", "admissible", "cosh2theta", "cos2theta_s",
                "mu2", "mubar2", "coshalpha", "cosbeta"]
     text = _csv(rows, columns) if args.format == "csv" else _json(rows)
@@ -252,6 +247,8 @@ def _algebra_residual(chart, form, x):
 
 
 def cmd_brackets(args):
+    if args.seed < 0:
+        raise ValidationError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     results = []
     if args.mode == "particle":

@@ -1,10 +1,16 @@
 """Numerical verification of the worldsheet geometry.
 
 Induced metrics f_ab = <(g^{-1} d_a g)(g^{-1} d_b g)> per sector, conformal
-gauge residuals, equation-of-motion residuals and mean curvatures.  All
-derivatives are central differences with a fixed step (default 1e-4, error
-O(h^2)); Richardson extrapolation is available where the sharper constancy
-checks need O(h^4).
+gauge residuals, equation-of-motion residuals and mean curvatures.
+
+All derivatives come from one stencil: a single evaluate_matrices call over
+the offsets h*(-2..2) in tau and sigma around every probe point at once
+gives, per sector, g^{-1} and the central differences (f(+h) - f(-h))/(2h)
+along tau and sigma at the inner 3x3 points.  The equations of motion and
+the chirality condition difference those once more; the gauge conditions
+and the metric read the centre.  The error is O(h^2) with a fixed step
+(default 1e-4); the metric checks use the same stencil at h/2 for
+Richardson extrapolation, O(h^4).
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DegenerateConfigurationError, ads_dot
+from .algebra import DegenerateConfigurationError, ValidationError, ads_dot
 from .charges import charges_analytic, charges_numeric, current_matrices
 from .solutions import embedding_surface, evaluate_matrices
 
 DEFAULT_STEP = 1e-4
+_SIGNS = (1.0, -1.0)  # (ads, sphere): <A, B> = +tr(AB)/2 on sl(2,R), -tr(AB)/2 on su(2)
 
 
 def _inv2(m):
@@ -36,28 +43,68 @@ def _trace_half(a, b):
     return 0.5 * np.einsum("...ij,...ji->...", a, b)
 
 
-def _maurer_cartan(sol, tau, sigma, h, richardson=False):
-    """(g^{-1} d_tau g, g^{-1} d_sig g) for both sectors at one point."""
+def _metric(rt, rs, sign):
+    """<R_a R_b> over a, b in (tau, sigma), stacked in the last two axes."""
+    return sign * np.stack([np.stack([_trace_half(rt, rt), _trace_half(rt, rs)], axis=-1),
+                            np.stack([_trace_half(rs, rt), _trace_half(rs, rs)], axis=-1)],
+                           axis=-2).real
 
-    def deriv(step):
-        g_tp, h_tp = evaluate_matrices(sol, tau + step, sigma)
-        g_tm, h_tm = evaluate_matrices(sol, tau - step, sigma)
-        g_sp, h_sp = evaluate_matrices(sol, tau, sigma + step)
-        g_sm, h_sm = evaluate_matrices(sol, tau, sigma - step)
-        inv = 0.5 / step
-        return ((g_tp - g_tm) * inv, (g_sp - g_sm) * inv,
-                (h_tp - h_tm) * inv, (h_sp - h_sm) * inv)
 
-    dg_t, dg_s, dh_t, dh_s = deriv(h)
-    if richardson:
-        dg_t2, dg_s2, dh_t2, dh_s2 = deriv(0.5 * h)
-        dg_t = (4.0 * dg_t2 - dg_t) / 3.0
-        dg_s = (4.0 * dg_s2 - dg_s) / 3.0
-        dh_t = (4.0 * dh_t2 - dh_t) / 3.0
-        dh_s = (4.0 * dh_s2 - dh_s) / 3.0
-    g, hm = evaluate_matrices(sol, tau, sigma)
-    ginv, hinv = _inv2(g), _inv2(hm)
-    return (ginv @ dg_t, ginv @ dg_s), (hinv @ dh_t, hinv @ dh_s)
+def _differences(sol, taus, sigmas, h):
+    """The one stencil: g^{-1} and central differences around each point.
+
+    A single evaluate_matrices call covers the offsets h*(-2..2) in tau and
+    sigma around every (tau, sigma) pair.  Per sector it returns (inv, dt, ds)
+    at the inner 3x3 points, each of shape (points, 3, 3, 2, 2), with the
+    point itself at [:, 1, 1] and dt = (f(tau + h) - f(tau - h)) * (0.5/h).
+    """
+    h = float(h)
+    offs = h * np.arange(-2.0, 3.0)
+    tau = np.asarray(taus, dtype=float)[:, None, None] + offs[:, None]
+    sigma = np.asarray(sigmas, dtype=float)[:, None, None] + offs
+    scale = 0.5 / h
+    return [(_inv2(f[:, 1:4, 1:4]),
+             (f[:, 2:, 1:4] - f[:, :3, 1:4]) * scale,
+             (f[:, 1:4, 2:] - f[:, 1:4, :3]) * scale)
+            for f in evaluate_matrices(sol, tau, sigma)]
+
+
+def _eom(inv, dt, ds, h):
+    """Max-norm of d_tau(g^{-1} d_tau g) - d_sig(g^{-1} d_sig g) per point."""
+    scale = 0.5 / h
+    k_tau, k_sig = inv @ dt, inv @ ds
+    res = (k_tau[:, 2, 1] - k_tau[:, 0, 1]) * scale - (k_sig[:, 1, 2] - k_sig[:, 1, 0]) * scale
+    return np.max(np.abs(res), axis=(-2, -1))
+
+
+def _chirality(inv, dt, ds, h):
+    """|d-bar <(g^{-1} d g)^2>| per point, d = (d_tau + d_sig)/2."""
+    d = inv @ (0.5 * (dt + ds))
+    c = _trace_half(d, d)
+    dbar = 0.5 * ((c[:, 2, 1] - c[:, 0, 1]) - (c[:, 1, 2] - c[:, 1, 0])) * (0.5 / h)
+    return np.hypot(dbar.real, dbar.imag)
+
+
+def _chiral_invariants(stencil):
+    """(chi, bar) per sector at each point: <(g^{-1} d g)^2> and its d-bar twin."""
+    out = []
+    for sign, (inv, dt, ds) in zip(_SIGNS, stencil):
+        rt, rs = inv[:, 1, 1] @ dt[:, 1, 1], inv[:, 1, 1] @ ds[:, 1, 1]
+        chi, bar = 0.5 * (rt + rs), 0.5 * (rt - rs)
+        out += [sign * _trace_half(chi, chi).real, sign * _trace_half(bar, bar).real]
+    return out
+
+
+def _metric_numeric(coarse, fine=None):
+    """[ads, sphere] induced metrics at each point; fine at h/2 adds Richardson."""
+    out = []
+    for sign, (inv, dt, ds), half in zip(_SIGNS, coarse, fine or (None, None)):
+        dt, ds = dt[:, 1, 1], ds[:, 1, 1]
+        if half is not None:
+            dt = (4.0 * half[1][:, 1, 1] - dt) / 3.0
+            ds = (4.0 * half[2][:, 1, 1] - ds) / 3.0
+        out.append(_metric(inv[:, 1, 1] @ dt, inv[:, 1, 1] @ ds, sign))
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,13 +119,9 @@ def induced_metric_numeric(sol, tau, sigma, h_step=DEFAULT_STEP, richardson=Fals
     """Induced metric from central-difference derivatives at one point."""
     if not 1e-6 <= h_step <= 1e-3:
         raise ValueError("h_step outside the supported range [1e-6, 1e-3]")
-    (rt, rs), (rt_s, rs_s) = _maurer_cartan(sol, float(tau), float(sigma),
-                                            h_step, richardson)
-    ads = np.array([[_trace_half(rt, rt), _trace_half(rt, rs)],
-                    [_trace_half(rs, rt), _trace_half(rs, rs)]])
-    sph = -np.array([[_trace_half(rt_s, rt_s), _trace_half(rt_s, rs_s)],
-                     [_trace_half(rs_s, rt_s), _trace_half(rs_s, rs_s)]]).real
-    return InducedMetric(ads=ads, sphere=sph)
+    fine = _differences(sol, [tau], [sigma], 0.5 * h_step) if richardson else None
+    ads, sph = _metric_numeric(_differences(sol, [tau], [sigma], h_step), fine)
+    return InducedMetric(ads=ads[0], sphere=sph[0])
 
 
 def induced_metric_analytic(inv):
@@ -101,11 +144,8 @@ def induced_metric_analytic(inv):
 def induced_metric_currents(sol, tau=0.0, sigma=0.0):
     """Exact induced metric from the closed-form currents f_ab = <R_a R_b>."""
     ads, sph = current_matrices(sol, float(tau), float(sigma))
-    f_ads = np.array([[_trace_half(ads.R_tau, ads.R_tau), _trace_half(ads.R_tau, ads.R_sig)],
-                      [_trace_half(ads.R_sig, ads.R_tau), _trace_half(ads.R_sig, ads.R_sig)]])
-    f_sph = -np.array([[_trace_half(sph.R_tau, sph.R_tau), _trace_half(sph.R_tau, sph.R_sig)],
-                       [_trace_half(sph.R_sig, sph.R_tau), _trace_half(sph.R_sig, sph.R_sig)]]).real
-    return InducedMetric(ads=f_ads, sphere=f_sph)
+    return InducedMetric(ads=_metric(ads.R_tau, ads.R_sig, 1.0),
+                         sphere=_metric(sph.R_tau, sph.R_sig, -1.0))
 
 
 @dataclass(frozen=True)
@@ -127,69 +167,28 @@ def gauge_residual(sol, tau, sigma, h_step=DEFAULT_STEP):
     and the d-bar analogue; both vanish on gauge-consistent solutions.  The
     per-sector values give mu^2 and mubar^2 read off each projection.
     """
-    (rt, rs), (rt_s, rs_s) = _maurer_cartan(sol, float(tau), float(sigma), h_step)
-    chi_g = _trace_half(0.5 * (rt + rs), 0.5 * (rt + rs))
-    bar_g = _trace_half(0.5 * (rt - rs), 0.5 * (rt - rs))
-    chi_h = -_trace_half(0.5 * (rt_s + rs_s), 0.5 * (rt_s + rs_s)).real
-    bar_h = -_trace_half(0.5 * (rt_s - rs_s), 0.5 * (rt_s - rs_s)).real
+    chi_g, bar_g, chi_h, bar_h = (
+        float(v[0]) for v in _chiral_invariants(_differences(sol, [tau], [sigma], h_step)))
     return GaugeResidual(
-        chiral=float(chi_g + chi_h),
-        antichiral=float(bar_g + bar_h),
-        mu2_ads=float(-chi_g), mu2_sphere=float(chi_h),
-        mubar2_ads=float(-bar_g), mubar2_sphere=float(bar_h),
+        chiral=chi_g + chi_h, antichiral=bar_g + bar_h,
+        mu2_ads=-chi_g, mu2_sphere=chi_h, mubar2_ads=-bar_g, mubar2_sphere=bar_h,
     )
-
-
-def _stencil(sol, tau, sigma, h):
-    """5x5 worldsheet stencil of g and h around (tau, sigma)."""
-    offs = h * np.arange(-2.0, 3.0)
-    return evaluate_matrices(sol, tau + offs[:, None], sigma + offs[None, :])
 
 
 def eom_residual(sol, tau, sigma, h_step=DEFAULT_STEP):
     """Max-norm residual of d_tau(g^{-1} d_tau g) - d_sig(g^{-1} d_sig g).
 
-    Nested central differences on a 5x5 stencil; exact solutions leave pure
+    Nested central differences on the 5x5 stencil; exact solutions leave pure
     O(h^2) discretization error.  Returns (ads, sphere) residuals.
     """
-    tau, sigma, h = float(tau), float(sigma), float(h_step)
-    g5, h5 = _stencil(sol, tau, sigma, h)
-
-    def residual(grid):
-        inv = _inv2(grid)
-        scale = 0.5 / h
-
-        def k_tau(i, j):
-            return inv[i, j] @ ((grid[i + 1, j] - grid[i - 1, j]) * scale)
-
-        def k_sig(i, j):
-            return inv[i, j] @ ((grid[i, j + 1] - grid[i, j - 1]) * scale)
-
-        res = (k_tau(3, 2) - k_tau(1, 2)) * scale - (k_sig(2, 3) - k_sig(2, 1)) * scale
-        return float(np.max(np.abs(res)))
-
-    return residual(g5), residual(h5)
+    return tuple(float(_eom(*sector, float(h_step))[0])
+                 for sector in _differences(sol, [tau], [sigma], h_step))
 
 
 def chirality_residual(sol, tau, sigma, h_step=DEFAULT_STEP):
     """Residual of the chirality conditions: |d-bar <(g^{-1} d g)^2>| per sector."""
-    tau, sigma, h = float(tau), float(sigma), float(h_step)
-    g5, h5 = _stencil(sol, tau, sigma, h)
-
-    def chiral_value(grid, i, j):
-        inv = _inv2(grid[i, j])
-        scale = 0.5 / h
-        dt = (grid[i + 1, j] - grid[i - 1, j]) * scale
-        ds = (grid[i, j + 1] - grid[i, j - 1]) * scale
-        d = inv @ (0.5 * (dt + ds))
-        return _trace_half(d, d)
-
-    def residual(grid):
-        dbar = 0.5 * ((chiral_value(grid, 3, 2) - chiral_value(grid, 1, 2))
-                      - (chiral_value(grid, 2, 3) - chiral_value(grid, 2, 1))) * (0.5 / h)
-        return float(abs(dbar))
-
-    return residual(g5), residual(h5)
+    return tuple(float(_chirality(*sector, float(h_step))[0])
+                 for sector in _differences(sol, [tau], [sigma], h_step))
 
 
 def mean_curvatures(inv):
@@ -255,67 +254,58 @@ DEFAULT_THRESHOLDS = {
 }
 
 
-def verify_solution(sol, h_step=DEFAULT_STEP, grid=(4, 8), quad_points=256,
-                    thresholds=None, rng_seed=0):
+def verify_solution(sol, grid=(4, 8), thresholds=None):
     """Run the full residual battery over a worldsheet probe grid.
 
-    Checks equations of motion, gauge conditions, chirality, closure under
-    sigma -> sigma + 2pi, embedding constraints, constancy of the induced
-    metric (Richardson-extrapolated derivatives), agreement of the numeric
-    metric with the closed-form current metric, and quadrature vs analytic
-    charges.  Thresholds can be overridden per key.
+    Checks equations of motion, gauge conditions and chirality at five probe
+    points, closure under sigma -> sigma + 2pi and the embedding constraints
+    over the grid, constancy of the induced metric (Richardson-extrapolated
+    derivatives) at seven points and its agreement with the closed-form
+    current metric, and quadrature vs analytic charges.  Thresholds can be
+    overridden per key.
     """
     tol = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         tol.update(thresholds)
     n_tau, n_sig = int(grid[0]), int(grid[1])
     if n_tau < 1 or n_sig < 1:
-        raise ValueError("verification grid must be at least 1x1")
+        raise ValidationError("verification grid must be at least 1x1")
     taus = np.linspace(0.0, 1.5, n_tau)
     sigmas = np.linspace(0.0, 2.0 * math.pi, n_sig, endpoint=False)
 
     # periodicity and embedding constraints over the full grid
-    g_a, h_a = evaluate_matrices(sol, taus[:, None], sigmas[None, :])
-    g_b, h_b = evaluate_matrices(sol, taus[:, None], sigmas[None, :] + 2.0 * math.pi)
-    periodicity = max(float(np.max(np.abs(g_a - g_b))), float(np.max(np.abs(h_a - h_b))))
+    g, h = evaluate_matrices(sol, taus[:, None, None],
+                             np.stack([sigmas, sigmas + 2.0 * math.pi]))
+    periodicity = max(float(np.max(np.abs(g[:, 0] - g[:, 1]))),
+                      float(np.max(np.abs(h[:, 0] - h[:, 1]))))
     y, x = embedding_surface(sol, taus, sigmas)
     embedding = max(float(np.max(np.abs(ads_dot(y, y) + 1.0))),
                     float(np.max(np.abs(np.einsum("...i,...i->...", x, x) - 1.0))))
 
-    # pointwise residuals on a few probe points
-    rng = np.random.default_rng(rng_seed)
-    probes = [(float(t), float(s))
-              for t, s in zip(rng.uniform(0.0, 1.5, 4), rng.uniform(0.0, 2.0 * math.pi, 4))]
-    probes.append((0.0, 0.0))
-    eom = gauge_c = gauge_a = chir = 0.0
-    for t, s in probes:
-        ra, rs = eom_residual(sol, t, s, h_step)
-        eom = max(eom, ra, rs)
-        gr = gauge_residual(sol, t, s, h_step)
-        gauge_c = max(gauge_c, abs(gr.chiral))
-        gauge_a = max(gauge_a, abs(gr.antichiral))
-        ca, cs = chirality_residual(sol, t, s, h_step)
-        chir = max(chir, ca, cs)
+    # four random probes and the origin, then two more points for the metric
+    rng = np.random.default_rng(0)
+    pt_tau = np.concatenate([rng.uniform(0.0, 1.5, 4), [0.0, 1.1, 0.3]])
+    pt_sig = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 4), [0.0, 2.2, 5.0]])
+    coarse = _differences(sol, pt_tau, pt_sig, DEFAULT_STEP)
+    fine = _differences(sol, pt_tau, pt_sig, 0.5 * DEFAULT_STEP)
+
+    probes = [tuple(a[:5] for a in sector) for sector in coarse]
+    eom = max(float(np.max(_eom(*sector, DEFAULT_STEP))) for sector in probes)
+    chir = max(float(np.max(_chirality(*sector, DEFAULT_STEP))) for sector in probes)
+    chi_g, bar_g, chi_h, bar_h = _chiral_invariants(probes)
+    gauge_c = float(np.max(np.abs(chi_g + chi_h)))
+    gauge_a = float(np.max(np.abs(bar_g + bar_h)))
 
     # metric constancy and numeric-vs-analytic agreement
     ref = induced_metric_currents(sol)
-    mats_ads, mats_sph = [], []
-    gap = 0.0
-    for t, s in probes + [(1.1, 2.2), (0.3, 5.0)]:
-        im = induced_metric_numeric(sol, t, s, h_step, richardson=True)
-        mats_ads.append(im.ads)
-        mats_sph.append(im.sphere)
-        gap = max(gap, float(np.max(np.abs(im.ads - ref.ads))),
-                  float(np.max(np.abs(im.sphere - ref.sphere))))
-    spread = max(float(np.ptp(np.stack(mats_ads), axis=0).max()),
-                 float(np.ptp(np.stack(mats_sph), axis=0).max()))
+    ads, sph = _metric_numeric(coarse, fine)
+    gap = max(float(np.max(np.abs(ads - ref.ads))), float(np.max(np.abs(sph - ref.sphere))))
+    spread = max(float(np.ptp(ads, axis=0).max()), float(np.ptp(sph, axis=0).max()))
 
     # charge quadrature vs closed form, and tau-independence
-    qa = charges_numeric(sol, tau=0.0, quad_points=quad_points)
-    qb = charges_numeric(sol, tau=1.7, quad_points=quad_points)
     an = charges_analytic(sol)
     charge_gap = 0.0
-    for num in (qa, qb):
+    for num in (charges_numeric(sol, tau=0.0), charges_numeric(sol, tau=1.7)):
         for va, vb in ((num.L, an.L), (num.R, an.R), (num.L_s, an.L_s), (num.R_s, an.R_s)):
             charge_gap = max(charge_gap, float(np.max(np.abs(va.coeffs - vb.coeffs))))
 

@@ -18,7 +18,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bridge import FamilyRelations, admissible as _admissible, family_angles, family_relations
+from .bridge import (
+    FamilyRelations,
+    admissible as _admissible,
+    check_winding,
+    family_angles,
+    family_relations,
+)
 from .algebra import (
     AdsGroupElement,
     DegenerateConfigurationError,
@@ -252,8 +258,7 @@ class SimpleFamilyPoint(FamilyRelations):
     __slots__ = ()
 
     def __new__(cls, f, b, n=1):
-        if n < 1 or int(n) != n:
-            raise ValidationError("winding n must be a positive integer")
+        check_winding(n)
         ok = _admissible(f, b)
         if not ok:
             raise ValidationError(f"inadmissible (f, b): {ok.reason}")

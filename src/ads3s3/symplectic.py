@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import admissible as _admissible, family_angles, family_relations
+from .bridge import admissible as _admissible, check_winding, family_angles, family_relations
 from .algebra import (
     EPS,
     EPS_MIXED,
@@ -427,8 +427,7 @@ class StringChartPoint:
         ok = _admissible(self.f, self.b)
         if not ok:
             raise ValidationError(f"inadmissible (f, b): {ok.reason}")
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValidationError("winding n must be a positive integer")
+        check_winding(self.n)
         if -inner(self.lhat.element, self.rhat.element) <= 1.0 + 1e-12:
             raise ValidationError("chart needs l != r (boost axis undefined)")
         if abs(inner(self.lhat_s.element, self.rhat_s.element)) >= 1.0 - 1e-12:

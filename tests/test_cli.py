@@ -55,6 +55,13 @@ class TestBridgeCommand:
         assert code == 1
         assert "requires" in err
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_winding_exits_one(self, capsys, n):
+        code, out, err = run(capsys, "bridge", "--f", "1.5", "--b", "1.2", "--n", n)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "winding" in err
+
 
 class TestVerifyCommand:
     def test_family_point_passes(self, capsys):
@@ -79,6 +86,15 @@ class TestVerifyCommand:
     def test_malformed_grid_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--f", F_REF, "--b", B_REF, "--grid", "junk")
         assert code == 1
+
+    def test_high_winding_quadrature_follows_bound(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "--f", "1.6666667", "--b", "1.25",
+                                 "--n", "40")
+        assert code in (0, 2)
+        assert err == ""
+        assert strict_loads(out)["charge_gap"] <= 1e-10
 
     def test_tol_override(self, capsys, tmp_path):
         data = params_to_dict(family_solution(5.0 / 3.0, 5.0 / 4.0, 1))
@@ -165,6 +181,13 @@ class TestScanCommand:
         code, _, _ = run(capsys, "scan")
         assert code == 1
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_winding_exits_one(self, capsys, n):
+        code, out, err = run(capsys, "scan", "--grid", "1:2:3,1:2:2", "--n", n)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "winding" in err
+
     @pytest.mark.parametrize("grid", ["nan:2:3,1:2:2", "1:inf:3,1:2:2", "1:2:3,-inf:2:2"])
     def test_non_finite_bounds_exit_one(self, capsys, grid):
         with warnings.catch_warnings():
@@ -234,6 +257,12 @@ class TestBracketsCommand:
         assert payload["max_algebra_residual"] <= 1e-5
         for point in payload["points"]:
             assert len(point["orbit_coefficients"]) == 4
+
+    def test_negative_seed_exits_one(self, capsys):
+        code, out, err = run(capsys, "brackets", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "seed" in err
 
 
 class TestDeterminism:

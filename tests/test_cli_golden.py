@@ -5,6 +5,11 @@ particle brackets go through LAPACK and are compared number by number to
 1e-12; the string brackets come from a central difference at h = 5e-6,
 which amplifies roundoff by about 1/h, and are compared to 1e-9.  The
 bracket files are stored as compact JSON with the same numbers.
+
+The verify cases cover the canonical point at n = 1 and n = 5, an n = 2
+solution in a random isometry frame (complex sphere-sector arithmetic) and
+the same parameters with lam scaled by 1 + 1e-3, which must fail (exit 2).
+Their parameter files sit next to the outputs.
 """
 
 import json
@@ -29,16 +34,21 @@ BYTE_EXACT = {
 }
 
 NUMERIC = {
-    "verify.json": (["verify", *POINT], 1e-12),
-    "charges.json": (["charges", *POINT], 1e-12),
-    "brackets_particle.json": (["brackets", "--mode", "particle", "--seed", "0"], 1e-12),
-    "brackets_string.json": (["brackets", "--mode", "string", "--seed", "0"], 1e-9),
+    "verify.json": (["verify", *POINT], 1e-12, 0),
+    "verify_n5.json": (["verify", *POINT, "--n", "5"], 1e-12, 0),
+    "verify_n2_frame.json":
+        (["verify", "--params", str(DATA / "params_n2_frame.json")], 1e-12, 0),
+    "verify_n2_lam_broken.json":
+        (["verify", "--params", str(DATA / "params_n2_lam_broken.json")], 1e-12, 2),
+    "charges.json": (["charges", *POINT], 1e-12, 0),
+    "brackets_particle.json": (["brackets", "--mode", "particle", "--seed", "0"], 1e-12, 0),
+    "brackets_string.json": (["brackets", "--mode", "string", "--seed", "0"], 1e-9, 0),
 }
 
 
-def output(capsys, argv):
+def output(capsys, argv, expected_code=0):
     code = main(argv)
-    assert code == 0
+    assert code == expected_code
     return capsys.readouterr().out
 
 
@@ -66,6 +76,6 @@ def test_byte_identical(capsys, name):
 
 @pytest.mark.parametrize("name", sorted(NUMERIC))
 def test_numbers_match(capsys, name):
-    argv, tol = NUMERIC[name]
-    got = json.loads(output(capsys, argv))
+    argv, tol, code = NUMERIC[name]
+    got = json.loads(output(capsys, argv, code))
     assert_matches(got, json.loads((DATA / name).read_text()), tol)

@@ -1,10 +1,13 @@
+import inspect
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ads3s3.algebra import DegenerateConfigurationError
+from ads3s3 import geometry, solutions
+from ads3s3.algebra import DegenerateConfigurationError, ValidationError
 from ads3s3.bridge import bridge, f_max
 from ads3s3.geometry import (
     chirality_residual,
@@ -203,3 +206,54 @@ class TestVerifySolution:
                                  thresholds={k: 1e6 for k in
                                              verify_solution(reference_solution()).thresholds})
         assert report.ok
+
+    def test_high_winding_charges_follow_bandwidth_bound(self):
+        # n = 40 needs 656 quadrature points; a pinned 256 warned and lost accuracy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_solution(family_solution(F0, B0, 40))
+        assert report.charge_gap <= 1e-10
+
+    def test_empty_grid_is_validation_error(self):
+        with pytest.raises(ValidationError, match="at least 1x1"):
+            verify_solution(reference_solution(), grid=(0, 4))
+
+    def test_only_grid_and_thresholds_are_settable(self):
+        params = list(inspect.signature(verify_solution).parameters)
+        assert params == ["sol", "grid", "thresholds"]
+
+    def test_field_evaluations_are_batched(self, monkeypatch):
+        # periodicity, embedding, and one stencil each at h and h/2
+        calls = []
+        original = solutions.evaluate_matrices
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solutions, "evaluate_matrices", counted)
+        monkeypatch.setattr(geometry, "evaluate_matrices", counted)
+        verify_solution(random_solution(np.random.default_rng(57), n=3))
+        assert len(calls) <= 5
+
+
+class TestBatteryAgreesWithPointFunctions:
+    """verify_solution's batched stencil equals the public per-point functions."""
+
+    def test_report_matches_pointwise_residuals(self):
+        sol = perturbed_solution(2e-4)
+        report = verify_solution(sol)
+        probe_rng = np.random.default_rng(0)
+        probes = list(zip(probe_rng.uniform(0.0, 1.5, 4),
+                          probe_rng.uniform(0.0, 2.0 * math.pi, 4))) + [(0.0, 0.0)]
+        eom = max(max(eom_residual(sol, t, s)) for t, s in probes)
+        chir = max(max(chirality_residual(sol, t, s)) for t, s in probes)
+        gauge = max(abs(gauge_residual(sol, t, s).chiral) for t, s in probes)
+        assert (report.eom, report.chirality, report.gauge_chiral) == (eom, chir, gauge)
+        ref = induced_metric_currents(sol)
+        gap = 0.0
+        for t, s in probes + [(1.1, 2.2), (0.3, 5.0)]:
+            im = induced_metric_numeric(sol, t, s, richardson=True)
+            gap = max(gap, float(np.max(np.abs(im.ads - ref.ads))),
+                      float(np.max(np.abs(im.sphere - ref.sphere))))
+        assert report.metric_gap == gap

@@ -192,6 +192,31 @@ class TestParticleEvaluate:
         assert abs(inner(L, L) - inner(R, R)) <= 1e-12
 
 
+def identity_form(gmat, rmat, sign, x, labels, step=5e-6):
+    """d(theta) of theta_j = <R, V_j> from one central-difference layer.
+
+    omega_ij = <d_i R, V_j> - <d_j R, V_i> - <R, [V_i, V_j]> with
+    V_j = g^{-1} d_j g and <A, B> = sign tr(AB)/2; d_j g and d_j R are
+    central differences, so nothing is differentiated twice.
+    """
+    def pair(a, b):
+        return (sign * 0.5 * np.trace(a @ b)).real
+
+    g = gmat(x)
+    ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    k = len(x)
+    V, dR = [], []
+    for j in range(k):
+        e = np.zeros(k)
+        e[j] = step
+        V.append(ginv @ (gmat(x + e) - gmat(x - e)) / (2 * step))
+        dR.append((rmat(x + e) - rmat(x - e)) / (2 * step))
+    R = rmat(x)
+    om = np.array([[pair(dR[i], V[j]) - pair(dR[j], V[i]) - pair(R, V[i] @ V[j] - V[j] @ V[i])
+                    for j in range(k)] for i in range(k)])
+    return TwoFormMatrix(om, labels)
+
+
 class TestCanonicalOneFormSplitting:
     """Differentiate <R g^{-1} dg> directly and compare with the orbit blocks.
 
@@ -200,30 +225,34 @@ class TestCanonicalOneFormSplitting:
     and the sphere blocks come out mirrored with +dm_s^dphi_s.
     """
 
+    ADS_LABELS = ("l1", "l2", "r1", "r2", "m", "phi")
+
+    @staticmethod
+    def ads_g(z):
+        lh = UnitTimelikeVector.from_coeffs(_ads_from_chart(z[0], z[1]))
+        rh = UnitTimelikeVector.from_coeffs(_ads_from_chart(z[2], z[3]))
+        return g_from_LR(lh, rh, z[5]).matrix
+
+    @staticmethod
+    def ads_R(z):
+        return z[4] * UnitTimelikeVector.from_coeffs(_ads_from_chart(z[2], z[3])).matrix
+
     def ads_theta(self, x):
         step = 1e-6
-
-        def gmat(z):
-            lh = UnitTimelikeVector.from_coeffs(_ads_from_chart(z[0], z[1]))
-            rh = UnitTimelikeVector.from_coeffs(_ads_from_chart(z[2], z[3]))
-            return g_from_LR(lh, rh, z[5]).matrix
-
-        g = gmat(x)
-        rhat = UnitTimelikeVector.from_coeffs(_ads_from_chart(x[2], x[3]))
-        R = x[4] * rhat.matrix
+        g = self.ads_g(x)
+        R = self.ads_R(x)
         ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
         out = np.empty(6)
         for j in range(6):
             e = np.zeros(6)
             e[j] = step
-            dg = (gmat(x + e) - gmat(x - e)) / (2 * step)
+            dg = (self.ads_g(x + e) - self.ads_g(x - e)) / (2 * step)
             out[j] = 0.5 * np.trace(R @ ginv @ dg)
         return out
 
     def test_ads_splitting(self):
         x0 = np.array([0.3, -0.5, 0.7, 0.2, 1.3, 0.9])
-        om = numeric_exterior_derivative(self.ads_theta, x0,
-                                         ("l1", "l2", "r1", "r2", "m", "phi"), step=2e-5)
+        om = numeric_exterior_derivative(self.ads_theta, x0, self.ADS_LABELS, step=2e-5)
         l0 = math.sqrt(1 + x0[0] ** 2 + x0[1] ** 2)
         r0 = math.sqrt(1 + x0[2] ** 2 + x0[3] ** 2)
         m = x0[4]
@@ -237,8 +266,7 @@ class TestCanonicalOneFormSplitting:
 
     def test_ads_bracket_algebra_from_raw_form(self):
         x0 = np.array([0.3, -0.5, 0.7, 0.2, 1.3, 0.9])
-        om = numeric_exterior_derivative(self.ads_theta, x0,
-                                         ("l1", "l2", "r1", "r2", "m", "phi"), step=2e-5)
+        om = identity_form(self.ads_g, self.ads_R, 1.0, x0, self.ADS_LABELS)
 
         def Lmu(mu):
             def fn(x):
@@ -269,30 +297,17 @@ class TestCanonicalOneFormSplitting:
         axes_l = _SphereChartAxes.for_vector(lsv.coeffs)
         axes_r = _SphereChartAxes.for_vector(rsv.coeffs)
 
-        def sph_theta(x):
-            step = 1e-6
+        def hmat(z):
+            lh = UnitSphereVector.from_coeffs(axes_l.from_coords(z[0], z[1]))
+            rh = UnitSphereVector.from_coeffs(axes_r.from_coords(z[2], z[3]))
+            return h_from_LR(lh, rh, z[5]).matrix
 
-            def hmat(z):
-                lh = UnitSphereVector.from_coeffs(axes_l.from_coords(z[0], z[1]))
-                rh = UnitSphereVector.from_coeffs(axes_r.from_coords(z[2], z[3]))
-                return h_from_LR(lh, rh, z[5]).matrix
-
-            h = hmat(x)
-            rh0 = UnitSphereVector.from_coeffs(axes_r.from_coords(x[2], x[3]))
-            R = x[4] * rh0.matrix
-            hinv = np.array([[h[1, 1], -h[0, 1]], [-h[1, 0], h[0, 0]]])
-            out = np.empty(6)
-            for j in range(6):
-                e = np.zeros(6)
-                e[j] = step
-                dh = (hmat(x + e) - hmat(x - e)) / (2 * step)
-                out[j] = (-0.5 * np.trace(R @ hinv @ dh)).real
-            return out
+        def rmat(z):
+            return z[4] * UnitSphereVector.from_coeffs(axes_r.from_coords(z[2], z[3])).matrix
 
         x0 = np.array(list(axes_l.to_coords(lsv.coeffs))
                       + list(axes_r.to_coords(rsv.coeffs)) + [0.8, 0.5])
-        om = numeric_exterior_derivative(
-            sph_theta, x0, ("lsu", "lsv", "rsu", "rsv", "ms", "phis"), step=2e-5)
+        om = identity_form(hmat, rmat, -1.0, x0, ("lsu", "lsv", "rsu", "rsv", "ms", "phis"))
         ms = x0[4]
         wl = axes_l.w(x0[0], x0[1])
         wr = axes_r.w(x0[2], x0[3])
