@@ -8,14 +8,23 @@ the sphere sector is SU(2) with su(2).  Basis conventions:
 
 so that t_mu t_nu = eta_{mu nu} I + eps_{mu nu}^rho t_rho with
 eta = diag(-1,1,1), eps_{012} = 1, and s_m s_n = -delta_{mn} I - eps_{mnl} s_l.
-Inner products: <u v> = tr(uv)/2 on sl(2,R), <u v> = -tr(uv)/2 on su(2);
-these identify the algebras with 3d Minkowski space and R^3 respectively.
+Inner products: <u v> = sign * tr(uv)/2 with sign +1 on sl(2,R) and -1 on
+su(2); these identify the algebras with 3d Minkowski space and R^3.
+
+Each kind of object has one implementation shared by the sectors: a
+group element (_GroupElement), an algebra element (_AlgebraElement) and a
+unit direction (_UnitVector).  The public classes hold only what differs:
+dtype, basis, sign, reference axis, embedding chart and the unitarity
+check of SU(2).  The free functions read those class attributes, so they
+branch on the sector only where the geometry differs: the Minkowski
+metric and acosh of sl(2,R) against the Euclidean metric and acos of
+su(2), and the sphere antipode in aligning_rotation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,13 +70,13 @@ def _check_finite(arr, what):
 
 
 @dataclass(frozen=True, eq=False)
-class AdsGroupElement:
-    """SL(2,R) element, i.e. a point of AdS3."""
+class _GroupElement:
+    """Validated 2x2 matrix of determinant 1; subclasses fix dtype and charts."""
 
     matrix: np.ndarray
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def _validate(self):
+        m = np.asarray(self.matrix, dtype=self._dtype)
         _check_finite(m, "group element")
         if m.shape != (2, 2):
             raise ValidationError("expected a 2x2 matrix")
@@ -79,7 +88,29 @@ class AdsGroupElement:
 
     @classmethod
     def identity(cls):
-        return cls(np.eye(2))
+        return cls(np.eye(2, dtype=cls._dtype))
+
+    @property
+    def embedding(self):
+        return self.embed(self.matrix)
+
+    def inverse(self):
+        m = self.matrix
+        return type(self)(np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]))
+
+    def __matmul__(self, other):
+        if not isinstance(other, type(self)):
+            raise SectorMismatchError(
+                f"mixed sectors: {type(self).__name__} @ {type(other).__name__}")
+        return type(self)(self.matrix @ other.matrix)
+
+
+@dataclass(frozen=True, eq=False)
+class AdsGroupElement(_GroupElement):
+    """SL(2,R) element, i.e. a point of AdS3."""
+
+    _dtype = float
+    __post_init__ = _GroupElement._validate
 
     @classmethod
     def from_embedding(cls, y):
@@ -90,49 +121,28 @@ class AdsGroupElement:
         y0p, y0, y1, y2 = y
         return cls(np.array([[y0p + y2, y1 + y0], [y1 - y0, y0p - y2]]))
 
-    @property
-    def embedding(self):
-        """Embedding coordinates (Y0', Y0, Y1, Y2)."""
-        m = self.matrix
-        return np.array([
-            0.5 * (m[0, 0] + m[1, 1]),
-            0.5 * (m[0, 1] - m[1, 0]),
-            0.5 * (m[0, 1] + m[1, 0]),
-            0.5 * (m[0, 0] - m[1, 1]),
-        ])
-
-    def inverse(self):
-        m = self.matrix
-        return AdsGroupElement(np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]))
-
-    def __matmul__(self, other):
-        if not isinstance(other, AdsGroupElement):
-            raise SectorMismatchError("can only compose AdS group elements")
-        return AdsGroupElement(self.matrix @ other.matrix)
+    @staticmethod
+    def embed(m):
+        """Embedding coordinates (Y0', Y0, Y1, Y2) of a matrix or a stack of them."""
+        return np.stack([
+            0.5 * (m[..., 0, 0] + m[..., 1, 1]),
+            0.5 * (m[..., 0, 1] - m[..., 1, 0]),
+            0.5 * (m[..., 0, 1] + m[..., 1, 0]),
+            0.5 * (m[..., 0, 0] - m[..., 1, 1]),
+        ], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
-class SphereGroupElement:
+class SphereGroupElement(_GroupElement):
     """SU(2) element, i.e. a point of S3."""
 
-    matrix: np.ndarray
+    _dtype = complex
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_finite(m, "group element")
-        if m.shape != (2, 2):
-            raise ValidationError("expected a 2x2 matrix")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det - 1.0) > VALIDATION_TOL:
-            raise ValidationError(f"determinant {det} is not 1 within {VALIDATION_TOL}")
+        self._validate()
+        m = self.matrix
         if np.max(np.abs(m.conj().T @ m - np.eye(2))) > VALIDATION_TOL:
             raise ValidationError("matrix is not unitary within tolerance")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(2, dtype=complex))
 
     @classmethod
     def from_embedding(cls, x):
@@ -144,35 +154,47 @@ class SphereGroupElement:
         return cls(np.array([[x4 + 1j * x3, x2 + 1j * x1],
                              [-x2 + 1j * x1, x4 - 1j * x3]]))
 
-    @property
-    def embedding(self):
-        """Embedding coordinates (X1, X2, X3, X4)."""
-        m = self.matrix
-        return np.array([m[0, 1].imag, m[0, 1].real, m[0, 0].imag, m[0, 0].real])
-
-    def inverse(self):
-        m = self.matrix
-        return SphereGroupElement(np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]))
-
-    def __matmul__(self, other):
-        if not isinstance(other, SphereGroupElement):
-            raise SectorMismatchError("can only compose sphere group elements")
-        return SphereGroupElement(self.matrix @ other.matrix)
+    @staticmethod
+    def embed(m):
+        """Embedding coordinates (X1, X2, X3, X4) of a matrix or a stack of them."""
+        return np.stack([m[..., 0, 1].imag, m[..., 0, 1].real,
+                         m[..., 0, 0].imag, m[..., 0, 0].real], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
-class AdsAlgebraElement:
-    """sl(2,R) element v = v0 t0 + v1 t1 + v2 t2, stored by coefficients."""
+class _AlgebraElement:
+    """Algebra element stored by its three real basis coefficients.
+
+    Subclasses fix the basis, the group they exponentiate into and the sign
+    with <u v> = sign * tr(uv)/2, which also gives v v = sign <v, v> I.
+    """
 
     coeffs: np.ndarray
 
-    def __post_init__(self):
+    def _validate(self):
         c = np.asarray(self.coeffs, dtype=float)
         _check_finite(c, "algebra coefficients")
         if c.shape != (3,):
             raise ValidationError("expected 3 basis coefficients")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+
+    @property
+    def matrix(self):
+        return np.einsum("i,ijk->jk", self.coeffs, self._basis)
+
+    def __rmul__(self, scalar):
+        return type(self)(float(scalar) * self.coeffs)
+
+
+@dataclass(frozen=True, eq=False)
+class AdsAlgebraElement(_AlgebraElement):
+    """sl(2,R) element v = v0 t0 + v1 t1 + v2 t2, stored by coefficients."""
+
+    _basis = T_BASIS
+    _group = AdsGroupElement
+    sign = 1.0
+    __post_init__ = _AlgebraElement._validate
 
     @classmethod
     def from_matrix(cls, m):
@@ -184,36 +206,15 @@ class AdsAlgebraElement:
                              0.5 * (m[0, 1] + m[1, 0]),
                              0.5 * (m[0, 0] - m[1, 1])]))
 
-    @property
-    def matrix(self):
-        return np.einsum("i,ijk->jk", self.coeffs, T_BASIS)
-
-    def __add__(self, other):
-        return AdsAlgebraElement(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return AdsAlgebraElement(self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return AdsAlgebraElement(float(scalar) * self.coeffs)
-
-    def __neg__(self):
-        return AdsAlgebraElement(-self.coeffs)
-
 
 @dataclass(frozen=True, eq=False)
-class SphereAlgebraElement:
+class SphereAlgebraElement(_AlgebraElement):
     """su(2) element v = v1 s1 + v2 s2 + v3 s3 with real coefficients."""
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        _check_finite(c, "algebra coefficients")
-        if c.shape != (3,):
-            raise ValidationError("expected 3 basis coefficients")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+    _basis = S_BASIS
+    _group = SphereGroupElement
+    sign = -1.0
+    __post_init__ = _AlgebraElement._validate
 
     @classmethod
     def from_matrix(cls, m):
@@ -224,21 +225,11 @@ class SphereAlgebraElement:
             raise ValidationError("matrix is not in su(2)")
         return cls(coeffs.real)
 
-    @property
-    def matrix(self):
-        return np.einsum("i,ijk->jk", self.coeffs, S_BASIS)
 
-    def __add__(self, other):
-        return SphereAlgebraElement(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return SphereAlgebraElement(self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return SphereAlgebraElement(float(scalar) * self.coeffs)
-
-    def __neg__(self):
-        return SphereAlgebraElement(-self.coeffs)
+# the sectors in the order (AdS, sphere) used by every per-sector tuple, and
+# their signs of <A B> = sign * tr(AB)/2
+SECTOR_ALGEBRAS = (AdsAlgebraElement, SphereAlgebraElement)
+SECTOR_SIGNS = tuple(cls.sign for cls in SECTOR_ALGEBRAS)
 
 
 def ads_basis():
@@ -256,28 +247,23 @@ def ads_dot(y1, y2):
 
 
 def _same_sector(u, v):
-    if isinstance(u, AdsAlgebraElement) and isinstance(v, AdsAlgebraElement):
-        return "ads"
-    if isinstance(u, SphereAlgebraElement) and isinstance(v, SphereAlgebraElement):
-        return "sphere"
+    """The common algebra class of u and v."""
+    if isinstance(u, _AlgebraElement) and type(v) is type(u):
+        return type(u)
     raise SectorMismatchError(
         f"mixed sectors: {type(u).__name__} with {type(v).__name__}")
 
 
 def inner(u, v):
     """Invariant inner product; Minkowski on sl(2,R), Euclidean on su(2)."""
-    if _same_sector(u, v) == "ads":
+    if _same_sector(u, v) is AdsAlgebraElement:
         return float(u.coeffs @ (ETA @ v.coeffs))
     return float(u.coeffs @ v.coeffs)
 
 
 def commutator(u, v):
     """Lie bracket [u, v], evaluated on the 2x2 matrices."""
-    sector = _same_sector(u, v)
-    m = u.matrix @ v.matrix - v.matrix @ u.matrix
-    if sector == "ads":
-        return AdsAlgebraElement.from_matrix(m)
-    return SphereAlgebraElement.from_matrix(m)
+    return _same_sector(u, v).from_matrix(u.matrix @ v.matrix - v.matrix @ u.matrix)
 
 
 def _cosh_sinh_like(q):
@@ -295,36 +281,30 @@ def _cosh_sinh_like(q):
 def exp_algebra(v, theta=1.0):
     """Group exponential exp(theta * v).
 
-    Uses the closed form following from v^2 = <v,v> I: elliptic for
+    Uses the closed form following from v^2 = sign <v,v> I: elliptic for
     timelike sl(2,R) directions and all of su(2), hyperbolic for spacelike
     directions, with a series expansion near the parabolic boundary.
     """
     if not math.isfinite(theta):
         raise ValidationError("non-finite exponent")
-    if isinstance(v, AdsAlgebraElement):
-        # v^2 = <v,v> I on sl(2,R)
-        c, s = _cosh_sinh_like(theta * theta * inner(v, v))
-        return AdsGroupElement(c * np.eye(2) + (s * theta) * v.matrix)
-    # v^2 = -<v,v> I on su(2): always elliptic
-    c, s = _cosh_sinh_like(-theta * theta * inner(v, v))
-    return SphereGroupElement(c * np.eye(2, dtype=complex) + (s * theta) * v.matrix)
+    c, s = _cosh_sinh_like(v.sign * theta * theta * inner(v, v))
+    group = v._group
+    return group(c * np.eye(2, dtype=group._dtype) + (s * theta) * v.matrix)
 
 
 def to_embedding(g):
     """Embedding coordinates of a group element (either sector)."""
-    if isinstance(g, (AdsGroupElement, SphereGroupElement)):
+    if isinstance(g, _GroupElement):
         return g.embedding
     raise SectorMismatchError(f"not a group element: {type(g).__name__}")
 
 
 def adjoint(g, v):
     """Adjoint action Ad_g v = g v g^{-1}; preserves the inner product."""
-    if isinstance(g, AdsGroupElement) and isinstance(v, AdsAlgebraElement):
-        return AdsAlgebraElement.from_matrix(g.matrix @ v.matrix @ g.inverse().matrix)
-    if isinstance(g, SphereGroupElement) and isinstance(v, SphereAlgebraElement):
-        return SphereAlgebraElement.from_matrix(g.matrix @ v.matrix @ g.inverse().matrix)
-    raise SectorMismatchError(
-        f"mixed sectors: {type(g).__name__} acting on {type(v).__name__}")
+    if not (isinstance(v, _AlgebraElement) and isinstance(g, v._group)):
+        raise SectorMismatchError(
+            f"mixed sectors: {type(g).__name__} acting on {type(v).__name__}")
+    return type(v).from_matrix(g.matrix @ v.matrix @ g.inverse().matrix)
 
 
 def normalized_commutator(lhat, rhat):
@@ -335,9 +315,8 @@ def normalized_commutator(lhat, rhat):
     cos 2g = <l r> with the same boost/rotation role.  Raises on (anti)parallel
     input where the commutator direction is undefined.
     """
-    sector = _same_sector(lhat, rhat)
     ip = inner(lhat, rhat)
-    if sector == "ads":
+    if type(lhat) is AdsAlgebraElement:
         c2g = -ip
         if c2g <= 1.0 + 1e-14:
             raise DegenerateConfigurationError(
@@ -361,14 +340,36 @@ def boost(alpha, nhat, rhat):
     r (alpha = 0) through l (alpha = gamma) along the orbit in the l-r plane.
     """
     e = exp_algebra(nhat, -alpha)
-    m = e.matrix @ rhat.matrix @ e.inverse().matrix
-    if isinstance(rhat, AdsAlgebraElement):
-        return AdsAlgebraElement.from_matrix(m)
-    return SphereAlgebraElement.from_matrix(m)
+    return type(rhat).from_matrix(e.matrix @ rhat.matrix @ e.inverse().matrix)
+
+
+class _UnitVector:
+    """Exactly normalized unit direction in a two-angle chart.
+
+    Subclasses are dataclasses of the two angles; they fix the algebra and
+    the reference axis e = basis[_axis] the chart is centred on.
+    """
+
+    def _validate(self):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValidationError("non-finite chart parameters")
+
+    @classmethod
+    def reference(cls):
+        """The reference axis e as an algebra element."""
+        return cls._algebra(np.eye(3)[cls._axis])
+
+    @property
+    def element(self):
+        return self._algebra(self.coeffs)
+
+    @property
+    def matrix(self):
+        return self.element.matrix
 
 
 @dataclass(frozen=True)
-class UnitTimelikeVector:
+class UnitTimelikeVector(_UnitVector):
     """Future-directed unit timelike sl(2,R) vector, exactly normalized.
 
     l = cosh(psi) t0 + sinh(psi) (cos(phi) t1 + sin(phi) t2), <l,l> = -1.
@@ -377,9 +378,9 @@ class UnitTimelikeVector:
     rapidity: float = 0.0
     angle: float = 0.0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.rapidity) and math.isfinite(self.angle)):
-            raise ValidationError("non-finite chart parameters")
+    _algebra = AdsAlgebraElement
+    _axis = 0
+    __post_init__ = _UnitVector._validate
 
     @classmethod
     def from_coeffs(cls, coeffs):
@@ -396,25 +397,17 @@ class UnitTimelikeVector:
         ch, sh = math.cosh(self.rapidity), math.sinh(self.rapidity)
         return np.array([ch, sh * math.cos(self.angle), sh * math.sin(self.angle)])
 
-    @property
-    def element(self):
-        return AdsAlgebraElement(self.coeffs)
-
-    @property
-    def matrix(self):
-        return self.element.matrix
-
 
 @dataclass(frozen=True)
-class UnitSphereVector:
+class UnitSphereVector(_UnitVector):
     """Unit su(2) vector s = cos(polar) s3 + sin(polar)(cos(az) s1 + sin(az) s2)."""
 
     polar: float = 0.0
     azimuth: float = 0.0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.polar) and math.isfinite(self.azimuth)):
-            raise ValidationError("non-finite chart parameters")
+    _algebra = SphereAlgebraElement
+    _axis = 2
+    __post_init__ = _UnitVector._validate
 
     @classmethod
     def from_coeffs(cls, coeffs):
@@ -431,32 +424,23 @@ class UnitSphereVector:
                          sp * math.sin(self.azimuth),
                          math.cos(self.polar)])
 
-    @property
-    def element(self):
-        return SphereAlgebraElement(self.coeffs)
-
-    @property
-    def matrix(self):
-        return self.element.matrix
-
 
 def aligning_rotation(vhat):
     """Group element A with A e A^{-1} = vhat, e = t0 (timelike) or s3 (sphere).
 
-    A = (I - vhat e) / sqrt(2 (1 + c)), c the t0 or s3 coefficient of vhat,
-    is the minimal boost or rotation from e to vhat: (I - v e) e = v (I - v e)
-    and det(I - v e) = 2 (1 + c).  It is the identity at vhat = e and keeps
+    A = (I - vhat e) / sqrt(2 (1 + c)), c the e coefficient of vhat, is the
+    minimal boost or rotation from e to vhat: (I - v e) e = v (I - v e) and
+    det(I - v e) = 2 (1 + c).  It is the identity at vhat = e and keeps
     1 + c >= 2 on the hyperboloid.  Where the sphere quotient would divide by
     less than 1 (c < -1/2), the same rotation is built from the chart angles,
     A = exp(polar/2 (sin az s1 - cos az s2)), which stays defined at the
     antipode polar = pi.
     """
-    if isinstance(vhat, UnitTimelikeVector):
-        c0 = vhat.coeffs[0]
-        return AdsGroupElement((np.eye(2) - vhat.matrix @ T0) / math.sqrt(2.0 * (1.0 + c0)))
-    c3 = vhat.coeffs[2]
-    if c3 >= -0.5:
-        return SphereGroupElement((np.eye(2) - vhat.matrix @ S3) / math.sqrt(2.0 * (1.0 + c3)))
-    phi = vhat.azimuth
-    axis = SphereAlgebraElement(np.array([math.sin(phi), -math.cos(phi), 0.0]))
-    return exp_algebra(axis, 0.5 * vhat.polar)
+    algebra, axis = vhat._algebra, vhat._axis
+    c = vhat.coeffs[axis]
+    if c < -0.5:  # sphere only: a future timelike t0 coefficient is >= 1
+        phi = vhat.azimuth
+        tilt = SphereAlgebraElement(np.array([math.sin(phi), -math.cos(phi), 0.0]))
+        return exp_algebra(tilt, 0.5 * vhat.polar)
+    return algebra._group((np.eye(2) - vhat.matrix @ algebra._basis[axis])
+                          / math.sqrt(2.0 * (1.0 + c)))

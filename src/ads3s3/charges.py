@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AdsAlgebraElement, SphereAlgebraElement, inner
+from .algebra import SECTOR_ALGEBRAS, AdsAlgebraElement, SphereAlgebraElement, inner
 from .solutions import theta_invariants
 
 _EYE2 = np.eye(2)
@@ -68,26 +68,18 @@ def current_matrices(sol, tau, sigma):
             R_sig=0.5 * m * conj_r + 0.5 * n * rmat,
         )
 
-    ads = sector(sol.lam, sol.rho, sol.m, sol.n,
-                 sol.lhat.matrix, sol.rhat.matrix,
-                 sol.g0.matrix, sol.g0.inverse().matrix)
-    sph = sector(sol.lam_s, sol.rho_s, sol.m_s, sol.n_s,
-                 sol.lhat_s.matrix, sol.rhat_s.matrix,
-                 sol.h0.matrix, sol.h0.inverse().matrix)
-    return ads, sph
+    return tuple(sector(lam, rho, m, n, lhat.matrix, rhat.matrix,
+                        x0.matrix, x0.inverse().matrix)
+                 for lam, rho, m, n, lhat, rhat, x0 in sol.sectors)
 
 
 def currents(sol, tau, sigma):
     """Currents at a worldsheet point as algebra elements."""
-    ads, sph = current_matrices(sol, float(tau), float(sigma))
-    wrap_a = AdsAlgebraElement.from_matrix
-    wrap_s = SphereAlgebraElement.from_matrix
-    return (
-        SectorCurrents(wrap_a(ads.L_tau), wrap_a(ads.L_sig),
-                       wrap_a(ads.R_tau), wrap_a(ads.R_sig)),
-        SectorCurrents(wrap_s(sph.L_tau), wrap_s(sph.L_sig),
-                       wrap_s(sph.R_tau), wrap_s(sph.R_sig)),
-    )
+    out = []
+    for cls, cur in zip(SECTOR_ALGEBRAS, current_matrices(sol, float(tau), float(sigma))):
+        out.append(SectorCurrents(*map(cls.from_matrix,
+                                       (cur.L_tau, cur.L_sig, cur.R_tau, cur.R_sig))))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -104,14 +96,19 @@ class ChargeSet:
     m_R_s: float
 
 
-def _charge_set(L, R, L_s, R_s):
-    return ChargeSet(
-        L=L, R=R, L_s=L_s, R_s=R_s,
-        m_L=math.sqrt(max(0.0, -inner(L, L))),
-        m_R=math.sqrt(max(0.0, -inner(R, R))),
-        m_L_s=math.sqrt(max(0.0, inner(L_s, L_s))),
-        m_R_s=math.sqrt(max(0.0, inner(R_s, R_s))),
-    )
+    @property
+    def vectors(self):
+        return self.L, self.R, self.L_s, self.R_s
+
+
+def _charge_set(*vectors):
+    """ChargeSet of (L, R, L_s, R_s); each Casimir is m^2 = -tr(q q)/2 = -sign <q q>."""
+    return ChargeSet(*vectors, *(math.sqrt(max(0.0, -q.sign * inner(q, q))) for q in vectors))
+
+
+def charge_gap(a, b):
+    """Largest coefficient difference between two charge sets over (L, R, L_s, R_s)."""
+    return max(float(np.max(np.abs(u.coeffs - v.coeffs))) for u, v in zip(a.vectors, b.vectors))
 
 
 def charges_numeric(sol, tau=0.0, quad_points=None):
@@ -129,13 +126,10 @@ def charges_numeric(sol, tau=0.0, quad_points=None):
         warnings.warn(f"quad_points={quad_points} below recommended {n_min}; "
                       "quadrature may lose spectral accuracy", stacklevel=2)
     sigmas = np.linspace(0.0, 2.0 * math.pi, quad_points, endpoint=False)
-    ads, sph = current_matrices(sol, float(tau), sigmas)
-    return _charge_set(
-        AdsAlgebraElement.from_matrix(ads.L_tau.mean(axis=0)),
-        AdsAlgebraElement.from_matrix(ads.R_tau.mean(axis=0)),
-        SphereAlgebraElement.from_matrix(sph.L_tau.mean(axis=0)),
-        SphereAlgebraElement.from_matrix(sph.R_tau.mean(axis=0)),
-    )
+    out = []
+    for cls, cur in zip(SECTOR_ALGEBRAS, current_matrices(sol, float(tau), sigmas)):
+        out += [cls.from_matrix(cur.L_tau.mean(axis=0)), cls.from_matrix(cur.R_tau.mean(axis=0))]
+    return _charge_set(*out)
 
 
 def charges_analytic(sol):
@@ -146,25 +140,19 @@ def charges_analytic(sol):
     the integrand constant, in which case the exact constant matrix is used
     instead.  Both branches agree with the quadrature for valid solutions.
     """
-    c2t, c2ts = theta_invariants(sol)
-    g0, g0inv = sol.g0.matrix, sol.g0.inverse().matrix
-    h0, h0inv = sol.h0.matrix, sol.h0.inverse().matrix
-
     def charge(freq_own, freq_other, winding, own_mat, conj_mat, invariant, wrap):
         # own contribution + averaged (or constant) conjugated partner
         if winding != 0:
             return wrap(freq_own * own_mat + freq_other * invariant * own_mat)
         return wrap(freq_own * own_mat + freq_other * conj_mat)
 
-    L = charge(sol.lam, sol.rho, sol.m, sol.lhat.matrix,
-               g0 @ sol.rhat.matrix @ g0inv, c2t, AdsAlgebraElement.from_matrix)
-    R = charge(sol.rho, sol.lam, sol.n, sol.rhat.matrix,
-               g0inv @ sol.lhat.matrix @ g0, c2t, AdsAlgebraElement.from_matrix)
-    L_s = charge(sol.lam_s, sol.rho_s, sol.m_s, sol.lhat_s.matrix,
-                 h0 @ sol.rhat_s.matrix @ h0inv, c2ts, SphereAlgebraElement.from_matrix)
-    R_s = charge(sol.rho_s, sol.lam_s, sol.n_s, sol.rhat_s.matrix,
-                 h0inv @ sol.lhat_s.matrix @ h0, c2ts, SphereAlgebraElement.from_matrix)
-    return _charge_set(L, R, L_s, R_s)
+    out = []
+    for cls, (lam, rho, m, n, lhat, rhat, x0), c2 in zip(SECTOR_ALGEBRAS, sol.sectors,
+                                                         theta_invariants(sol)):
+        x, xinv, wrap = x0.matrix, x0.inverse().matrix, cls.from_matrix
+        out += [charge(lam, rho, m, lhat.matrix, x @ rhat.matrix @ xinv, c2, wrap),
+                charge(rho, lam, n, rhat.matrix, xinv @ lhat.matrix @ x, c2, wrap)]
+    return _charge_set(*out)
 
 
 def charge_coefficients(charge_set, sol):
@@ -173,9 +161,5 @@ def charge_coefficients(charge_set, sol):
     For the generic (nonzero winding) case L = c_L l etc.; the Casimir
     magnitudes are |c|.
     """
-    return (
-        -inner(charge_set.L, sol.lhat.element),
-        -inner(charge_set.R, sol.rhat.element),
-        inner(charge_set.L_s, sol.lhat_s.element),
-        inner(charge_set.R_s, sol.rhat_s.element),
-    )
+    return tuple(-q.sign * inner(q, v.element) for q, v in zip(
+        charge_set.vectors, (sol.lhat, sol.rhat, sol.lhat_s, sol.rhat_s)))

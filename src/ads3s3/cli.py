@@ -22,7 +22,7 @@ from .algebra import (
     UnitTimelikeVector,
     ValidationError,
 )
-from .charges import charge_coefficients, charges_analytic, charges_numeric
+from .charges import charge_coefficients, charge_gap, charges_analytic, charges_numeric
 from .geometry import DEFAULT_THRESHOLDS, verify_solution
 from .solutions import embedding_surface, family_solution, params_from_dict
 from .symplectic import (
@@ -35,12 +35,16 @@ from .symplectic import (
 )
 
 
+class _UsageError(Exception):
+    """Command line that argparse rejects; main reports it and exits 1."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse whose usage errors become one stderr line and exit code 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        message = message.replace("the following arguments are required:", "requires")
+        raise _UsageError(f"{self.prog}: error: {message}")
 
 
 def _fmt(x):
@@ -107,7 +111,11 @@ def _parse_range(spec, name):
 def _load_params(args, strict):
     if args.params:
         with open(args.params) as fh:
-            return params_from_dict(json.load(fh), strict=strict)
+            try:
+                data = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"parameter file is not UTF-8 text: {exc}") from exc
+        return params_from_dict(data, strict=strict)
     if args.f is None or args.b is None:
         raise ValidationError("provide --params or the family point --f, --b [--n]")
     return family_solution(args.f, args.b, args.n)
@@ -184,14 +192,13 @@ def cmd_scan(args):
 
 
 def cmd_charges(args):
+    scale = args.scale
+    if not math.isfinite(scale):
+        raise ValidationError(f"--scale must be finite, got {scale}")
     sol = _load_params(args, strict=True)
     analytic = charges_analytic(sol)
-    numeric = charges_numeric(sol)
-    gap = max(float(np.max(np.abs(a.coeffs - b.coeffs))) for a, b in (
-        (analytic.L, numeric.L), (analytic.R, numeric.R),
-        (analytic.L_s, numeric.L_s), (analytic.R_s, numeric.R_s)))
+    gap = charge_gap(analytic, charges_numeric(sol))
     c_L, c_R, c_Ls, c_Rs = charge_coefficients(analytic, sol)
-    scale = args.scale
     payload = {
         "scale": scale,
         "L": [scale * v for v in analytic.L.coeffs.tolist()],
@@ -259,7 +266,7 @@ def cmd_brackets(args):
             resid = _algebra_residual(chart, form, chart.coords(point))
             results.append({"mode": "particle", "max_algebra_residual": resid,
                             "form": form.as_dict()})
-    elif args.mode == "string":
+    else:
         for _ in range(2):
             point = _random_string_point(rng)
             chart = StringChart(point)
@@ -268,61 +275,65 @@ def cmd_brackets(args):
             results.append({"mode": "string", "max_algebra_residual": resid,
                             "orbit_coefficients": list(chart.orbit_block_coefficients(form)),
                             "form": form.as_dict()})
-    else:
-        raise ValidationError("--mode must be particle or string")
     payload = {"seed": args.seed, "points": results,
                "max_algebra_residual": max(r["max_algebra_residual"] for r in results)}
     _emit(_json(payload), args.out)
     return 0
 
 
+_OPTIONS = {
+    "f": dict(type=float),
+    "b": dict(type=float),
+    "n": dict(type=int, default=1),
+    "params": dict(help="JSON parameter file"),
+    "grid": {},
+    "tau-steps": dict(type=int, default=16),
+    "sigma-steps": dict(type=int, default=64),
+    "tol": dict(type=float),
+    "seed": dict(type=int, default=0),
+    "mode": dict(choices=("particle", "string"), default="particle"),
+    "scale": dict(type=float, default=1.0,
+                  help="overall coupling scale applied to reported charges"),
+}
+
+
 def _build_parser():
     parser = _Parser(prog="ads3s3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext):
+    def add(name, fn, helptext, options, output=None, required=()):
+        """Subcommand reading only `options`; `output` is its default --format."""
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(fn=fn)
-        p.add_argument("--f", type=float, default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--n", type=int, default=1)
-        p.add_argument("--params", default=None, help="JSON parameter file")
-        p.add_argument("--grid", default=None)
-        p.add_argument("--tau-steps", type=int, default=16, dest="tau_steps")
-        p.add_argument("--sigma-steps", type=int, default=64, dest="sigma_steps")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=("particle", "string"), default="particle")
-        p.add_argument("--scale", type=float, default=1.0,
-                       help="overall coupling scale applied to reported charges")
-        return p
+        for opt in options:
+            p.add_argument(f"--{opt}", required=opt in required, **_OPTIONS[opt])
+        if output:
+            p.add_argument("--format", choices=("json", "csv"), default=output)
+        p.add_argument("--out")
 
-    add("bridge", cmd_bridge, "invariants at a family point (f, b, n)")
-    add("verify", cmd_verify, "residual verification battery")
-    add("sample", cmd_sample, "embedding-surface mesh export")
-    add("scan", cmd_scan, "admissibility scan over an (f, b) grid")
-    add("charges", cmd_charges, "conserved charges and Casimirs")
-    add("brackets", cmd_brackets, "Poisson-bracket algebra residuals")
+    add("bridge", cmd_bridge, "invariants at a family point (f, b, n)",
+        ("f", "b", "n"), "json", required=("f", "b"))
+    add("verify", cmd_verify, "residual verification battery",
+        ("f", "b", "n", "params", "grid", "tol"))
+    add("sample", cmd_sample, "embedding-surface mesh export",
+        ("f", "b", "n", "tau-steps", "sigma-steps"), "csv", required=("f", "b"))
+    add("scan", cmd_scan, "admissibility scan over an (f, b) grid", ("grid", "n"), "csv")
+    add("charges", cmd_charges, "conserved charges and Casimirs",
+        ("f", "b", "n", "params", "scale"))
+    add("brackets", cmd_brackets, "Poisson-bracket algebra residuals", ("seed", "mode"))
     return parser
 
 
-_DEFAULT_FORMATS = {"bridge": "json", "verify": "json", "sample": "csv",
-                    "scan": "csv", "charges": "json", "brackets": "json"}
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = _DEFAULT_FORMATS[args.command]
     try:
-        if args.command in ("bridge", "sample") and (args.f is None or args.b is None):
-            raise ValidationError(f"{args.command} requires --f and --b")
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    try:
         return args.fn(args)
     except (ValidationError, RegionError, DegenerateConfigurationError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         print(f"ads3s3 {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

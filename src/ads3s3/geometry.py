@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DegenerateConfigurationError, ValidationError, ads_dot
-from .charges import charges_analytic, charges_numeric, current_matrices
+from .algebra import SECTOR_SIGNS, DegenerateConfigurationError, ValidationError, ads_dot
+from .charges import charge_gap, charges_analytic, charges_numeric, current_matrices
 from .solutions import embedding_surface, evaluate_matrices
 
 DEFAULT_STEP = 1e-4
-_SIGNS = (1.0, -1.0)  # (ads, sphere): <A, B> = +tr(AB)/2 on sl(2,R), -tr(AB)/2 on su(2)
 
 
 def _inv2(m):
@@ -88,7 +87,7 @@ def _chirality(inv, dt, ds, h):
 def _chiral_invariants(stencil):
     """(chi, bar) per sector at each point: <(g^{-1} d g)^2> and its d-bar twin."""
     out = []
-    for sign, (inv, dt, ds) in zip(_SIGNS, stencil):
+    for sign, (inv, dt, ds) in zip(SECTOR_SIGNS, stencil):
         rt, rs = inv[:, 1, 1] @ dt[:, 1, 1], inv[:, 1, 1] @ ds[:, 1, 1]
         chi, bar = 0.5 * (rt + rs), 0.5 * (rt - rs)
         out += [sign * _trace_half(chi, chi).real, sign * _trace_half(bar, bar).real]
@@ -98,7 +97,7 @@ def _chiral_invariants(stencil):
 def _metric_numeric(coarse, fine=None):
     """[ads, sphere] induced metrics at each point; fine at h/2 adds Richardson."""
     out = []
-    for sign, (inv, dt, ds), half in zip(_SIGNS, coarse, fine or (None, None)):
+    for sign, (inv, dt, ds), half in zip(SECTOR_SIGNS, coarse, fine or (None, None)):
         dt, ds = dt[:, 1, 1], ds[:, 1, 1]
         if half is not None:
             dt = (4.0 * half[1][:, 1, 1] - dt) / 3.0
@@ -143,9 +142,9 @@ def induced_metric_analytic(inv):
 
 def induced_metric_currents(sol, tau=0.0, sigma=0.0):
     """Exact induced metric from the closed-form currents f_ab = <R_a R_b>."""
-    ads, sph = current_matrices(sol, float(tau), float(sigma))
-    return InducedMetric(ads=_metric(ads.R_tau, ads.R_sig, 1.0),
-                         sphere=_metric(sph.R_tau, sph.R_sig, -1.0))
+    ads, sph = (_metric(cur.R_tau, cur.R_sig, sign) for sign, cur in
+                zip(SECTOR_SIGNS, current_matrices(sol, float(tau), float(sigma))))
+    return InducedMetric(ads=ads, sphere=sph)
 
 
 @dataclass(frozen=True)
@@ -262,11 +261,15 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     over the grid, constancy of the induced metric (Richardson-extrapolated
     derivatives) at seven points and its agreement with the closed-form
     current metric, and quadrature vs analytic charges.  Thresholds can be
-    overridden per key.
+    overridden per key of DEFAULT_THRESHOLDS, each finite and positive.
     """
     tol = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        tol.update(thresholds)
+    for key, value in (thresholds or {}).items():
+        if key not in tol:
+            raise ValidationError(f"unknown threshold {key!r}")
+        if not 0.0 < value < math.inf:
+            raise ValidationError(f"threshold {key} = {value} must be finite and positive")
+        tol[key] = value
     n_tau, n_sig = int(grid[0]), int(grid[1])
     if n_tau < 1 or n_sig < 1:
         raise ValidationError("verification grid must be at least 1x1")
@@ -304,15 +307,12 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
 
     # charge quadrature vs closed form, and tau-independence
     an = charges_analytic(sol)
-    charge_gap = 0.0
-    for num in (charges_numeric(sol, tau=0.0), charges_numeric(sol, tau=1.7)):
-        for va, vb in ((num.L, an.L), (num.R, an.R), (num.L_s, an.L_s), (num.R_s, an.R_s)):
-            charge_gap = max(charge_gap, float(np.max(np.abs(va.coeffs - vb.coeffs))))
+    quadrature = max(charge_gap(charges_numeric(sol, tau=t), an) for t in (0.0, 1.7))
 
     values = {
         "eom": eom, "gauge_chiral": gauge_c, "gauge_antichiral": gauge_a,
         "chirality": chir, "periodicity": periodicity, "embedding": embedding,
-        "metric_spread": spread, "metric_gap": gap, "charge_gap": charge_gap,
+        "metric_spread": spread, "metric_gap": gap, "charge_gap": quadrature,
     }
     failures = tuple(k for k, v in values.items() if v > tol[k])
     return VerificationReport(thresholds=tol, failures=failures, **values)

@@ -41,8 +41,8 @@ from .algebra import (
 
 RELATION_TOL = 1e-12
 
-_T0, _T1, _T2 = ads_basis()
-_S1, _S2, _S3 = sphere_basis()
+_T1 = ads_basis()[1]
+_S2 = sphere_basis()[1]
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,12 @@ class SolutionParams:
     lhat_s: UnitSphereVector
     rhat_s: UnitSphereVector
     h0: SphereGroupElement
+
+    @property
+    def sectors(self):
+        """(lam, rho, m, n, l, r, x0) of the AdS and of the sphere factor."""
+        return ((self.lam, self.rho, self.m, self.n, self.lhat, self.rhat, self.g0),
+                (self.lam_s, self.rho_s, self.m_s, self.n_s, self.lhat_s, self.rhat_s, self.h0))
 
 
 def make_solution(lam, rho, m, n, lhat, rhat, g0,
@@ -113,15 +119,13 @@ def evaluate_matrices(sol, tau, sigma):
     """
     tau = np.asarray(tau, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    th_l = sol.lam * tau + 0.5 * sol.m * sigma
-    th_r = sol.rho * tau + 0.5 * sol.n * sigma
-    g = _phase_product(np.cos(th_l), np.sin(th_l), np.cos(th_r), np.sin(th_r),
-                       sol.lhat.matrix, sol.g0.matrix, sol.rhat.matrix)
-    th_ls = sol.lam_s * tau + 0.5 * sol.m_s * sigma
-    th_rs = sol.rho_s * tau + 0.5 * sol.n_s * sigma
-    h = _phase_product(np.cos(th_ls), np.sin(th_ls), np.cos(th_rs), np.sin(th_rs),
-                       sol.lhat_s.matrix, sol.h0.matrix, sol.rhat_s.matrix)
-    return g, h
+    out = []
+    for lam, rho, m, n, lhat, rhat, x0 in sol.sectors:
+        th_l = lam * tau + 0.5 * m * sigma
+        th_r = rho * tau + 0.5 * n * sigma
+        out.append(_phase_product(np.cos(th_l), np.sin(th_l), np.cos(th_r), np.sin(th_r),
+                                  lhat.matrix, x0.matrix, rhat.matrix))
+    return tuple(out)
 
 
 def evaluate(sol, tau, sigma):
@@ -142,27 +146,25 @@ def apply_isometry(sol, g_left=None, g_right=None, h_left=None, h_right=None):
     h_left = h_left if h_left is not None else SphereGroupElement.identity()
     h_right = h_right if h_right is not None else SphereGroupElement.identity()
 
-    def moved(vec_cls, g, vhat):
-        return vec_cls.from_coeffs(adjoint(g, vhat.element).coeffs)
+    def moved(g, vhat):
+        return type(vhat).from_coeffs(adjoint(g, vhat.element).coeffs)
 
     return replace(
         sol,
-        lhat=moved(UnitTimelikeVector, g_left, sol.lhat),
-        rhat=moved(UnitTimelikeVector, g_right.inverse(), sol.rhat),
+        lhat=moved(g_left, sol.lhat),
+        rhat=moved(g_right.inverse(), sol.rhat),
         g0=AdsGroupElement(g_left.matrix @ sol.g0.matrix @ g_right.matrix),
-        lhat_s=moved(UnitSphereVector, h_left, sol.lhat_s),
-        rhat_s=moved(UnitSphereVector, h_right.inverse(), sol.rhat_s),
+        lhat_s=moved(h_left, sol.lhat_s),
+        rhat_s=moved(h_right.inverse(), sol.rhat_s),
         h0=SphereGroupElement(h_left.matrix @ sol.h0.matrix @ h_right.matrix),
     )
 
 
 def theta_invariants(sol):
     """(cosh 2theta, cos 2theta_s) from the isometry-invariant traces."""
-    g0, g0inv = sol.g0.matrix, sol.g0.inverse().matrix
-    c2t = -0.5 * np.trace(sol.lhat.matrix @ g0 @ sol.rhat.matrix @ g0inv)
-    h0, h0inv = sol.h0.matrix, sol.h0.inverse().matrix
-    c2ts = -0.5 * np.trace(sol.lhat_s.matrix @ h0 @ sol.rhat_s.matrix @ h0inv)
-    return float(c2t), float(c2ts.real)
+    return tuple(float((-0.5 * np.trace(lhat.matrix @ x0.matrix @ rhat.matrix
+                                        @ x0.inverse().matrix)).real)
+                 for *_, lhat, rhat, x0 in sol.sectors)
 
 
 @dataclass(frozen=True)
@@ -209,19 +211,14 @@ def canonicalizing_isometry(sol):
     solution has l = r = t0, l_s = r_s = s3, g0 = exp(theta t1) and
     h0 = exp(theta_s s2).
     """
-    a_l = aligning_rotation(sol.lhat).inverse()
-    a_r = aligning_rotation(sol.rhat)
-    g0p = a_l @ sol.g0 @ a_r
-    p, theta, q = ads_kak(g0p)
-    g_left = exp_algebra(_T0, -p) @ a_l
-    g_right = a_r @ exp_algebra(_T0, -q)
-
-    b_l = aligning_rotation(sol.lhat_s).inverse()
-    b_r = aligning_rotation(sol.rhat_s)
-    h0p = b_l @ sol.h0 @ b_r
-    p_s, theta_s, q_s = sphere_kak(h0p)
-    h_left = exp_algebra(_S3, -p_s) @ b_l
-    h_right = b_r @ exp_algebra(_S3, -q_s)
+    out = []
+    for (*_, lhat, rhat, x0), kak in zip(sol.sectors, (ads_kak, sphere_kak)):
+        a_l = aligning_rotation(lhat).inverse()
+        a_r = aligning_rotation(rhat)
+        p, angle, q = kak(a_l @ x0 @ a_r)
+        e = type(lhat).reference()
+        out.append((exp_algebra(e, -p) @ a_l, a_r @ exp_algebra(e, -q), angle))
+    (g_left, g_right, theta), (h_left, h_right, theta_s) = out
     return g_left, g_right, h_left, h_right, theta, theta_s
 
 
@@ -293,19 +290,7 @@ def embedding_surface(sol, taus, sigmas):
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     g, h = evaluate_matrices(sol, taus[:, None], sigmas[None, :])
-    y = np.stack([
-        0.5 * (g[..., 0, 0] + g[..., 1, 1]),
-        0.5 * (g[..., 0, 1] - g[..., 1, 0]),
-        0.5 * (g[..., 0, 1] + g[..., 1, 0]),
-        0.5 * (g[..., 0, 0] - g[..., 1, 1]),
-    ], axis=-1)
-    x = np.stack([
-        h[..., 0, 1].imag,
-        h[..., 0, 1].real,
-        h[..., 0, 0].imag,
-        h[..., 0, 0].real,
-    ], axis=-1)
-    return y, x
+    return AdsGroupElement.embed(g), SphereGroupElement.embed(h)
 
 
 def winding_numbers(sol, tau=0.0, sigma_steps=None):
@@ -355,22 +340,31 @@ def params_from_dict(data, strict=True):
 
     strict=False skips the frequency/parity relations (group validity is
     always enforced) so that verification can probe invalid parameters.
+    Windings must be integral; a fractional one is rejected, not truncated.
     """
+    def winding(name):
+        w = int(data[name])
+        if w != float(data[name]):
+            raise ValidationError(f"winding {name} = {data[name]!r} is not an integer")
+        return w
+
     try:
         h0 = np.array([[complex(re, im) for re, im in row] for row in data["h0"]])
         kwargs = dict(
             lam=float(data["lam"]), rho=float(data["rho"]),
-            m=int(data["m"]), n=int(data["n"]),
+            m=winding("m"), n=winding("n"),
             lhat=UnitTimelikeVector(**{k: float(v) for k, v in data["lhat"].items()}),
             rhat=UnitTimelikeVector(**{k: float(v) for k, v in data["rhat"].items()}),
             g0=AdsGroupElement(np.array(data["g0"], dtype=float)),
             lam_s=float(data["lam_s"]), rho_s=float(data["rho_s"]),
-            m_s=int(data["m_s"]), n_s=int(data["n_s"]),
+            m_s=winding("m_s"), n_s=winding("n_s"),
             lhat_s=UnitSphereVector(**{k: float(v) for k, v in data["lhat_s"].items()}),
             rhat_s=UnitSphereVector(**{k: float(v) for k, v in data["rhat_s"].items()}),
             h0=SphereGroupElement(h0),
         )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed parameter file: {exc}") from exc
     if strict:
         return make_solution(**kwargs)

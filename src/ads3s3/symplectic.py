@@ -46,30 +46,23 @@ from .bridge import admissible as _admissible, check_winding, family_angles, fam
 from .algebra import (
     EPS,
     EPS_MIXED,
+    SECTOR_SIGNS,
     DegenerateConfigurationError,
     UnitSphereVector,
     UnitTimelikeVector,
     ValidationError,
     aligning_rotation,
-    ads_basis,
     exp_algebra,
     inner,
     normalized_commutator,
-    sphere_basis,
 )
 from .charges import current_matrices
 from .solutions import SolutionParams, evaluate_matrices
-
-_T0, _T1, _T2 = ads_basis()
-_S1, _S2, _S3 = sphere_basis()
 
 # One central-difference layer: h ~ eps^(1/3) balances the h^2 truncation,
 # which grows near the l = r chart singularity, against eps/h roundoff.
 DEFAULT_FORM_STEP = 5e-6
 DEFAULT_GRAD_STEP = 1e-6
-
-# inner-product signs <X, Y> = sign * tr(XY) / 2 on AdS and on the sphere
-_SECTOR_SIGNS = (0.5, -0.5)
 
 
 @dataclass(frozen=True)
@@ -178,22 +171,20 @@ def particle_evaluate(charge, g0, tau, side="left"):
 
 
 def g_from_LR(lhat, rhat, phi):
-    """SL(2,R) point with Ad_g r = l, charted by the angle phi.
+    """Group point with Ad_g r = l, charted by the angle phi.
 
-        g = A(l) exp(phi t0) A(r)^{-1},   A = algebra.aligning_rotation,
+        g = A(l) exp(phi e) A(r)^{-1},   A = algebra.aligning_rotation,
 
-    where A(v) is the boost taking t0 to v.  phi and phi + 2pi give the same
-    matrix (exp(t0, 2pi) = I); the chart lives on the covering line and is
-    identified mod 2pi on comparison.
+    where A(v) is the boost (sl(2,R), e = t0) or rotation (su(2), e = s3)
+    taking e to v.  phi and phi + 2pi give the same matrix (exp(e, 2pi) = I);
+    the chart lives on the covering line and is identified mod 2pi on
+    comparison.
     """
-    return (aligning_rotation(lhat) @ exp_algebra(_T0, float(phi))
+    return (aligning_rotation(lhat) @ exp_algebra(type(lhat).reference(), float(phi))
             @ aligning_rotation(rhat).inverse())
 
 
-def h_from_LR(lhat_s, rhat_s, phi_s):
-    """SU(2) analogue of g_from_LR with reference axis s3."""
-    return (aligning_rotation(lhat_s) @ exp_algebra(_S3, float(phi_s))
-            @ aligning_rotation(rhat_s).inverse())
+h_from_LR = g_from_LR
 
 
 @dataclass(frozen=True)
@@ -533,8 +524,8 @@ class StringChart(_OrbitChart):
         """Components theta_j of the presymplectic 1-form at chart vector x."""
         x = self._x0 if x is None else np.asarray(x, dtype=float)
         out = np.zeros(12)
-        for sign, (r, v, _) in zip(_SECTOR_SIGNS, self._chart_fields(x)):
-            out += sign * np.einsum("sab,jsba->j", r, v).real
+        for sign, (r, v, _) in zip(SECTOR_SIGNS, self._chart_fields(x)):
+            out += (0.5 * sign) * np.einsum("sab,jsba->j", r, v).real
         return out / self.sigma.size
 
     def form(self, x=None):
@@ -545,10 +536,10 @@ class StringChart(_OrbitChart):
         """
         x = self._x0 if x is None else np.asarray(x, dtype=float)
         k_mat = np.zeros((12, 12))
-        for sign, (r, v, dr) in zip(_SECTOR_SIGNS, self._chart_fields(x)):
+        for sign, (r, v, dr) in zip(SECTOR_SIGNS, self._chart_fields(x)):
             rv = r @ v
-            k_mat += sign * (np.einsum("isab,jsba->ij", dr, v)
-                             - np.einsum("isab,jsba->ij", rv, v)).real
+            k_mat += (0.5 * sign) * (np.einsum("isab,jsba->ij", dr, v)
+                                     - np.einsum("isab,jsba->ij", rv, v)).real
         k_mat /= self.sigma.size
         return TwoFormMatrix(k_mat - k_mat.T, self.labels)
 
@@ -559,21 +550,16 @@ class StringChart(_OrbitChart):
         right action by g A / h A.  The pairing equals the corresponding
         charge component <L A> or <R A>.
         """
+        if sector not in ("ads", "sphere"):
+            raise ValueError("sector must be 'ads' or 'sphere'")
+        k = ("ads", "sphere").index(sector)
         x = self._x0 if x is None else np.asarray(x, dtype=float)
         sol = self.solution(x)
-        ads, sph = current_matrices(sol, self.tau, self.sigma)
-        g, h = evaluate_matrices(sol, self.tau, self.sigma)
+        r_tau = current_matrices(sol, self.tau, self.sigma)[k].R_tau
+        g = evaluate_matrices(sol, self.tau, self.sigma)[k]
         a = generator.matrix
-        if sector == "ads":
-            delta = np.linalg.inv(g) @ (a @ g) if side == "left" else \
-                np.broadcast_to(a, g.shape)
-            vals = 0.5 * np.einsum("sij,sji->s", ads.R_tau, delta)
-        elif sector == "sphere":
-            delta = np.linalg.inv(h) @ (a @ h) if side == "left" else \
-                np.broadcast_to(a, h.shape)
-            vals = -0.5 * np.einsum("sij,sji->s", sph.R_tau, delta)
-        else:
-            raise ValueError("sector must be 'ads' or 'sphere'")
+        delta = np.linalg.inv(g) @ (a @ g) if side == "left" else np.broadcast_to(a, g.shape)
+        vals = (0.5 * SECTOR_SIGNS[k]) * np.einsum("sij,sji->s", r_tau, delta)
         return float(np.mean(vals).real)
 
 

@@ -303,3 +303,48 @@ class TestGroupValidation:
     def test_unitarity_enforced(self):
         with pytest.raises(al.ValidationError):
             al.SphereGroupElement(np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex))
+
+
+class TestSharedImplementations:
+    VALIDATED = ("AdsGroupElement", "SphereGroupElement", "AdsAlgebraElement",
+                 "SphereAlgebraElement", "UnitTimelikeVector", "UnitSphereVector")
+
+    @pytest.mark.parametrize("name", VALIDATED)
+    def test_each_class_validates_through_its_own_post_init(self, name):
+        cls = getattr(al, name)
+        assert "__post_init__" in vars(cls)
+        bad = {"AdsGroupElement": np.full((2, 2), np.nan),
+               "SphereGroupElement": np.full((2, 2), np.nan),
+               "AdsAlgebraElement": [0.0, math.inf, 0.0],
+               "SphereAlgebraElement": [0.0, 0.0],
+               "UnitTimelikeVector": math.nan,
+               "UnitSphereVector": math.inf}[name]
+        with pytest.raises(al.ValidationError):
+            cls(bad)
+
+    def test_composition_rejects_mixed_sectors(self):
+        with pytest.raises(al.SectorMismatchError):
+            al.AdsGroupElement.identity() @ al.SphereGroupElement.identity()
+        with pytest.raises(al.SectorMismatchError):
+            al.adjoint(al.SphereGroupElement.identity(), T1)
+
+    def test_identity_and_inverse_keep_the_sector(self):
+        for cls, v in ((al.AdsGroupElement, T1), (al.SphereGroupElement, S2)):
+            g = al.exp_algebra(v, 0.7)
+            assert type(g) is cls and type(g.inverse()) is cls
+            assert np.max(np.abs((g @ g.inverse()).matrix - cls.identity().matrix)) <= 1e-15
+
+    def test_reference_axes(self):
+        assert np.array_equal(al.UnitTimelikeVector.reference().coeffs, [1.0, 0.0, 0.0])
+        assert np.array_equal(al.UnitSphereVector.reference().coeffs, [0.0, 0.0, 1.0])
+        assert np.array_equal(al.UnitTimelikeVector().matrix, al.T0)
+        assert np.array_equal(al.UnitSphereVector().matrix, al.S3)
+
+    def test_square_sign_matches_inner_product_sign(self):
+        # <v v> = sign tr(v v)/2 and v v = sign <v v> I in both sectors
+        rng = np.random.default_rng(21)
+        for cls in (al.AdsAlgebraElement, al.SphereAlgebraElement):
+            v = cls(rng.normal(size=3))
+            square = v.matrix @ v.matrix
+            assert abs(al.inner(v, v) - cls.sign * 0.5 * np.trace(square).real) <= 1e-12
+            assert np.max(np.abs(square - cls.sign * al.inner(v, v) * np.eye(2))) <= 1e-12

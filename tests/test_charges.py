@@ -17,6 +17,7 @@ from ads3s3.algebra import (
 )
 from ads3s3.charges import (
     charge_coefficients,
+    charge_gap,
     charges_analytic,
     charges_numeric,
     current_matrices,
@@ -188,6 +189,16 @@ class TestEdgeCases:
         cs = charges_analytic(sol)
         assert abs(cs.m_L - cs.m_R) <= 1e-14
         assert abs(cs.m_L_s - cs.m_R_s) <= 1e-14
+
+
+class TestChargeGap:
+    def test_largest_coefficient_difference(self):
+        sol = random_solution(np.random.default_rng(65), n=2)
+        ana, num = charges_analytic(sol), charges_numeric(sol, quad_points=64)
+        by_hand = max(float(np.max(np.abs(a.coeffs - b.coeffs))) for a, b in (
+            (ana.L, num.L), (ana.R, num.R), (ana.L_s, num.L_s), (ana.R_s, num.R_s)))
+        assert charge_gap(ana, num) == by_hand == charge_gap(num, ana)
+        assert charge_gap(ana, ana) == 0.0
 
 
 class TestIsometryBehaviour:

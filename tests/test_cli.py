@@ -277,3 +277,90 @@ class TestDeterminism:
             _, out, _ = run(capsys, "brackets", "--mode", "particle", "--seed", "11")
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+def golden_params():
+    return params_to_dict(family_solution(5.0 / 3.0, 5.0 / 4.0, 2))
+
+
+def assert_one_line_error(code, out, err, text):
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and text in err and "Traceback" not in err
+
+
+class TestOptionsPerSubcommand:
+    @pytest.mark.parametrize("argv", [
+        ["bridge", "--f", F_REF, "--b", B_REF, "--tol", "1e-3"],
+        ["bridge", "--f", F_REF, "--b", B_REF, "--scale", "9", "--seed", "3"],
+        ["verify", "--f", F_REF, "--b", B_REF, "--format", "csv"],
+        ["charges", "--f", F_REF, "--b", B_REF, "--format", "csv"],
+        ["brackets", "--format", "csv"],
+        ["scan", "--grid", "1:2:2,1:2:2", "--params", "p.json"],
+    ])
+    def test_option_the_command_does_not_read_exits_one(self, capsys, argv):
+        assert_one_line_error(*run(capsys, *argv), "unrecognized arguments")
+
+    def test_unknown_mode_exits_one(self, capsys):
+        assert_one_line_error(*run(capsys, "brackets", "--mode", "foo"), "invalid choice")
+
+    @pytest.mark.parametrize("command", ["bridge", "sample"])
+    def test_missing_point_exits_one(self, capsys, command):
+        assert_one_line_error(*run(capsys, command, "--f", F_REF), "--b")
+
+    def test_settable_values(self):
+        from ads3s3.cli import _build_parser
+        commands = _build_parser()._subparsers._group_actions[0].choices
+        dests = {name: sorted(a.dest for a in p._actions if a.dest != "help")
+                 for name, p in commands.items()}
+        assert dests == {
+            "bridge": ["b", "f", "format", "n", "out"],
+            "verify": ["b", "f", "grid", "n", "out", "params", "tol"],
+            "sample": ["b", "f", "format", "n", "out", "sigma_steps", "tau_steps"],
+            "scan": ["format", "grid", "n", "out"],
+            "charges": ["b", "f", "n", "out", "params", "scale"],
+            "brackets": ["mode", "out", "seed"],
+        }
+
+
+class TestParameterFileMisuse:
+    @pytest.mark.parametrize("command", ["verify", "charges"])
+    @pytest.mark.parametrize("field, value, text", [
+        ("lam", '"abc"', "could not convert"),
+        ("n", "1e400", "infinity"),
+        ("g0", "[[1, 2], [3]]", "inhomogeneous"),
+        ("n", "1.5", "not an integer"),
+    ])
+    def test_bad_field_exits_one(self, capsys, tmp_path, command, field, value, text):
+        data = golden_params()
+        data[field] = "PLACEHOLDER"
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data).replace('"PLACEHOLDER"', value))
+        assert_one_line_error(*run(capsys, command, "--params", str(path)), text)
+
+    def test_binary_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_bytes(bytes(range(256)))
+        assert_one_line_error(*run(capsys, "verify", "--params", str(path)), "UTF-8")
+
+    def test_directory_as_params_exits_one(self, capsys, tmp_path):
+        assert_one_line_error(*run(capsys, "charges", "--params", str(tmp_path)),
+                              "Is a directory")
+
+    def test_directory_as_out_exits_one(self, capsys, tmp_path):
+        assert_one_line_error(
+            *run(capsys, "bridge", "--f", F_REF, "--b", B_REF, "--out", str(tmp_path)),
+            "Is a directory")
+
+
+class TestNoPassEverything:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_must_be_finite_and_positive(self, capsys, tol):
+        assert_one_line_error(
+            *run(capsys, "verify", "--f", F_REF, "--b", B_REF, "--tol", tol),
+            "finite and positive")
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_scale_must_be_finite(self, capsys, scale):
+        assert_one_line_error(
+            *run(capsys, "charges", "--f", F_REF, "--b", B_REF, f"--scale={scale}"), "finite")

@@ -9,7 +9,9 @@ bracket files are stored as compact JSON with the same numbers.
 The verify cases cover the canonical point at n = 1 and n = 5, an n = 2
 solution in a random isometry frame (complex sphere-sector arithmetic) and
 the same parameters with lam scaled by 1 + 1e-3, which must fail (exit 2).
-Their parameter files sit next to the outputs.
+The charges cases cover the canonical point, where l = r = t0, and the same
+random-frame n = 2 solution, where the closed-form charges conjugate off
+the reference axes.  Their parameter files sit next to the outputs.
 """
 
 import json
@@ -41,6 +43,8 @@ NUMERIC = {
     "verify_n2_lam_broken.json":
         (["verify", "--params", str(DATA / "params_n2_lam_broken.json")], 1e-12, 2),
     "charges.json": (["charges", *POINT], 1e-12, 0),
+    "charges_n2_frame.json":
+        (["charges", "--params", str(DATA / "params_n2_frame.json")], 1e-12, 0),
     "brackets_particle.json": (["brackets", "--mode", "particle", "--seed", "0"], 1e-12, 0),
     "brackets_string.json": (["brackets", "--mode", "string", "--seed", "0"], 1e-9, 0),
 }

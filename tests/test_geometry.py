@@ -218,6 +218,16 @@ class TestVerifySolution:
         with pytest.raises(ValidationError, match="at least 1x1"):
             verify_solution(reference_solution(), grid=(0, 4))
 
+    def test_unknown_threshold_key_rejected(self):
+        with pytest.raises(ValidationError, match="unknown threshold 'eomm'"):
+            verify_solution(reference_solution(), thresholds={"eomm": 1.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, value):
+        # a NaN threshold made every check pass, since v > nan is false
+        with pytest.raises(ValidationError, match="finite and positive"):
+            verify_solution(perturbed_solution(1e-3), thresholds={"eom": value})
+
     def test_only_grid_and_thresholds_are_settable(self):
         params = list(inspect.signature(verify_solution).parameters)
         assert params == ["sol", "grid", "thresholds"]
