@@ -20,7 +20,6 @@ from .algebra import (
     adjoint,
     ads_basis,
     boost,
-    commutator,
     exp_algebra,
     inner,
     normalized_commutator,
@@ -56,12 +55,7 @@ from .symplectic import (
     StringChart,
     StringChartPoint,
     TwoFormMatrix,
-    g_from_LR,
-    particle_evaluate,
-    particle_symplectic,
     poisson_bracket,
-    string_presymplectic,
-    string_symplectic,
 )
 
 __version__ = "0.1.0"

@@ -19,6 +19,11 @@ check of SU(2).  The free functions read those class attributes, so they
 branch on the sector only where the geometry differs: the Minkowski
 metric and acosh of sl(2,R) against the Euclidean metric and acos of
 su(2), and the sphere antipode in aligning_rotation.
+
+Validation happens at the boundary: the classes check their data, and
+exp_algebra, normalized_commutator and the unit-vector charts wrap raw
+kernels on coefficient and 2x2 arrays (an algebra class tags the sector),
+which internal hot paths such as the string chart call directly.
 """
 
 from __future__ import annotations
@@ -69,6 +74,16 @@ def _check_finite(arr, what):
         raise ValidationError(f"{what} contains non-finite entries")
 
 
+def _adjugate(m):
+    """Inverse of a det-1 2x2 matrix, or of a stack of them, via the adjugate."""
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class _GroupElement:
     """Validated 2x2 matrix of determinant 1; subclasses fix dtype and charts."""
@@ -95,8 +110,7 @@ class _GroupElement:
         return self.embed(self.matrix)
 
     def inverse(self):
-        m = self.matrix
-        return type(self)(np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]))
+        return type(self)(_adjugate(self.matrix))
 
     def __matmul__(self, other):
         if not isinstance(other, type(self)):
@@ -111,15 +125,6 @@ class AdsGroupElement(_GroupElement):
 
     _dtype = float
     __post_init__ = _GroupElement._validate
-
-    @classmethod
-    def from_embedding(cls, y):
-        """Build g from embedding coordinates (Y0', Y0, Y1, Y2) with Y.Y = -1."""
-        y = np.asarray(y, dtype=float)
-        if abs(ads_dot(y, y) + 1.0) > VALIDATION_TOL:
-            raise ValidationError("embedding vector does not satisfy Y.Y = -1")
-        y0p, y0, y1, y2 = y
-        return cls(np.array([[y0p + y2, y1 + y0], [y1 - y0, y0p - y2]]))
 
     @staticmethod
     def embed(m):
@@ -143,16 +148,6 @@ class SphereGroupElement(_GroupElement):
         m = self.matrix
         if np.max(np.abs(m.conj().T @ m - np.eye(2))) > VALIDATION_TOL:
             raise ValidationError("matrix is not unitary within tolerance")
-
-    @classmethod
-    def from_embedding(cls, x):
-        """Build h from embedding coordinates (X1, X2, X3, X4) with X.X = 1."""
-        x = np.asarray(x, dtype=float)
-        if abs(x @ x - 1.0) > VALIDATION_TOL:
-            raise ValidationError("embedding vector does not satisfy X.X = 1")
-        x1, x2, x3, x4 = x
-        return cls(np.array([[x4 + 1j * x3, x2 + 1j * x1],
-                             [-x2 + 1j * x1, x4 - 1j * x3]]))
 
     @staticmethod
     def embed(m):
@@ -179,9 +174,14 @@ class _AlgebraElement:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def _matrix(cls, coeffs):
+        """Raw 2x2 array of the element with these basis coefficients."""
+        return np.einsum("i,ijk->jk", coeffs, cls._basis)
+
     @property
     def matrix(self):
-        return np.einsum("i,ijk->jk", self.coeffs, self._basis)
+        return self._matrix(self.coeffs)
 
     def __rmul__(self, scalar):
         return type(self)(float(scalar) * self.coeffs)
@@ -196,15 +196,17 @@ class AdsAlgebraElement(_AlgebraElement):
     sign = 1.0
     __post_init__ = _AlgebraElement._validate
 
+    @staticmethod
+    def _project(m):
+        # v^0 = -<t0 m>, v^1 = <t1 m>, v^2 = <t2 m>
+        return 0.5 * np.array([m[0, 1] - m[1, 0], m[0, 1] + m[1, 0], m[0, 0] - m[1, 1]])
+
     @classmethod
     def from_matrix(cls, m):
         m = np.asarray(m, dtype=float)
         if abs(m[0, 0] + m[1, 1]) > VALIDATION_TOL:
             raise ValidationError("sl(2,R) element must be traceless")
-        # project with v^0 = -<t0 m>, v^1 = <t1 m>, v^2 = <t2 m>
-        return cls(np.array([0.5 * (m[0, 1] - m[1, 0]),
-                             0.5 * (m[0, 1] + m[1, 0]),
-                             0.5 * (m[0, 0] - m[1, 1])]))
+        return cls(cls._project(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +218,14 @@ class SphereAlgebraElement(_AlgebraElement):
     sign = -1.0
     __post_init__ = _AlgebraElement._validate
 
+    @staticmethod
+    def _project(m):
+        # v_m = <s_m v> = -tr(s_m v)/2; anti-hermiticity keeps these real
+        return np.array([-0.5 * np.trace(S_BASIS[i] @ m) for i in range(3)])
+
     @classmethod
     def from_matrix(cls, m):
-        m = np.asarray(m, dtype=complex)
-        # v_m = <s_m v> = -tr(s_m v)/2; anti-hermiticity keeps these real
-        coeffs = np.array([-0.5 * np.trace(S_BASIS[i] @ m) for i in range(3)])
+        coeffs = cls._project(np.asarray(m, dtype=complex))
         if np.max(np.abs(coeffs.imag)) > VALIDATION_TOL:
             raise ValidationError("matrix is not in su(2)")
         return cls(coeffs.real)
@@ -254,16 +259,14 @@ def _same_sector(u, v):
         f"mixed sectors: {type(u).__name__} with {type(v).__name__}")
 
 
+def _dot(algebra, u, v):
+    """<u v> of raw coefficient arrays in the sector of `algebra`."""
+    return float(u @ (ETA @ v)) if algebra is AdsAlgebraElement else float(u @ v)
+
+
 def inner(u, v):
     """Invariant inner product; Minkowski on sl(2,R), Euclidean on su(2)."""
-    if _same_sector(u, v) is AdsAlgebraElement:
-        return float(u.coeffs @ (ETA @ v.coeffs))
-    return float(u.coeffs @ v.coeffs)
-
-
-def commutator(u, v):
-    """Lie bracket [u, v], evaluated on the 2x2 matrices."""
-    return _same_sector(u, v).from_matrix(u.matrix @ v.matrix - v.matrix @ u.matrix)
+    return _dot(_same_sector(u, v), u.coeffs, v.coeffs)
 
 
 def _cosh_sinh_like(q):
@@ -278,6 +281,12 @@ def _cosh_sinh_like(q):
     return 1.0 + q / 2.0 + q * q / 24.0, 1.0 + q / 6.0 + q * q / 120.0
 
 
+def _exp_matrix(algebra, coeffs, theta):
+    """Raw exp(theta v) for v with these coefficients in `algebra`."""
+    c, s = _cosh_sinh_like(algebra.sign * theta * theta * _dot(algebra, coeffs, coeffs))
+    return c * np.eye(2, dtype=algebra._group._dtype) + (s * theta) * algebra._matrix(coeffs)
+
+
 def exp_algebra(v, theta=1.0):
     """Group exponential exp(theta * v).
 
@@ -287,9 +296,7 @@ def exp_algebra(v, theta=1.0):
     """
     if not math.isfinite(theta):
         raise ValidationError("non-finite exponent")
-    c, s = _cosh_sinh_like(v.sign * theta * theta * inner(v, v))
-    group = v._group
-    return group(c * np.eye(2, dtype=group._dtype) + (s * theta) * v.matrix)
+    return v._group(_exp_matrix(type(v), v.coeffs, theta))
 
 
 def to_embedding(g):
@@ -315,8 +322,15 @@ def normalized_commutator(lhat, rhat):
     cos 2g = <l r> with the same boost/rotation role.  Raises on (anti)parallel
     input where the commutator direction is undefined.
     """
-    ip = inner(lhat, rhat)
-    if type(lhat) is AdsAlgebraElement:
+    algebra = _same_sector(lhat, rhat)
+    coeffs, gamma = _normalized_commutator(algebra, lhat.coeffs, rhat.coeffs)
+    return algebra(coeffs), gamma
+
+
+def _normalized_commutator(algebra, l, r):
+    """Raw normalized_commutator: coefficients of n and the separation gamma."""
+    ip = _dot(algebra, l, r)
+    if algebra is AdsAlgebraElement:
         c2g = -ip
         if c2g <= 1.0 + 1e-14:
             raise DegenerateConfigurationError(
@@ -329,8 +343,8 @@ def normalized_commutator(lhat, rhat):
                 f"(anti)parallel sphere vectors (cos 2gamma = {ip})")
         gamma = 0.5 * math.acos(ip)
         s2g = math.sqrt(1.0 - ip * ip)
-    nhat = (1.0 / (2.0 * s2g)) * commutator(lhat, rhat)
-    return nhat, gamma
+    lm, rm = algebra._matrix(l), algebra._matrix(r)
+    return (1.0 / (2.0 * s2g)) * algebra._project(lm @ rm - rm @ lm).real, gamma
 
 
 def boost(alpha, nhat, rhat):
@@ -355,6 +369,17 @@ class _UnitVector:
             raise ValidationError("non-finite chart parameters")
 
     @classmethod
+    def from_coeffs(cls, coeffs):
+        """The direction with these coefficients: <v,v> = -sign, future-directed on sl(2,R)."""
+        c = np.asarray(coeffs, dtype=float)
+        norm = _dot(cls._algebra, c, c)
+        if abs(norm + cls._algebra.sign) > VALIDATION_TOL:
+            raise ValidationError(f"<v,v> = {norm}, expected {-cls._algebra.sign:+g}")
+        if cls._algebra is AdsAlgebraElement and c[0] <= 0.0:
+            raise ValidationError("past-directed vector (t0 coefficient not positive)")
+        return cls(*cls._to_angles(c))
+
+    @classmethod
     def reference(cls):
         """The reference axis e as an algebra element."""
         return cls._algebra(np.eye(3)[cls._axis])
@@ -365,7 +390,7 @@ class _UnitVector:
 
     @property
     def matrix(self):
-        return self.element.matrix
+        return self._algebra._matrix(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -382,20 +407,16 @@ class UnitTimelikeVector(_UnitVector):
     _axis = 0
     __post_init__ = _UnitVector._validate
 
-    @classmethod
-    def from_coeffs(cls, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        norm = -c[0] ** 2 + c[1] ** 2 + c[2] ** 2
-        if abs(norm + 1.0) > VALIDATION_TOL:
-            raise ValidationError(f"<v,v> = {norm}, expected -1")
-        if c[0] <= 0.0:
-            raise ValidationError("past-directed vector (t0 coefficient not positive)")
-        return cls(math.acosh(max(c[0], 1.0)), math.atan2(c[2], c[1]))
+    @staticmethod
+    def _to_angles(c):
+        return math.acosh(max(c[0], 1.0)), math.atan2(c[2], c[1])
 
-    @property
-    def coeffs(self):
-        ch, sh = math.cosh(self.rapidity), math.sinh(self.rapidity)
-        return np.array([ch, sh * math.cos(self.angle), sh * math.sin(self.angle)])
+    @staticmethod
+    def _to_coeffs(rapidity, angle):
+        ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+        return np.array([ch, sh * math.cos(angle), sh * math.sin(angle)])
+
+    coeffs = property(lambda self: self._to_coeffs(self.rapidity, self.angle))
 
 
 @dataclass(frozen=True)
@@ -409,20 +430,16 @@ class UnitSphereVector(_UnitVector):
     _axis = 2
     __post_init__ = _UnitVector._validate
 
-    @classmethod
-    def from_coeffs(cls, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        norm = float(c @ c)
-        if abs(norm - 1.0) > VALIDATION_TOL:
-            raise ValidationError(f"<v,v> = {norm}, expected +1")
-        return cls(math.acos(min(1.0, max(-1.0, c[2]))), math.atan2(c[1], c[0]))
+    @staticmethod
+    def _to_angles(c):
+        return math.acos(min(1.0, max(-1.0, c[2]))), math.atan2(c[1], c[0])
 
-    @property
-    def coeffs(self):
-        sp = math.sin(self.polar)
-        return np.array([sp * math.cos(self.azimuth),
-                         sp * math.sin(self.azimuth),
-                         math.cos(self.polar)])
+    @staticmethod
+    def _to_coeffs(polar, azimuth):
+        sp = math.sin(polar)
+        return np.array([sp * math.cos(azimuth), sp * math.sin(azimuth), math.cos(polar)])
+
+    coeffs = property(lambda self: self._to_coeffs(self.polar, self.azimuth))
 
 
 def aligning_rotation(vhat):

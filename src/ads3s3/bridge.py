@@ -63,6 +63,19 @@ def check_winding(n):
     return int(n)
 
 
+def check_windings(m, n, m_s, n_s):
+    """The four windings as ints; ValidationError unless integral with even m - n, m_s - n_s."""
+    for w, w_name in ((m, "m"), (n, "n"), (m_s, "m_s"), (n_s, "n_s")):
+        if int(w) != w:
+            raise ValidationError(f"winding {w_name} must be an integer")
+    m, n, m_s, n_s = int(m), int(n), int(m_s), int(n_s)
+    if (m - n) % 2:
+        raise ValidationError(f"m - n = {m - n} is odd (windings must share parity)")
+    if (m_s - n_s) % 2:
+        raise ValidationError(f"m_s - n_s = {m_s - n_s} is odd")
+    return m, n, m_s, n_s
+
+
 def f_max(b):
     """Upper edge of the admissible band, where cos 2theta_s reaches +1."""
     return 0.5 * (b + math.sqrt(b * b + 8.0))
@@ -280,11 +293,7 @@ def feasibility_general(m, n, m_s, n_s, lam, rho, lam_s, rho_s,
     mu^2, mubar^2 >= 0, cosh alpha >= 1, |cos beta| <= 1.  The residual is a
     diagnostic, not a classification of the sector.
     """
-    for w, w_name in ((m, "m"), (n, "n"), (m_s, "m_s"), (n_s, "n_s")):
-        if int(w) != w:
-            raise ValueError(f"winding {w_name} must be an integer")
-    if (m - n) % 2 or (m_s - n_s) % 2:
-        raise ValueError("windings must have matching parity in each sector")
+    check_windings(m, n, m_s, n_s)
 
     lhs = np.array([
         lam ** 2 + rho ** 2 + 2.0 * lam * rho * cosh2theta,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SECTOR_ALGEBRAS, AdsAlgebraElement, SphereAlgebraElement, inner
+from .algebra import SECTOR_ALGEBRAS, AdsAlgebraElement, SphereAlgebraElement, _adjugate, inner
 from .solutions import theta_invariants
 
 _EYE2 = np.eye(2)
@@ -51,10 +51,16 @@ def current_matrices(sol, tau, sigma):
     Returns (ads, sphere) SectorCurrents holding raw 2x2 matrices with the
     broadcast shape of tau x sigma in the leading axes.
     """
+    return _current_matrices(sol.matrices, tau, sigma)
+
+
+def _current_matrices(sectors, tau, sigma):
+    """current_matrices on raw sectors (lam, rho, m, n, l, r, x0) of 2x2 arrays."""
     tau = np.asarray(tau, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
 
-    def sector(lam, rho, m, n, lmat, rmat, g0, g0inv):
+    def sector(lam, rho, m, n, lmat, rmat, g0):
+        g0inv = _adjugate(g0)
         th_l = lam * tau + 0.5 * m * sigma
         th_r = rho * tau + 0.5 * n * sigma
         mid_l = g0 @ rmat @ g0inv
@@ -68,9 +74,7 @@ def current_matrices(sol, tau, sigma):
             R_sig=0.5 * m * conj_r + 0.5 * n * rmat,
         )
 
-    return tuple(sector(lam, rho, m, n, lhat.matrix, rhat.matrix,
-                        x0.matrix, x0.inverse().matrix)
-                 for lam, rho, m, n, lhat, rhat, x0 in sol.sectors)
+    return tuple(sector(*raw) for raw in sectors)
 
 
 def currents(sol, tau, sigma):

@@ -40,7 +40,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors become one stderr line and exit code 1."""
+    """argparse whose usage errors become one stderr line and exit code 1.
+
+    Prefix matching is off in every subparser too: --t must not set --tol.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **{"allow_abbrev": False, **kwargs})
 
     def error(self, message):
         message = message.replace("the following arguments are required:", "requires")
@@ -110,6 +116,8 @@ def _parse_range(spec, name):
 
 def _load_params(args, strict):
     if args.params:
+        if (args.f, args.b, args.n) != (None, None, None):
+            raise ValidationError("--params excludes --f, --b and --n")
         with open(args.params) as fh:
             try:
                 data = json.load(fh)
@@ -118,7 +126,7 @@ def _load_params(args, strict):
         return params_from_dict(data, strict=strict)
     if args.f is None or args.b is None:
         raise ValidationError("provide --params or the family point --f, --b [--n]")
-    return family_solution(args.f, args.b, args.n)
+    return family_solution(args.f, args.b, 1 if args.n is None else args.n)
 
 
 def cmd_bridge(args):
@@ -307,6 +315,8 @@ def _build_parser():
         p.set_defaults(fn=fn)
         for opt in options:
             p.add_argument(f"--{opt}", required=opt in required, **_OPTIONS[opt])
+        if "params" in options:  # --n defaults to 1 but must be seen next to --params
+            p.set_defaults(n=None)
         if output:
             p.add_argument("--format", choices=("json", "csv"), default=output)
         p.add_argument("--out")

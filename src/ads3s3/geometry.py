@@ -20,21 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SECTOR_SIGNS, DegenerateConfigurationError, ValidationError, ads_dot
+from .algebra import SECTOR_SIGNS, DegenerateConfigurationError, ValidationError, _adjugate, ads_dot
 from .charges import charge_gap, charges_analytic, charges_numeric, current_matrices
 from .solutions import embedding_surface, evaluate_matrices
 
 DEFAULT_STEP = 1e-4
-
-
-def _inv2(m):
-    """Inverse of a det-1 2x2 matrix stack via the adjugate."""
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    out[..., 1, 1] = m[..., 0, 0]
-    return out
 
 
 def _trace_half(a, b):
@@ -62,7 +52,7 @@ def _differences(sol, taus, sigmas, h):
     tau = np.asarray(taus, dtype=float)[:, None, None] + offs[:, None]
     sigma = np.asarray(sigmas, dtype=float)[:, None, None] + offs
     scale = 0.5 / h
-    return [(_inv2(f[:, 1:4, 1:4]),
+    return [(_adjugate(f[:, 1:4, 1:4]),
              (f[:, 2:, 1:4] - f[:, :3, 1:4]) * scale,
              (f[:, 1:4, 2:] - f[:, 1:4, :3]) * scale)
             for f in evaluate_matrices(sol, tau, sigma)]

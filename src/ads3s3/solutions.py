@@ -22,6 +22,7 @@ from .bridge import (
     FamilyRelations,
     admissible as _admissible,
     check_winding,
+    check_windings,
     family_angles,
     family_relations,
 )
@@ -77,18 +78,17 @@ class SolutionParams:
         return ((self.lam, self.rho, self.m, self.n, self.lhat, self.rhat, self.g0),
                 (self.lam_s, self.rho_s, self.m_s, self.n_s, self.lhat_s, self.rhat_s, self.h0))
 
+    @property
+    def matrices(self):
+        """The sectors with l, r and x0 as raw 2x2 arrays, as the field kernels take them."""
+        return tuple((lam, rho, m, n, l.matrix, r.matrix, x0.matrix)
+                     for lam, rho, m, n, l, r, x0 in self.sectors)
+
 
 def make_solution(lam, rho, m, n, lhat, rhat, g0,
                   lam_s, rho_s, m_s, n_s, lhat_s, rhat_s, h0):
     """Validated constructor enforcing the closed-string relations."""
-    for w, w_name in ((m, "m"), (n, "n"), (m_s, "m_s"), (n_s, "n_s")):
-        if int(w) != w:
-            raise ValidationError(f"winding {w_name} must be an integer")
-    m, n, m_s, n_s = int(m), int(n), int(m_s), int(n_s)
-    if (m - n) % 2:
-        raise ValidationError(f"m - n = {m - n} is odd (windings must share parity)")
-    if (m_s - n_s) % 2:
-        raise ValidationError(f"m_s - n_s = {m_s - n_s} is odd")
+    m, n, m_s, n_s = check_windings(m, n, m_s, n_s)
     if abs(4.0 * lam * rho - m * n) > RELATION_TOL * max(1.0, abs(m * n)):
         raise ValidationError(f"4 lam rho = {4.0 * lam * rho} differs from m n = {m * n}")
     if abs(4.0 * lam_s * rho_s - m_s * n_s) > RELATION_TOL * max(1.0, abs(m_s * n_s)):
@@ -117,14 +117,19 @@ def evaluate_matrices(sol, tau, sigma):
     exponentials reduce to cos/sin pairs and the product is assembled from
     four constant matrices.
     """
+    return _field_matrices(sol.matrices, tau, sigma)
+
+
+def _field_matrices(sectors, tau, sigma):
+    """evaluate_matrices on raw sectors (lam, rho, m, n, l, r, x0) of 2x2 arrays."""
     tau = np.asarray(tau, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     out = []
-    for lam, rho, m, n, lhat, rhat, x0 in sol.sectors:
+    for lam, rho, m, n, lmat, rmat, x0 in sectors:
         th_l = lam * tau + 0.5 * m * sigma
         th_r = rho * tau + 0.5 * n * sigma
         out.append(_phase_product(np.cos(th_l), np.sin(th_l), np.cos(th_r), np.sin(th_r),
-                                  lhat.matrix, x0.matrix, rhat.matrix))
+                                  lmat, x0, rmat))
     return tuple(out)
 
 

@@ -30,6 +30,12 @@ which needs one central-difference layer for d_j g and d_j R_tau.  Its
 orbit blocks reproduce the charge coefficients, the remainder being the
 (f, b, phi1, phi2) sector that has no closed form here.
 
+Validation happens at the boundary: chart points and StringChart.solution
+are validated types, while the 25 solutions behind one form stay raw 2x2
+arrays from the algebra kernels, fed to the field and current kernels of
+evaluate_matrices and current_matrices, with the chart conditions checked
+on those raw numbers.
+
 Poisson brackets use {F, G} = -grad(F)^T omega^{-1} grad(G); the global
 sign is fixed once by matching {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho on
 the AdS left block.
@@ -47,21 +53,23 @@ from .algebra import (
     EPS,
     EPS_MIXED,
     SECTOR_SIGNS,
+    AdsAlgebraElement,
     DegenerateConfigurationError,
+    SphereAlgebraElement,
     UnitSphereVector,
     UnitTimelikeVector,
     ValidationError,
-    aligning_rotation,
-    exp_algebra,
-    inner,
-    normalized_commutator,
+    _dot,
+    _exp_matrix,
+    _normalized_commutator,
 )
-from .charges import current_matrices
-from .solutions import SolutionParams, evaluate_matrices
+from .charges import _current_matrices
+from .solutions import SolutionParams, _field_matrices
 
 # One central-difference layer: h ~ eps^(1/3) balances the h^2 truncation,
 # which grows near the l = r chart singularity, against eps/h roundoff.
-DEFAULT_FORM_STEP = 5e-6
+FORM_STEP = 5e-6
+SIGMA_POINTS = 64  # sigma samples of the string 1-form's quadrature
 DEFAULT_GRAD_STEP = 1e-6
 
 
@@ -81,9 +89,6 @@ class TwoFormMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    def index(self, label):
-        return self.labels.index(label)
-
     @property
     def condition_number(self):
         return float(np.linalg.cond(self.matrix))
@@ -102,9 +107,6 @@ class TwoFormMatrix:
         self._require_nonsingular()
         return np.linalg.solve(self.matrix, rhs)
 
-    def entry(self, label_a, label_b):
-        return float(self.matrix[self.index(label_a), self.index(label_b)])
-
     def as_dict(self):
         return {"labels": list(self.labels), "matrix": self.matrix.tolist()}
 
@@ -118,23 +120,6 @@ def gradient(fn, x, step=DEFAULT_GRAD_STEP):
         e[i] = step
         g[i] = (fn(x + e) - fn(x - e)) / (2.0 * step)
     return g
-
-
-def numeric_exterior_derivative(theta_fn, x, labels, step):
-    """d(theta) of a 1-form given by its component vector theta_fn(x).
-
-    omega_ij = d_i theta_j - d_j theta_i by central differences;
-    antisymmetric by construction.  The step has no default: the best one
-    depends on how many difference layers theta_fn itself contains.
-    """
-    x = np.asarray(x, dtype=float)
-    k = x.size
-    jac = np.empty((k, k))
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = step
-        jac[i] = (theta_fn(x + e) - theta_fn(x - e)) / (2.0 * step)
-    return TwoFormMatrix(jac - jac.T, labels)
 
 
 def poisson_bracket(F, G, omega, x, step=DEFAULT_GRAD_STEP):
@@ -160,32 +145,6 @@ def bracket_table(functions, form, x, step=DEFAULT_GRAD_STEP):
 
 # ---------------------------------------------------------------------------
 # particle sector
-
-def particle_evaluate(charge, g0, tau, side="left"):
-    """Particle trajectory exp(L tau) g0 (side='left') or g0 exp(R tau)."""
-    if side == "left":
-        return exp_algebra(charge, float(tau)) @ g0
-    if side == "right":
-        return g0 @ exp_algebra(charge, float(tau))
-    raise ValueError("side must be 'left' or 'right'")
-
-
-def g_from_LR(lhat, rhat, phi):
-    """Group point with Ad_g r = l, charted by the angle phi.
-
-        g = A(l) exp(phi e) A(r)^{-1},   A = algebra.aligning_rotation,
-
-    where A(v) is the boost (sl(2,R), e = t0) or rotation (su(2), e = s3)
-    taking e to v.  phi and phi + 2pi give the same matrix (exp(e, 2pi) = I);
-    the chart lives on the covering line and is identified mod 2pi on
-    comparison.
-    """
-    return (aligning_rotation(lhat) @ exp_algebra(type(lhat).reference(), float(phi))
-            @ aligning_rotation(rhat).inverse())
-
-
-h_from_LR = g_from_LR
-
 
 @dataclass(frozen=True)
 class _SphereChartAxes:
@@ -245,8 +204,7 @@ class _OrbitChart:
     the direction's largest component at the base point, so the chart stays
     away from its coordinate singularity.  Orbit block k of a form is the
     k-th orbit coefficient over the k-th block normaliser.  Subclasses supply
-    labels, point_class, coefficient_index, the extra coordinates and
-    orbit_coefficients(x).
+    labels, coefficient_index, the extra coordinates and orbit_coefficients(x).
     """
 
     def __init__(self, point):
@@ -260,15 +218,6 @@ class _OrbitChart:
         rsu, rsv = self.rs_axes.to_coords(point.rhat_s.coeffs)
         return np.array([l[1], l[2], r[1], r[2], lsu, lsv, rsu, rsv,
                          *self._extra_coords(point)])
-
-    def point(self, x):
-        """Chart vector -> chart point."""
-        return self.point_class(
-            UnitTimelikeVector.from_coeffs(self._direction(0, x)),
-            UnitTimelikeVector.from_coeffs(self._direction(1, x)),
-            UnitSphereVector.from_coeffs(self._direction(2, x)),
-            UnitSphereVector.from_coeffs(self._direction(3, x)),
-            **self._extra_fields(x))
 
     def _direction(self, k, x):
         """Coefficients of direction k = 0..3 (l, r, l_s, r_s) at chart vector x."""
@@ -362,7 +311,6 @@ class ParticleChart(_OrbitChart):
     """
 
     labels = ("l1", "l2", "r1", "r2", "ls_u", "ls_v", "rs_u", "rs_v", "m_s", "chi")
-    point_class = ParticleChartPoint
     coefficient_index = {"m_L": 0, "m_R": 1, "m_s": 2}
 
     def __init__(self, point):
@@ -371,10 +319,6 @@ class ParticleChart(_OrbitChart):
 
     def _extra_coords(self, point):
         return point.m_s, point.chi
-
-    def _extra_fields(self, x):
-        # phi gauge-fixed to zero
-        return dict(m_s=float(x[8]), M=self.M, phi=0.0, phi_s=float(x[9]))
 
     def orbit_coefficients(self, x):
         m_s = float(x[8])
@@ -390,11 +334,6 @@ class ParticleChart(_OrbitChart):
             omega[2 * k, 2 * k + 1] = coeff / scale
         omega[8, 9] = 1.0  # reduced (m_s, chi) pair
         return TwoFormMatrix(omega - omega.T, self.labels)
-
-
-def particle_symplectic(point):
-    """Reduced particle symplectic form at a chart point."""
-    return ParticleChart(point).form()
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +354,27 @@ class StringChartPoint:
     n: int = 1
 
     def __post_init__(self):
-        ok = _admissible(self.f, self.b)
-        if not ok:
-            raise ValidationError(f"inadmissible (f, b): {ok.reason}")
         check_winding(self.n)
-        if -inner(self.lhat.element, self.rhat.element) <= 1.0 + 1e-12:
-            raise ValidationError("chart needs l != r (boost axis undefined)")
-        if abs(inner(self.lhat_s.element, self.rhat_s.element)) >= 1.0 - 1e-12:
-            raise ValidationError("chart needs l_s and r_s non-(anti)parallel")
+        _check_string_point(self.f, self.b, self.lhat.coeffs, self.rhat.coeffs,
+                            self.lhat_s.coeffs, self.rhat_s.coeffs)
+
+
+def _check_string_point(f, b, l, r, ls, rs):
+    """The chart's conditions on (f, b) and raw direction coefficients."""
+    ok = _admissible(f, b)
+    if not ok:
+        raise ValidationError(f"inadmissible (f, b): {ok.reason}")
+    if -_dot(AdsAlgebraElement, l, r) <= 1.0 + 1e-12:
+        raise ValidationError("chart needs l != r (boost axis undefined)")
+    if abs(_dot(SphereAlgebraElement, ls, rs)) >= 1.0 - 1e-12:
+        raise ValidationError("chart needs l_s and r_s non-(anti)parallel")
+
+
+def _orbit_element(algebra, l, r, phase_l, phase_r, theta):
+    """Raw exp(phase_l l) exp(-(gamma + theta) n) exp(phase_r r), (n, gamma) from (l, r)."""
+    nh, gamma = _normalized_commutator(algebra, l, r)
+    return (_exp_matrix(algebra, l, phase_l) @ _exp_matrix(algebra, nh, -(gamma + theta))
+            @ _exp_matrix(algebra, r, phase_r))
 
 
 class StringChart(_OrbitChart):
@@ -439,29 +391,23 @@ class StringChart(_OrbitChart):
     chart (both sectors' momentum densities cancel identically), which makes
     the 1-form's derivative a rank-10 presymplectic matrix; the sign flip is
     what renders the slice transversal and the twelve-chart honestly
-    symplectic.  sphere_gauge_sign=+1 reproduces the degenerate slice.
+    symplectic.  A subclass with sphere_gauge_sign = +1 reproduces the
+    degenerate slice.
     """
 
     labels = ("l1", "l2", "r1", "r2", "ls_u", "ls_v", "rs_u", "rs_v",
               "f", "b", "phi1", "phi2")
-    point_class = StringChartPoint
     coefficient_index = {"m_L": 0, "m_R": 1, "m_L_s": 2, "m_R_s": 3}
+    sigma = np.linspace(0.0, 2.0 * math.pi, SIGMA_POINTS, endpoint=False)
+    sphere_gauge_sign = -1.0
 
-    def __init__(self, point, tau=0.0, sigma_points=64, step=DEFAULT_FORM_STEP,
-                 sphere_gauge_sign=-1.0):
+    def __init__(self, point, tau=0.0):
         self.n = int(point.n)
         self.tau = float(tau)
-        self.sigma = np.linspace(0.0, 2.0 * math.pi, int(sigma_points), endpoint=False)
-        self.step = float(step)
-        self.sphere_gauge_sign = float(sphere_gauge_sign)
         super().__init__(point)
 
     def _extra_coords(self, point):
         return point.f, point.b, point.phi1, point.phi2
-
-    def _extra_fields(self, x):
-        return dict(f=float(x[8]), b=float(x[9]), phi1=float(x[10]), phi2=float(x[11]),
-                    n=self.n)
 
     def orbit_coefficients(self, x):
         """(lam + rho c2t, lam c2t + rho, lam_s + rho_s c2ts, lam_s c2ts + rho_s) at (f, b)."""
@@ -470,31 +416,42 @@ class StringChart(_OrbitChart):
         return (rel.lam + rel.rho * c2t, rel.lam * c2t + rel.rho,
                 rel.lam_s + rel.rho_s * c2ts, rel.lam_s * c2ts + rel.rho_s)
 
+    def _raw_solution(self, x):
+        """Raw sectors (lam, rho, m, n, l, r, x0) of 2x2 arrays at chart vector x.
+
+        Also returns the angle pairs of (l, r, l_s, r_s): the directions go
+        through their angle charts, as the validated unit vectors take them.
+        """
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("non-finite chart vector")
+        units = (UnitTimelikeVector,) * 2 + (UnitSphereVector,) * 2
+        angles = [unit._to_angles(self._direction(k, x)) for k, unit in enumerate(units)]
+        l, r, ls, rs = (unit._to_coeffs(*a) for unit, a in zip(units, angles))
+        f, b, phi1, phi2 = (float(v) for v in x[8:])
+        _check_string_point(f, b, l, r, ls, rs)
+        rel = family_relations(f, b, self.n)
+        theta, theta_s = family_angles(rel.cosh2theta, rel.cos2theta_s)
+        ads, sph = AdsAlgebraElement, SphereAlgebraElement
+        return ((rel.lam, rel.rho, rel.m, rel.n, ads._matrix(l), ads._matrix(r),
+                 _orbit_element(ads, l, r, phi1, -phi1, theta)),
+                (rel.lam_s, rel.rho_s, rel.m_s, rel.n_s, sph._matrix(ls), sph._matrix(rs),
+                 _orbit_element(sph, ls, rs, phi2, self.sphere_gauge_sign * phi2, theta_s)),
+                ), angles
+
     def solution(self, x):
         """Solution parameters at chart vector x.
 
         g0 = exp(phi1 l) exp(-(gamma+theta) n) exp(-phi1 r) and the sphere
         analogue with the gauge-sign on the right phase; theta, theta_s come
-        from the invariant bridge at (f, b).
+        from the invariant bridge at (f, b).  These are the numbers of
+        _raw_solution, wrapped in validated types.
         """
-        pt = self.point(x)
-        rel = family_relations(pt.f, pt.b, self.n)
-        theta, theta_s = family_angles(rel.cosh2theta, rel.cos2theta_s)
-
-        nh, gamma = normalized_commutator(pt.lhat.element, pt.rhat.element)
-        g0 = (exp_algebra(pt.lhat.element, pt.phi1)
-              @ exp_algebra(nh, -(gamma + theta))
-              @ exp_algebra(pt.rhat.element, -pt.phi1))
-        nh_s, gamma_s = normalized_commutator(pt.lhat_s.element, pt.rhat_s.element)
-        h0 = (exp_algebra(pt.lhat_s.element, pt.phi2)
-              @ exp_algebra(nh_s, -(gamma_s + theta_s))
-              @ exp_algebra(pt.rhat_s.element, self.sphere_gauge_sign * pt.phi2))
-        return SolutionParams(
-            lam=rel.lam, rho=rel.rho, m=rel.m, n=rel.n,
-            lhat=pt.lhat, rhat=pt.rhat, g0=g0,
-            lam_s=rel.lam_s, rho_s=rel.rho_s, m_s=rel.m_s, n_s=rel.n_s,
-            lhat_s=pt.lhat_s, rhat_s=pt.rhat_s, h0=h0,
-        )
+        sectors, angles = self._raw_solution(np.asarray(x, dtype=float))
+        fields = []
+        for (*freqs, _, _, x0), unit, pair in zip(sectors, (UnitTimelikeVector, UnitSphereVector),
+                                                   (angles[:2], angles[2:])):
+            fields += [*freqs, *(unit(*a) for a in pair), unit._algebra._group(x0)]
+        return SolutionParams(*fields)
 
     def _chart_fields(self, x):
         """Per-sector (R_tau, V_j, d_j R_tau) at chart vector x, sigma-sampled.
@@ -504,20 +461,20 @@ class StringChart(_OrbitChart):
         are (sigma, 2, 2) for R_tau and (12, sigma, 2, 2) for the others.
         """
         def fields(z):
-            sol = self.solution(z)
-            g, h = evaluate_matrices(sol, self.tau, self.sigma)
-            ads, sph = current_matrices(sol, self.tau, self.sigma)
+            sectors = self._raw_solution(z)[0]
+            g, h = _field_matrices(sectors, self.tau, self.sigma)
+            ads, sph = _current_matrices(sectors, self.tau, self.sigma)
             return (g, ads.R_tau), (h, sph.R_tau)
 
-        shifts = self.step * np.eye(12)
+        shifts = FORM_STEP * np.eye(12)
         plus = [fields(x + e) for e in shifts]
         minus = [fields(x - e) for e in shifts]
         out = []
         for k, (mat, r_tau) in enumerate(fields(x)):
             d_mat = np.stack([p[k][0] - m[k][0] for p, m in zip(plus, minus)])
             d_r = np.stack([p[k][1] - m[k][1] for p, m in zip(plus, minus)])
-            out.append((r_tau, np.linalg.inv(mat) @ d_mat / (2.0 * self.step),
-                        d_r / (2.0 * self.step)))
+            out.append((r_tau, np.linalg.inv(mat) @ d_mat / (2.0 * FORM_STEP),
+                        d_r / (2.0 * FORM_STEP)))
         return out
 
     def presymplectic(self, x=None):
@@ -542,25 +499,6 @@ class StringChart(_OrbitChart):
                                      - np.einsum("isab,jsba->ij", rv, v)).real
         k_mat /= self.sigma.size
         return TwoFormMatrix(k_mat - k_mat.T, self.labels)
-
-    def presymplectic_isometry(self, generator, side="left", sector="ads", x=None):
-        """theta paired with an isometry vector field (momentum-map pairing).
-
-        Left action varies g by A g (sector 'ads') or h by A h ('sphere');
-        right action by g A / h A.  The pairing equals the corresponding
-        charge component <L A> or <R A>.
-        """
-        if sector not in ("ads", "sphere"):
-            raise ValueError("sector must be 'ads' or 'sphere'")
-        k = ("ads", "sphere").index(sector)
-        x = self._x0 if x is None else np.asarray(x, dtype=float)
-        sol = self.solution(x)
-        r_tau = current_matrices(sol, self.tau, self.sigma)[k].R_tau
-        g = evaluate_matrices(sol, self.tau, self.sigma)[k]
-        a = generator.matrix
-        delta = np.linalg.inv(g) @ (a @ g) if side == "left" else np.broadcast_to(a, g.shape)
-        vals = (0.5 * SECTOR_SIGNS[k]) * np.einsum("sij,sji->s", r_tau, delta)
-        return float(np.mean(vals).real)
 
 
 def expected_bracket(name_a, name_b, values):
@@ -592,17 +530,3 @@ def expected_bracket(name_a, name_b, values):
     return float(-2.0 * sum(EPS[i - 1, j - 1, l] * values[f"Rs{l + 1}"]
                             for l in range(3)))
 
-
-def string_presymplectic(point, direction, tau=0.0, sigma_points=64,
-                         step=DEFAULT_FORM_STEP):
-    """Pairing of the string presymplectic 1-form with a chart direction."""
-    chart = StringChart(point, tau=tau, sigma_points=sigma_points, step=step)
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (12,):
-        raise ValidationError("direction must be a 12-component chart vector")
-    return float(chart.presymplectic() @ direction)
-
-
-def string_symplectic(point, tau=0.0, sigma_points=64, step=DEFAULT_FORM_STEP):
-    """Numeric string symplectic form on the twelve-parameter chart."""
-    return StringChart(point, tau=tau, sigma_points=sigma_points, step=step).form()

@@ -297,6 +297,8 @@ class TestOptionsPerSubcommand:
         ["charges", "--f", F_REF, "--b", B_REF, "--format", "csv"],
         ["brackets", "--format", "csv"],
         ["scan", "--grid", "1:2:2,1:2:2", "--params", "p.json"],
+        ["verify", "--f", F_REF, "--b", B_REF, "--n", "9", "--t", "1"],
+        ["scan", "--grid", "1:2:2,1:2:2", "--f", "json"],
     ])
     def test_option_the_command_does_not_read_exits_one(self, capsys, argv):
         assert_one_line_error(*run(capsys, *argv), "unrecognized arguments")
@@ -337,6 +339,13 @@ class TestParameterFileMisuse:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(data).replace('"PLACEHOLDER"', value))
         assert_one_line_error(*run(capsys, command, "--params", str(path)), text)
+
+    @pytest.mark.parametrize("command", ["verify", "charges"])
+    @pytest.mark.parametrize("point", [["--f", F_REF, "--b", B_REF, "--n", "7"], ["--n", "1"]])
+    def test_params_with_family_point_exits_one(self, capsys, tmp_path, command, point):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(golden_params()))
+        assert_one_line_error(*run(capsys, command, "--params", str(path), *point), "excludes")
 
     def test_binary_file_exits_one(self, capsys, tmp_path):
         path = tmp_path / "params.json"

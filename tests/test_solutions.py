@@ -32,11 +32,22 @@ from ads3s3.solutions import (
     theta_invariants,
     winding_numbers,
 )
-from ads3s3.symplectic import g_from_LR, h_from_LR
 
 T0, T1, T2 = al.ads_basis()
 S1, S2, S3 = al.sphere_basis()
 F0, B0 = 5.0 / 3.0, 5.0 / 4.0
+
+
+def g_from_LR(lhat, rhat, phi):
+    """Group point with Ad_g r = l, charted by the angle phi.
+
+        g = A(l) exp(phi e) A(r)^{-1},   A = algebra.aligning_rotation,
+
+    where A(v) is the boost (sl(2,R), e = t0) or rotation (su(2), e = s3)
+    taking e to v.  phi and phi + 2pi give the same matrix (exp(e, 2pi) = I).
+    """
+    return (al.aligning_rotation(lhat) @ exp_algebra(type(lhat).reference(), float(phi))
+            @ al.aligning_rotation(rhat).inverse())
 
 
 def reference_solution():
@@ -290,7 +301,7 @@ class TestAxisAlignedDirections:
         for polar in AXIAL_POLARS + (math.pi,):
             v = UnitSphereVector(polar, rng.uniform(0, 2 * math.pi))
             for lhat, rhat in ((v, other_s), (other_s, v), (v, v)):
-                h = h_from_LR(lhat, rhat, rng.uniform(0, 2 * math.pi))
+                h = g_from_LR(lhat, rhat, rng.uniform(0, 2 * math.pi))
                 moved = h.matrix @ rhat.matrix @ h.inverse().matrix
                 assert np.max(np.abs(moved - lhat.matrix)) <= 1e-12
 

@@ -13,7 +13,7 @@ from ads3s3.algebra import (
     exp_algebra,
     inner,
 )
-from ads3s3.bridge import bridge
+from ads3s3.bridge import bridge, f_max
 from ads3s3.charges import (
     charge_coefficients,
     charges_analytic,
@@ -23,6 +23,7 @@ from ads3s3.charges import (
 from ads3s3.geometry import eom_residual
 from ads3s3.solutions import evaluate_matrices, theta_invariants
 from ads3s3.symplectic import (
+    FORM_STEP,
     ParticleChart,
     ParticleChartPoint,
     StringChart,
@@ -31,16 +32,11 @@ from ads3s3.symplectic import (
     _ads_from_chart,
     bracket_table,
     expected_bracket,
-    g_from_LR,
     gradient,
-    h_from_LR,
-    numeric_exterior_derivative,
-    particle_evaluate,
-    particle_symplectic,
     poisson_bracket,
-    string_presymplectic,
-    string_symplectic,
 )
+
+from test_solutions import g_from_LR
 
 T0, T1, T2 = al.ads_basis()
 S1, S2, S3 = al.sphere_basis()
@@ -69,7 +65,6 @@ def random_particle_point(rng):
 
 
 def random_string_point(rng, n=1):
-    from ads3s3.bridge import f_max
     while True:
         b = rng.uniform(1.05, 1.6)
         f = rng.uniform(b + 0.05, f_max(b) - 0.05)
@@ -99,6 +94,33 @@ def bracket_table_residual(chart, form, x, names=ALL_NAMES, step=1e-6):
         for j, b in enumerate(names):
             worst = max(worst, abs(table[i, j] - expected_bracket(a, b, values)))
     return worst
+
+
+def entry(form, label_a, label_b):
+    return float(form.matrix[form.labels.index(label_a), form.labels.index(label_b)])
+
+
+class SymmetricGaugeChart(StringChart):
+    """The string chart with phi2 on both sphere phases: the degenerate slice."""
+
+    sphere_gauge_sign = 1.0
+
+
+def numeric_exterior_derivative(theta_fn, x, labels, step):
+    """d(theta) of a 1-form given by its component vector theta_fn(x).
+
+    omega_ij = d_i theta_j - d_j theta_i by central differences;
+    antisymmetric by construction.  The step has no default: the best one
+    depends on how many difference layers theta_fn itself contains.
+    """
+    x = np.asarray(x, dtype=float)
+    k = x.size
+    jac = np.empty((k, k))
+    for i in range(k):
+        e = np.zeros(k)
+        e[i] = step
+        jac[i] = (theta_fn(x + e) - theta_fn(x - e)) / (2.0 * step)
+    return TwoFormMatrix(jac - jac.T, labels)
 
 
 NESTED_STEP = 2e-5  # the step the nested-difference form is accurate at
@@ -161,15 +183,17 @@ class TestGFromLR:
         rng = np.random.default_rng(71)
         for _ in range(10):
             lh, rh = random_sphere_vec(rng), random_sphere_vec(rng)
-            h = h_from_LR(lh, rh, rng.uniform(0, 2 * math.pi))
+            h = g_from_LR(lh, rh, rng.uniform(0, 2 * math.pi))
             assert np.max(np.abs(adjoint(h, rh.element).coeffs - lh.coeffs)) <= 1e-12
 
 
 class TestParticleEvaluate:
+    """The particle trajectory exp(L tau) g0 = g0 exp(R tau)."""
+
     def test_initial_point(self):
         g0 = exp_algebra(T1, 0.4)
         L = 1.3 * UnitTimelikeVector(0.5, 0.7).element
-        assert np.max(np.abs(particle_evaluate(L, g0, 0.0).matrix - g0.matrix)) <= 1e-14
+        assert np.max(np.abs((exp_algebra(L, 0.0) @ g0).matrix - g0.matrix)) <= 1e-14
 
     def test_factorizations_agree(self):
         rng = np.random.default_rng(72)
@@ -179,8 +203,8 @@ class TestParticleEvaluate:
         L = m * lhat.element
         R = m * adjoint(g0.inverse(), lhat.element)
         for tau in (0.0, 0.9, 2.4):
-            a = particle_evaluate(L, g0, tau, side="left")
-            b = particle_evaluate(R, g0, tau, side="right")
+            a = exp_algebra(L, tau) @ g0
+            b = g0 @ exp_algebra(R, tau)
             assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12
 
     def test_casimirs_equal(self):
@@ -256,13 +280,13 @@ class TestCanonicalOneFormSplitting:
         l0 = math.sqrt(1 + x0[0] ** 2 + x0[1] ** 2)
         r0 = math.sqrt(1 + x0[2] ** 2 + x0[3] ** 2)
         m = x0[4]
-        assert abs(om.entry("l1", "l2") + m / (2 * l0)) <= 5e-6
-        assert abs(om.entry("r1", "r2") - m / (2 * r0)) <= 5e-6
-        assert abs(om.entry("m", "phi") + 1.0) <= 5e-6
+        assert abs(entry(om, "l1", "l2") + m / (2 * l0)) <= 5e-6
+        assert abs(entry(om, "r1", "r2") - m / (2 * r0)) <= 5e-6
+        assert abs(entry(om, "m", "phi") + 1.0) <= 5e-6
         # orbit-orbit and orbit-angle cross entries vanish
         for a in ("l1", "l2"):
             for b in ("r1", "r2", "phi"):
-                assert abs(om.entry(a, b)) <= 1e-5
+                assert abs(entry(om, a, b)) <= 1e-5
 
     def test_ads_bracket_algebra_from_raw_form(self):
         x0 = np.array([0.3, -0.5, 0.7, 0.2, 1.3, 0.9])
@@ -300,7 +324,7 @@ class TestCanonicalOneFormSplitting:
         def hmat(z):
             lh = UnitSphereVector.from_coeffs(axes_l.from_coords(z[0], z[1]))
             rh = UnitSphereVector.from_coeffs(axes_r.from_coords(z[2], z[3]))
-            return h_from_LR(lh, rh, z[5]).matrix
+            return g_from_LR(lh, rh, z[5]).matrix
 
         def rmat(z):
             return z[4] * UnitSphereVector.from_coeffs(axes_r.from_coords(z[2], z[3])).matrix
@@ -311,9 +335,9 @@ class TestCanonicalOneFormSplitting:
         ms = x0[4]
         wl = axes_l.w(x0[0], x0[1])
         wr = axes_r.w(x0[2], x0[3])
-        assert abs(om.entry("lsu", "lsv") - ms / (2 * wl)) <= 1e-6
-        assert abs(om.entry("rsu", "rsv") + ms / (2 * wr)) <= 1e-6
-        assert abs(om.entry("ms", "phis") - 1.0) <= 1e-6
+        assert abs(entry(om, "lsu", "lsv") - ms / (2 * wl)) <= 1e-6
+        assert abs(entry(om, "rsu", "rsv") + ms / (2 * wr)) <= 1e-6
+        assert abs(entry(om, "ms", "phis") - 1.0) <= 1e-6
 
 
 class TestParticleSymplectic:
@@ -327,7 +351,7 @@ class TestParticleSymplectic:
         x = chart.coords(point)
         form = chart.form(x)
         m = point.m
-        assert abs(form.entry("l1", "l2") + m / 2.0) <= 1e-14
+        assert abs(entry(form, "l1", "l2") + m / 2.0) <= 1e-14
         got = poisson_bracket(chart.charge_function("L1"), chart.charge_function("L2"),
                               form, x)
         assert abs(got + 2.0 * m) <= 1e-6
@@ -339,7 +363,7 @@ class TestParticleSymplectic:
         form = chart.form()
         assert np.max(np.abs(form.matrix + form.matrix.T)) == 0.0
         assert form.labels[-2:] == ("m_s", "chi")
-        assert abs(form.entry("m_s", "chi") - 1.0) <= 1e-14
+        assert abs(entry(form, "m_s", "chi") - 1.0) <= 1e-14
         assert form.matrix.shape == (10, 10)
 
     def test_reduced_form_nondegenerate(self):
@@ -467,34 +491,40 @@ class TestStringPresymplectic:
     def test_zero_direction(self):
         rng = np.random.default_rng(82)
         point = random_string_point(rng)
-        assert string_presymplectic(point, np.zeros(12)) == 0.0
+        assert StringChart(point).presymplectic() @ np.zeros(12) == 0.0
 
     def test_phi1_direction_pairs_nontrivially(self):
         rng = np.random.default_rng(83)
         point = random_string_point(rng)
         direction = np.zeros(12)
         direction[10] = 1.0  # phi1
-        assert abs(string_presymplectic(point, direction)) > 1e-4
+        assert abs(StringChart(point).presymplectic() @ direction) > 1e-4
 
     def test_momentum_map_pairing(self):
-        # isometry vector fields pair with theta to the charge components
+        # isometry vector fields pair with theta to the charge components:
+        # the left action varies g by A g, the right action by g A
         rng = np.random.default_rng(84)
         point = random_string_point(rng)
         chart = StringChart(point)
         sol = chart.solution(chart.coords(point))
+        fields = evaluate_matrices(sol, chart.tau, chart.sigma)
+        r_tau = [cur.R_tau for cur in current_matrices(sol, chart.tau, chart.sigma)]
+
+        def pairing(k, gen, side):
+            g, a = fields[k], gen.matrix
+            delta = np.linalg.inv(g) @ (a @ g) if side == "left" else np.broadcast_to(a, g.shape)
+            vals = (0.5 * al.SECTOR_SIGNS[k]) * np.einsum("sij,sji->s", r_tau[k], delta)
+            return float(np.mean(vals).real)
+
         cs = charges_numeric(sol)
         L_low = np.array([-cs.L.coeffs[0], cs.L.coeffs[1], cs.L.coeffs[2]])
         R_low = np.array([-cs.R.coeffs[0], cs.R.coeffs[1], cs.R.coeffs[2]])
         for nu, gen in enumerate((T0, T1, T2)):
-            got = chart.presymplectic_isometry(gen, side="left", sector="ads")
-            assert abs(got - L_low[nu]) <= 1e-10
-            got = chart.presymplectic_isometry(gen, side="right", sector="ads")
-            assert abs(got - R_low[nu]) <= 1e-10
+            assert abs(pairing(0, gen, "left") - L_low[nu]) <= 1e-10
+            assert abs(pairing(0, gen, "right") - R_low[nu]) <= 1e-10
         for k, gen in enumerate((S1, S2, S3)):
-            got = chart.presymplectic_isometry(gen, side="left", sector="sphere")
-            assert abs(got - cs.L_s.coeffs[k]) <= 1e-10
-            got = chart.presymplectic_isometry(gen, side="right", sector="sphere")
-            assert abs(got - cs.R_s.coeffs[k]) <= 1e-10
+            assert abs(pairing(1, gen, "left") - cs.L_s.coeffs[k]) <= 1e-10
+            assert abs(pairing(1, gen, "right") - cs.R_s.coeffs[k]) <= 1e-10
 
 
 class TestStringSymplectic:
@@ -571,7 +601,7 @@ class TestStringSymplectic:
     def test_form_matrix_shape_and_antisymmetry(self):
         rng = np.random.default_rng(91)
         point = random_string_point(rng)
-        form = string_symplectic(point)
+        form = StringChart(point).form()
         assert form.matrix.shape == (12, 12)
         assert np.max(np.abs(form.matrix + form.matrix.T)) == 0.0
 
@@ -587,10 +617,10 @@ class TestStringSymplectic:
         cases = [(1, -1.0), (1, -1.0), (1, -1.0), (2, -1.0), (2, -1.0), (2, 1.0)]
         for n, gauge in cases:
             point = random_string_point(rng, n=n)
-            chart = StringChart(point, sphere_gauge_sign=gauge)
+            chart = (StringChart if gauge < 0 else SymmetricGaugeChart)(point)
             x = chart.coords(point)
             assert np.max(np.abs(chart.presymplectic(x)
-                                 - rebuilt_presymplectic(chart, x, chart.step))) <= 1e-10
+                                 - rebuilt_presymplectic(chart, x, FORM_STEP))) <= 1e-10
             got = chart.form(x).matrix
             assert np.max(np.abs(got - nested_difference_form(chart, x).matrix)) <= 1e-6
 
@@ -600,12 +630,38 @@ class TestStringSymplectic:
         # exact null direction and the form has rank 10
         rng = np.random.default_rng(94)
         point = random_string_point(rng)
-        form = StringChart(point, sphere_gauge_sign=+1.0).form()
+        form = SymmetricGaugeChart(point).form()
         v = np.zeros(12)
         v[10], v[11] = 1.0, -1.0
         assert np.max(np.abs(form.matrix @ v)) <= 1e-6
         sv = np.linalg.svd(form.matrix, compute_uv=False)
         assert np.sum(sv < 1e-6) == 2
+
+
+    @pytest.mark.parametrize("f", [f_max(1.2) - 1e-6, 1.2 + 1e-6])
+    def test_form_step_across_an_admissible_edge_rejected(self, f):
+        # the stencil at f + FORM_STEP or b + FORM_STEP leaves the band
+        point = random_string_point(np.random.default_rng(97))
+        point = StringChartPoint(point.lhat, point.rhat, point.lhat_s, point.rhat_s,
+                                 f=f, b=1.2)
+        with pytest.raises(ValidationError, match="inadmissible"):
+            StringChart(point).form()
+
+    def test_form_builds_no_validated_objects(self, monkeypatch):
+        point = random_string_point(np.random.default_rng(98))
+        chart = StringChart(point)
+        x = chart.coords(point)
+        built = []
+        for cls in (al.AdsGroupElement, al.SphereGroupElement, al.AdsAlgebraElement,
+                    al.SphereAlgebraElement, UnitTimelikeVector, UnitSphereVector):
+            def counted(obj, post_init=cls.__post_init__):
+                built.append(type(obj))
+                post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        chart.form(x)
+        assert built == []
+        chart.solution(x)  # the validated wrap: 4 directions and 2 group elements
+        assert len(built) == 6
 
 
 class TestPoissonBracketProperties:
