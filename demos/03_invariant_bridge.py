@@ -30,13 +30,13 @@ print("\n== band boundaries at b = 1.25 ==")
 print("  lower edge f = b:", bridge(1.25, 1.25).degenerate)
 print("  upper edge f_max:", bridge(f_max(1.25), 1.25).degenerate)
 
-rows = scan_region((1.0, 3.0, 41), (1.0, 2.0, 21), n=1)
-frac = sum(r["admissible"] for r in rows) / len(rows)
-print(f"\n== region scan: {len(rows)} grid points, {frac:.1%} admissible ==")
+columns = scan_region((1.0, 3.0, 41), (1.0, 2.0, 21), n=1)
+admissible_col = columns["admissible"]
+print(f"\n== region scan: {admissible_col.size} grid points, {admissible_col.mean():.1%} admissible ==")
 with open("bridge_scan.csv", "w", newline="") as fh:
-    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    writer.writerows(zip(*(column.tolist() for column in columns.values())))
 print("wrote bridge_scan.csv (plot admissible vs (f, b) for the band shape)")
 
 print("\n== feasibility probe for other winding sectors ==")

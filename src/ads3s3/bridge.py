@@ -15,13 +15,15 @@ isometry invariants:
 
 together with the cross identities 4 mu mubar cosh alpha = E^2 and
 4 mu mubar cos beta = A^2 (E = n e, A = n a).
+The relations, the two sides and the band inequality take floats (through
+math) or arrays (scan_region, once per grid), bit for bit alike.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,9 +53,21 @@ def admissible(f, b):
         return Admissibility(False, "b < 1")
     if f < b:
         return Admissibility(False, "f < b (cosh2theta < 1)")
-    if f * f - b * f - 2.0 > 0.0:
+    if _above_band(f, b):
         return Admissibility(False, "cos2theta_s out of range (f^2 - b f - 2 > 0)")
     return Admissibility(True)
+
+
+def _above_band(f, b):
+    """f^2 - b f - 2 > 0, i.e. cos 2theta_s > 1; elementwise on arrays."""
+    return f * f - b * f - 2.0 > 0.0
+
+
+def _root(x, where=True):
+    """sqrt(max(0, x)) where `where` holds, else nan; math on floats, which is faster there."""
+    if isinstance(x, np.ndarray):
+        return np.where(where, np.sqrt(np.fmax(0.0, x)), np.nan)
+    return math.sqrt(max(0.0, x)) if where else math.nan
 
 
 def check_winding(n):
@@ -99,8 +113,8 @@ def family_relations(f, b, n):
     """
     e2 = f * f - 1.0
     a2 = b * b - 1.0
-    e = math.sqrt(max(0.0, e2))
-    a = math.sqrt(max(0.0, a2))
+    e = _root(e2)
+    a = _root(a2)
     E, F, A, B = n * e, n * f, n * a, n * b
     return FamilyRelations(
         f, b, e2, a2, e, a, E, F, A, B,
@@ -134,7 +148,7 @@ def _ads_invariants(rel):
     mubar2 = 0.25 * n * n * (f + 1.0) * (f - c2t)
     sinh2_2t = c2t * c2t - 1.0
     denom = e2 - sinh2_2t
-    coshalpha = rel.e / math.sqrt(denom) if denom > 0.0 and e2 > 0.0 else math.nan
+    coshalpha = rel.e / _root(denom, (denom > 0.0) & (e2 > 0.0))
     return mu2, mubar2, coshalpha
 
 
@@ -143,7 +157,7 @@ def _sphere_invariants(rel):
     mu2 = 0.25 * n * n * (b + 1.0) * (b + c2ts)
     mubar2 = 0.25 * n * n * (b - 1.0) * (b - c2ts)
     denom = a2 + (1.0 - c2ts * c2ts)
-    cosbeta = rel.a / math.sqrt(denom) if denom > 0.0 and a2 > 0.0 else math.nan
+    cosbeta = rel.a / _root(denom, (denom > 0.0) & (a2 > 0.0))
     return mu2, mubar2, cosbeta
 
 
@@ -177,13 +191,8 @@ class InvariantBlock:
     degenerate: tuple = field(default_factory=tuple)
 
     def as_dict(self):
-        d = {k: getattr(self, k) for k in (
-            "n", "f", "b", "e", "a", "E", "F", "A", "B",
-            "lam", "rho", "lam_s", "rho_s",
-            "cosh2theta", "cos2theta_s", "theta", "theta_s",
-            "mu2", "mubar2", "mu", "mubar", "coshalpha", "cosbeta")}
-        d["degenerate"] = list(self.degenerate)
-        return d
+        return {k.name: getattr(self, k.name) for k in fields(self)} | {
+            "degenerate": list(self.degenerate)}
 
 
 def bridge(f, b, n=1):
@@ -234,25 +243,24 @@ def bridge(f, b, n=1):
 def scan_region(f_range, b_range, n=1):
     """Tabulate admissibility and invariants over a rectangular (f, b) grid.
 
-    f_range and b_range are (start, stop, count) with count >= 1; rows are
-    ordered f-major then b, one dict per grid point.
+    f_range and b_range are (start, stop, count) with count >= 1.  Returns
+    columns, f-major then b: 1-D arrays f, b, admissible (bool), cosh2theta,
+    cos2theta_s, mu2, mubar2 (AdS side), coshalpha, cosbeta, each equal bit
+    for bit to the float relations and bool(admissible) at its point.
     """
     check_winding(n)
     f_vals = _grid_values(f_range, "f")
     b_vals = _grid_values(b_range, "b")
-    rows = []
-    for f in f_vals:
-        for b in b_vals:
-            rel = family_relations(f, b, n)
-            mu2_a, mubar2_a, coshalpha = _ads_invariants(rel)
-            _, _, cosbeta = _sphere_invariants(rel)
-            rows.append({
-                "f": f, "b": b, "admissible": bool(admissible(f, b)),
-                "cosh2theta": rel.cosh2theta, "cos2theta_s": rel.cos2theta_s,
-                "mu2": mu2_a, "mubar2": mubar2_a,
-                "coshalpha": coshalpha, "cosbeta": cosbeta,
-            })
-    return rows
+    f = np.repeat(f_vals, b_vals.size)
+    b = np.tile(b_vals, f_vals.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # math overflows to inf silently too
+        rel = family_relations(f, b, n)
+        mu2, mubar2, coshalpha = _ads_invariants(rel)
+        cosbeta = _sphere_invariants(rel)[2]
+        ok = (f >= 1.0) & (b >= 1.0) & (f >= b) & ~_above_band(f, b)
+    return {"f": f, "b": b, "admissible": ok,
+            "cosh2theta": rel.cosh2theta, "cos2theta_s": rel.cos2theta_s,
+            "mu2": mu2, "mubar2": mubar2, "coshalpha": coshalpha, "cosbeta": cosbeta}
 
 
 def _grid_values(rng, name):
@@ -263,10 +271,10 @@ def _grid_values(rng, name):
     if count < 1:
         raise ValidationError(f"empty {name} grid")
     if count == 1:
-        return [float(start)]
+        return np.array([float(start)])
     if stop < start:
         raise ValidationError(f"{name} range must be monotone")
-    return np.linspace(float(start), float(stop), count).tolist()
+    return np.linspace(float(start), float(stop), count)
 
 
 @dataclass(frozen=True)

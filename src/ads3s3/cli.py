@@ -3,7 +3,7 @@
 Subcommands: bridge, verify, sample, scan, charges, brackets.  Exit codes:
 0 success, 1 validation or usage error, 2 numeric verification failure.
 Outputs are deterministic; CSV floats carry 17 significant digits so golden
-files round-trip exactly.
+files round-trip exactly.  scan and sample write column tables (_table).
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _fmt(x):
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
-
-
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -68,20 +61,29 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _csv(rows, columns):
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for c in columns:
-            v = row[c]
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(_fmt(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _table(columns, fmt):
+    """Named equal-length float and bool columns as CSV or JSON, one %-template per row.
+
+    CSV floats carry 17 significant digits and bools read true/false; JSON
+    is the bytes of json.dumps(list_of_row_dicts, indent=2), non-finite as null.
+    """
+    cells, slots = [], []
+    for values in map(np.asarray, columns.values()):
+        # %s writes a float as its repr, which is what json writes
+        slots.append("%.17g" if fmt == "csv" and values.dtype != bool else "%s")
+        if values.dtype == bool:
+            values = np.where(values, "true", "false")
+        elif fmt == "json" and not np.isfinite(values).all():
+            values = np.where(np.isfinite(values), values.astype(object), "null")
+        cells.append(values.tolist())
+    rows = zip(*cells)
+    if fmt == "csv":
+        template = ",".join(slots)
+        return "\n".join([",".join(columns), *(template % row for row in rows)]) + "\n"
+    names = (json.dumps(name).replace("%", "%%") for name in columns)
+    template = "  {\n" + ",\n".join(f"    {name}: {slot}" for name, slot in zip(names, slots)) + "\n  }"
+    body = ",\n".join([template % row for row in rows])
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def _finite_or_null(value):
@@ -97,11 +99,7 @@ def _finite_or_null(value):
 
 def _json(payload):
     """Strict JSON: non-finite numbers are written as null."""
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
-    return text + "\n"
+    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _parse_range(spec, name):
@@ -136,7 +134,7 @@ def cmd_bridge(args):
         cols = list(payload)
         payload["degenerate"] = ";".join(block.degenerate)
         text = ",".join(cols) + "\n" + ",".join(
-            str(payload[c]) if c in ("n", "degenerate") else _fmt(payload[c]) for c in cols) + "\n"
+            str(payload[c]) if c in ("n", "degenerate") else "%.17g" % payload[c] for c in cols) + "\n"
     else:
         text = _json(payload)
     _emit(text, args.out)
@@ -169,16 +167,11 @@ def cmd_sample(args):
     y, x = embedding_surface(sol, taus, sigmas)
     with np.errstate(divide="ignore", invalid="ignore"):
         proj = x[..., :3] / (1.0 + x[..., 3])[..., None]
-    columns = ["tau", "sigma", "Y0p", "Y0", "Y1", "Y2",
-               "X1", "X2", "X3", "X4", "P1", "P2", "P3"]
-    rows = []
-    for i, t in enumerate(taus):
-        for j, s in enumerate(sigmas):
-            vals = [t, s, *y[i, j], *x[i, j], *proj[i, j]]
-            rows.append(dict(zip(columns, vals)))
-    text = _csv(rows, columns) if args.format == "csv" else _json(
-        [{k: float(v) for k, v in row.items()} for row in rows])
-    _emit(text, args.out)
+    tau, sigma = np.meshgrid(taus, sigmas, indexing="ij")
+    mesh = np.concatenate([tau[..., None], sigma[..., None], y, x, proj], axis=-1)
+    names = ["tau", "sigma", "Y0p", "Y0", "Y1", "Y2",
+             "X1", "X2", "X3", "X4", "P1", "P2", "P3"]
+    _emit(_table(dict(zip(names, mesh.reshape(-1, len(names)).T)), args.format), args.out)
     return 0
 
 
@@ -191,11 +184,7 @@ def cmd_scan(args):
         raise ValidationError(f"bad --grid {args.grid!r}") from exc
     f_range = _parse_range(f_spec, "f")
     b_range = _parse_range(b_spec, "b")
-    rows = scan_region(f_range, b_range, args.n)
-    columns = ["f", "b", "admissible", "cosh2theta", "cos2theta_s",
-               "mu2", "mubar2", "coshalpha", "cosbeta"]
-    text = _csv(rows, columns) if args.format == "csv" else _json(rows)
-    _emit(text, args.out)
+    _emit(_table(scan_region(f_range, b_range, args.n), args.format), args.out)
     return 0
 
 

@@ -94,8 +94,11 @@ class TwoFormMatrix:
         return float(np.linalg.cond(self.matrix))
 
     def _require_nonsingular(self):
-        det = np.linalg.det(self.matrix)
-        if not np.isfinite(det) or abs(det) < 1e-300:
+        """Reject a non-finite form, and a singular one by sigma_min < 1e-8 sigma_max."""
+        if not np.isfinite(self.matrix).all():
+            raise DegenerateConfigurationError("symplectic form is not finite")
+        sv = np.linalg.svd(self.matrix, compute_uv=False)
+        if not sv[0] > 0.0 or sv[-1] < 1e-8 * sv[0]:
             raise DegenerateConfigurationError("symplectic form is singular")
 
     def inverse(self):

@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ads3s3.bridge import (
     FeasibilityResult,
     RegionError,
+    _ads_invariants,
+    _sphere_invariants,
     admissible,
     bridge,
     f_max,
+    family_relations,
     feasibility_general,
     invariants_from_ads,
     invariants_from_sphere,
@@ -175,19 +179,19 @@ class TestBoundaries:
 
 class TestScanRegion:
     def test_local_grid(self):
-        rows = scan_region((F0 - 0.01, F0 + 0.01, 2), (B0 - 0.01, B0 + 0.01, 2))
-        assert len(rows) == 4
-        assert all(r["admissible"] for r in rows)
+        cols = scan_region((F0 - 0.01, F0 + 0.01, 2), (B0 - 0.01, B0 + 0.01, 2))
+        assert all(col.shape == (4,) for col in cols.values())
+        assert cols["admissible"].all()
 
     def test_inadmissible_band(self):
-        rows = scan_region((3.5, 4.0, 3), (1.0, 1.2, 3))
-        assert len(rows) == 9
-        assert not any(r["admissible"] for r in rows)
+        cols = scan_region((3.5, 4.0, 3), (1.0, 1.2, 3))
+        assert all(col.shape == (9,) for col in cols.values())
+        assert not cols["admissible"].any()
 
     def test_single_point(self):
-        rows = scan_region((F0, F0, 1), (B0, B0, 1))
-        assert len(rows) == 1
-        assert abs(rows[0]["mu2"] - 0.53125) <= 1e-12
+        cols = scan_region((F0, F0, 1), (B0, B0, 1))
+        assert all(col.shape == (1,) for col in cols.values())
+        assert abs(cols["mu2"][0] - 0.53125) <= 1e-12
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -196,7 +200,67 @@ class TestScanRegion:
     def test_deterministic_order(self):
         a = scan_region((1.0, 2.0, 3), (1.0, 1.5, 2))
         b = scan_region((1.0, 2.0, 3), (1.0, 1.5, 2))
-        assert a == b
+        assert list(a) == list(b)
+        assert all(np.array_equal(a[k], b[k], equal_nan=True) for k in a)
+
+
+# Grid bounds that put edges inside the grid: f < 1, b < 1, f < b, f beyond
+# f_max(b), the line b = 1 (hit exactly by 1.0 and by the -1..3 axes) and
+# negative values.
+_BOUNDS = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.25, F0, 3.0]), st.floats(-3.0, 6.0))
+
+
+@st.composite
+def grid_axis(draw):
+    start = draw(_BOUNDS)
+    stop = draw(st.one_of(st.just(start), st.floats(start, start + 5.0)))
+    return start, stop, draw(st.integers(1, 20))
+
+
+def assert_same_bits(got, want, name):
+    """Equal as IEEE doubles: the same bits, any nan matching any nan."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), name
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)), name
+
+
+class TestScanAgreesWithScalarPath:
+    """scan_region's columns against the float relations, point by point."""
+
+    @given(grid_axis(), grid_axis(), st.integers(1, 50))
+    @example((-1.0, 3.0, 9), (-1.0, 3.0, 9), 1)
+    @example((0.5, 4.0, 15), (0.5, 3.0, 11), 2)
+    @example((1e150, 1e200, 3), (1e150, 1e200, 3), 1)  # f * f overflows: inf - inf = nan
+    def test_columns_equal_scalar_relations(self, f_range, b_range, n):
+        cols = scan_region(f_range, b_range, n)
+        assert cols["admissible"].dtype == bool
+        want = {name: [] for name in cols if name not in ("f", "b")}
+        for f, b in zip(cols["f"].tolist(), cols["b"].tolist()):
+            rel = family_relations(f, b, n)
+            mu2, mubar2, coshalpha = _ads_invariants(rel)
+            for name, value in (("admissible", bool(admissible(f, b))),
+                                ("cosh2theta", rel.cosh2theta), ("cos2theta_s", rel.cos2theta_s),
+                                ("mu2", mu2), ("mubar2", mubar2), ("coshalpha", coshalpha),
+                                ("cosbeta", _sphere_invariants(rel)[2])):
+                want[name].append(value)
+        assert cols["admissible"].tolist() == want.pop("admissible")
+        for name, values in want.items():
+            assert_same_bits(cols[name], values, name)
+
+    @given(grid_axis(), grid_axis(), st.integers(1, 50))
+    def test_array_relations_equal_scalar_ones(self, f_range, b_range, n):
+        cols = scan_region(f_range, b_range, n)
+        arrays = family_relations(cols["f"], cols["b"], n)
+        scalars = [family_relations(f, b, n) for f, b in zip(cols["f"].tolist(), cols["b"].tolist())]
+        for i, name in enumerate(arrays._fields):
+            assert_same_bits(np.broadcast_to(arrays[i], cols["f"].shape),
+                             [rel[i] for rel in scalars], name)
+
+    def test_grid_order(self):
+        cols = scan_region((1.0, 2.0, 3), (1.0, 1.5, 2))
+        assert cols["f"].tolist() == [1.0, 1.0, 1.5, 1.5, 2.0, 2.0]
+        assert cols["b"].tolist() == [1.0, 1.5] * 3
 
 
 class TestFeasibility:

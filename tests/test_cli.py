@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from ads3s3.cli import main
+from ads3s3.cli import _table, main
 from ads3s3.solutions import family_solution, params_to_dict
 
 F_REF = "1.6666666666666667"
@@ -211,6 +212,69 @@ class TestScanCommand:
         assert code == 0
         rows = json.loads(out)
         assert len(rows) == 4 and all(r["admissible"] for r in rows)
+
+
+def csv_oracle(rows, columns):
+    """The row-dict CSV writer that _table replaced, kept as its oracle."""
+    def fmt(x):
+        x = float(x)
+        if math.isnan(x):
+            return "nan"
+        return format(x, ".17g")
+
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = []
+        for c in columns:
+            v = row[c]
+            if isinstance(v, bool):
+                cells.append("true" if v else "false")
+            elif isinstance(v, (int, np.integer)):
+                cells.append(str(int(v)))
+            else:
+                cells.append(fmt(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def json_oracle(rows):
+    rows = [{k: v if isinstance(v, bool) or math.isfinite(v) else None for k, v in row.items()}
+            for row in rows]
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                1e308, -1e308, 1.0, -3.0, 1e16, 0.1]
+
+
+@st.composite
+def tables(draw):
+    """Named equal-length float and bool columns, with names json must escape."""
+    rows = draw(st.integers(0, 12))
+    names = draw(st.lists(st.one_of(st.sampled_from(["f", "mu2", "a b", "%s", 'q"', "\u00e9"]),
+                                    st.text(max_size=4)),
+                          min_size=1, max_size=6, unique=True))
+    floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+    columns = {}
+    for name in names:
+        if draw(st.booleans()):
+            columns[name] = np.array(draw(st.lists(floats, min_size=rows, max_size=rows)), dtype=float)
+        else:
+            columns[name] = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)),
+                                     dtype=bool)
+    return columns
+
+
+class TestTableWriter:
+    """_table against json.dumps and the row-dict CSV writer."""
+
+    @given(tables())
+    @example({"x": np.array(_EDGE_FLOATS), "ok": np.arange(len(_EDGE_FLOATS)) % 2 == 0})
+    def test_matches_row_dict_writers(self, columns):
+        rows = [dict(zip(columns, values))
+                for values in zip(*(column.tolist() for column in columns.values()))]
+        assert _table(columns, "json") == json_oracle(rows)
+        assert _table(columns, "csv") == csv_oracle(rows, list(columns))
 
 
 class TestChargesCommand:

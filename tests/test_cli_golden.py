@@ -1,6 +1,6 @@
 """CLI outputs against golden files.
 
-bridge, scan and sample must match byte for byte.  verify, charges and the
+bridge, scan and sample (CSV and JSON) must match byte for byte.  verify, charges and the
 particle brackets go through LAPACK and are compared number by number to
 1e-12; the string brackets come from a central difference at h = 5e-6,
 which amplifies roundoff by about 1/h, and are compared to 1e-9.  The
@@ -32,7 +32,10 @@ BYTE_EXACT = {
     "bridge_n3.json": ["bridge", *POINT, "--n", "3"],
     "bridge_n3.csv": ["bridge", *POINT, "--n", "3", "--format", "csv"],
     "scan.csv": ["scan", "--grid", "0.5:4:15,0.5:3:11", "--n", "2"],
+    "scan.json": ["scan", "--grid", "0.5:4:6,0.5:3:5", "--n", "2", "--format", "json"],
     "sample.csv": ["sample", *POINT, "--n", "2", "--tau-steps", "8", "--sigma-steps", "8"],
+    "sample.json": ["sample", *POINT, "--n", "2", "--tau-steps", "4", "--sigma-steps", "6",
+                    "--format", "json"],
 }
 
 NUMERIC = {

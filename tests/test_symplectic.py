@@ -695,6 +695,17 @@ class TestPoissonBracketProperties:
         with pytest.raises(DegenerateConfigurationError):
             bracket_table([lambda x: x[0], lambda x: x[1]], form, np.zeros(2))
 
+    def test_rank_deficient_form_rejected_by_table(self):
+        # the degenerate slice has rank 10, yet its determinant is far from 0
+        rng = np.random.default_rng(94)
+        point = random_string_point(rng)
+        chart = SymmetricGaugeChart(point)
+        x = chart.coords(point)
+        form = chart.form(x)
+        assert abs(np.linalg.det(form.matrix)) > 1e-300
+        with pytest.raises(DegenerateConfigurationError, match="singular"):
+            bracket_table([chart.charge_function(name) for name in ALL_NAMES], form, x)
+
     def test_table_matches_pairwise_brackets(self):
         rng = np.random.default_rng(96)
         for chart_cls, point in ((ParticleChart, random_particle_point(rng)),
