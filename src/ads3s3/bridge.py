@@ -54,13 +54,15 @@ def admissible(f, b):
     if f < b:
         return Admissibility(False, "f < b (cosh2theta < 1)")
     if _above_band(f, b):
-        return Admissibility(False, "cos2theta_s out of range (f^2 - b f - 2 > 0)")
+        return Admissibility(False, "cos2theta_s out of range (f^2 - b f - 2 > 0)"
+                             if math.isfinite(f * f) else "f^2 overflows")
     return Admissibility(True)
 
 
 def _above_band(f, b):
-    """f^2 - b f - 2 > 0, i.e. cos 2theta_s > 1; elementwise on arrays."""
-    return f * f - b * f - 2.0 > 0.0
+    """f^2 - b f - 2 > 0 (cos 2theta_s > 1) or nan (f^2 overflows); elementwise on arrays."""
+    q = f * f - b * f - 2.0
+    return (q > 0.0) | (q != q)
 
 
 def _root(x, where=True):

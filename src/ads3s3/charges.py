@@ -151,11 +151,11 @@ def charges_analytic(sol):
         return wrap(freq_own * own_mat + freq_other * conj_mat)
 
     out = []
-    for cls, (lam, rho, m, n, lhat, rhat, x0), c2 in zip(SECTOR_ALGEBRAS, sol.sectors,
-                                                         theta_invariants(sol)):
-        x, xinv, wrap = x0.matrix, x0.inverse().matrix, cls.from_matrix
-        out += [charge(lam, rho, m, lhat.matrix, x @ rhat.matrix @ xinv, c2, wrap),
-                charge(rho, lam, n, rhat.matrix, xinv @ lhat.matrix @ x, c2, wrap)]
+    for cls, (lam, rho, m, n, l, r, x), c2 in zip(SECTOR_ALGEBRAS, sol.matrices,
+                                                  theta_invariants(sol)):
+        xinv, wrap = _adjugate(x), cls.from_matrix
+        out += [charge(lam, rho, m, l, x @ r @ xinv, c2, wrap),
+                charge(rho, lam, n, r, xinv @ l @ x, c2, wrap)]
     return _charge_set(*out)
 
 

@@ -4,6 +4,7 @@ Subcommands: bridge, verify, sample, scan, charges, brackets.  Exit codes:
 0 success, 1 validation or usage error, 2 numeric verification failure.
 Outputs are deterministic; CSV floats carry 17 significant digits so golden
 files round-trip exactly.  scan and sample write column tables (_table).
+The parser is built once per process, at import; main only parses with it.
 """
 
 from __future__ import annotations
@@ -298,10 +299,9 @@ def _build_parser():
     parser = _Parser(prog="ads3s3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext, options, output=None, required=()):
+    def add(name, helptext, options, output=None, required=()):
         """Subcommand reading only `options`; `output` is its default --format."""
         p = sub.add_parser(name, help=helptext)
-        p.set_defaults(fn=fn)
         for opt in options:
             p.add_argument(f"--{opt}", required=opt in required, **_OPTIONS[opt])
         if "params" in options:  # --n defaults to 1 but must be seen next to --params
@@ -310,27 +310,29 @@ def _build_parser():
             p.add_argument("--format", choices=("json", "csv"), default=output)
         p.add_argument("--out")
 
-    add("bridge", cmd_bridge, "invariants at a family point (f, b, n)",
+    add("bridge", "invariants at a family point (f, b, n)",
         ("f", "b", "n"), "json", required=("f", "b"))
-    add("verify", cmd_verify, "residual verification battery",
-        ("f", "b", "n", "params", "grid", "tol"))
-    add("sample", cmd_sample, "embedding-surface mesh export",
+    add("verify", "residual verification battery", ("f", "b", "n", "params", "grid", "tol"))
+    add("sample", "embedding-surface mesh export",
         ("f", "b", "n", "tau-steps", "sigma-steps"), "csv", required=("f", "b"))
-    add("scan", cmd_scan, "admissibility scan over an (f, b) grid", ("grid", "n"), "csv")
-    add("charges", cmd_charges, "conserved charges and Casimirs",
-        ("f", "b", "n", "params", "scale"))
-    add("brackets", cmd_brackets, "Poisson-bracket algebra residuals", ("seed", "mode"))
+    add("scan", "admissibility scan over an (f, b) grid", ("grid", "n"), "csv")
+    add("charges", "conserved charges and Casimirs", ("f", "b", "n", "params", "scale"))
+    add("brackets", "Poisson-bracket algebra residuals", ("seed", "mode"))
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     try:
-        return args.fn(args)
+        # by name at call time, so that a wrapper bound on the module (perfbench tracing) runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValidationError, RegionError, DegenerateConfigurationError,
             OSError, json.JSONDecodeError) as exc:
         print(f"ads3s3 {args.command}: error: {exc}", file=sys.stderr)

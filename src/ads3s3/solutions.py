@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .algebra import (
     UnitSphereVector,
     UnitTimelikeVector,
     ValidationError,
+    _adjugate,
     adjoint,
     ads_basis,
     aligning_rotation,
@@ -78,11 +80,18 @@ class SolutionParams:
         return ((self.lam, self.rho, self.m, self.n, self.lhat, self.rhat, self.g0),
                 (self.lam_s, self.rho_s, self.m_s, self.n_s, self.lhat_s, self.rhat_s, self.h0))
 
-    @property
+    @cached_property
     def matrices(self):
-        """The sectors with l, r and x0 as raw 2x2 arrays, as the field kernels take them."""
-        return tuple((lam, rho, m, n, l.matrix, r.matrix, x0.matrix)
-                     for lam, rho, m, n, l, r, x0 in self.sectors)
+        """The sectors with l, r and x0 as raw 2x2 arrays, as the field kernels take them.
+
+        Derived once per instance (the fields are frozen) and shared by every
+        reader, so the arrays are read-only.
+        """
+        out = tuple((lam, rho, m, n, l.matrix, r.matrix, x0.matrix)
+                    for lam, rho, m, n, l, r, x0 in self.sectors)
+        for *_, l, r, _ in out:
+            l.flags.writeable = r.flags.writeable = False
+        return out
 
 
 def make_solution(lam, rho, m, n, lhat, rhat, g0,
@@ -167,9 +176,8 @@ def apply_isometry(sol, g_left=None, g_right=None, h_left=None, h_right=None):
 
 def theta_invariants(sol):
     """(cosh 2theta, cos 2theta_s) from the isometry-invariant traces."""
-    return tuple(float((-0.5 * np.trace(lhat.matrix @ x0.matrix @ rhat.matrix
-                                        @ x0.inverse().matrix)).real)
-                 for *_, lhat, rhat, x0 in sol.sectors)
+    return tuple(float((-0.5 * np.trace(l @ x0 @ r @ _adjugate(x0))).real)
+                 for *_, l, r, x0 in sol.matrices)
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,15 @@ class TestAdmissibility:
         with pytest.raises(RegionError):
             bridge(3.0, B0, 1)
 
+    @pytest.mark.parametrize("f, b", [(1e200, 1e200), (1e200, 1.0), (2e154, 2e154)])
+    def test_overflowing_f_squared_rejected(self, f, b):
+        # f f - b f - 2 is inf - inf = nan at f = b = 1e200; nan > 0 is false
+        verdict = admissible(f, b)
+        assert not verdict and verdict.reason == "f^2 overflows"
+        with pytest.raises(RegionError, match="f\\^2 overflows"):
+            bridge(f, b, 1)
+        assert scan_region((f, f, 1), (b, b, 1))["admissible"].tolist() == [False]
+
 
 class TestBoundaries:
     def test_lower_edge_f_equals_b(self):

@@ -1,13 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ads3s3 import cli
 from ads3s3.cli import _table, main
 from ads3s3.solutions import family_solution, params_to_dict
+
+from test_cli_golden import BYTE_EXACT, DATA, NUMERIC
 
 F_REF = "1.6666666666666667"
 B_REF = "1.25"
@@ -55,6 +62,11 @@ class TestBridgeCommand:
         code, _, err = run(capsys, "bridge")
         assert code == 1
         assert "requires" in err
+
+    def test_overflowing_point_exits_one(self, capsys):
+        code, out, err = run(capsys, "bridge", "--f", "1e200", "--b", "1e200")
+        assert code == 1 and out == ""
+        assert err == "ads3s3 bridge: error: f^2 overflows\n"
 
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_nonpositive_winding_exits_one(self, capsys, n):
@@ -341,6 +353,56 @@ class TestDeterminism:
             _, out, _ = run(capsys, "brackets", "--mode", "particle", "--seed", "11")
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+class TestOneParserPerProcess:
+    """main parses with the parser built at import, so no call may leak into the next."""
+
+    def test_repeats_give_first_bytes(self, capsys):
+        golden = [*BYTE_EXACT.values(), *(argv for argv, _, _ in NUMERIC.values())]
+        between = [["verify", "--t", "1"],
+                   ["verify", "--f", F_REF, "--b", B_REF, "--tol", "nan"],
+                   ["charges", "--params", str(DATA / "params_n2_frame.json")]]
+        calls = [argv for i, argv in enumerate(golden) for argv in (argv, between[i % 3])]
+        first = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in first[1:6:2]] == [1, 1, 0]
+        assert [run(capsys, *argv) for argv in calls] == first
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        def build():
+            raise AssertionError("main built a parser")
+        monkeypatch.setattr(cli, "_build_parser", build)
+        assert run(capsys, "bridge", "--f", F_REF, "--b", B_REF)[0] == 0
+
+    def test_command_rebound_on_module_is_called(self, capsys, monkeypatch):
+        # perfbench's tracer wraps cmd_* on the module after the parser exists
+        seen = []
+        original = cli.cmd_bridge
+        monkeypatch.setattr(cli, "cmd_bridge", lambda args: seen.append(args.n) or original(args))
+        assert run(capsys, "bridge", "--f", F_REF, "--b", B_REF, "--n", "3")[0] == 0
+        assert seen == [3]
+
+
+class TestEntryPoint:
+    """python -m ads3s3.cli in a fresh interpreter, warnings as errors."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def run_module(self, *argv):
+        path = os.pathsep.join(filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-W", "error", "-m", "ads3s3.cli", *argv],
+                              capture_output=True, env={**os.environ, "PYTHONPATH": path},
+                              timeout=120)
+
+    def test_help_exits_zero(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout.startswith(b"usage: ads3s3")
+
+    def test_bridge_prints_golden(self):
+        proc = self.run_module("bridge", "--f", F_REF, "--b", B_REF, "--n", "1")
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout == (DATA / "bridge_n1.json").read_bytes()
 
 
 def golden_params():

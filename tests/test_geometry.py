@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ads3s3 import geometry, solutions
+from ads3s3 import algebra, geometry, solutions
 from ads3s3.algebra import DegenerateConfigurationError, ValidationError
 from ads3s3.bridge import bridge, f_max
 from ads3s3.geometry import (
@@ -245,6 +245,23 @@ class TestVerifySolution:
         monkeypatch.setattr(geometry, "evaluate_matrices", counted)
         verify_solution(random_solution(np.random.default_rng(57), n=3))
         assert len(calls) <= 5
+
+    def test_raw_sectors_built_once(self, monkeypatch):
+        # every layer reads SolutionParams.matrices: one matrix per direction, no group element
+        sol = random_solution(np.random.default_rng(58), n=2)
+        directions, groups = [], []
+        matrix = algebra._UnitVector.matrix.fget
+        monkeypatch.setattr(algebra._UnitVector, "matrix",
+                            property(lambda v: directions.append(v) or matrix(v)))
+        for cls in (algebra.AdsGroupElement, algebra.SphereGroupElement):
+            def counted(obj, post_init=cls.__post_init__):
+                groups.append(type(obj))
+                post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        verify_solution(sol)
+        assert groups == []
+        assert sorted(map(id, directions)) == sorted(
+            map(id, (sol.lhat, sol.rhat, sol.lhat_s, sol.rhat_s)))
 
 
 class TestBatteryAgreesWithPointFunctions:

@@ -172,6 +172,31 @@ class TestEvaluate:
             assert np.max(np.abs(hm - h_l.matrix @ h @ h_r.matrix)) <= 1e-12
 
 
+class TestRawSectors:
+    """SolutionParams.matrices: derived once per instance, read-only, fresh per replace."""
+
+    def test_built_once_per_instance(self):
+        sol = reference_solution()
+        assert sol.matrices is sol.matrices
+        with pytest.raises(ValueError, match="read-only"):
+            sol.matrices[0][4][0, 0] = 0.0
+
+    def test_isometry_gets_its_own_sectors(self):
+        sol = reference_solution()
+        before = sol.matrices
+        g_l, g_r, h_l, h_r = random_isometry(np.random.default_rng(34))
+        moved = apply_isometry(sol, g_l, g_r, h_l, h_r)
+        for old, new in zip(before, moved.matrices):
+            for k in (4, 5, 6):  # l, r, x0
+                assert np.max(np.abs(new[k] - old[k])) > 1e-3
+        for tau, sig in ((0.0, 0.0), (0.8, 2.5)):
+            g, h = evaluate_matrices(sol, tau, sig)
+            gm, hm = evaluate_matrices(moved, tau, sig)
+            assert np.max(np.abs(gm - g_l.matrix @ g @ g_r.matrix)) <= 1e-12
+            assert np.max(np.abs(hm - h_l.matrix @ h @ h_r.matrix)) <= 1e-12
+        assert sol.matrices is before
+
+
 class TestThetaInvariants:
     def test_reads_canonical_angle(self):
         th = 0.37
