@@ -367,6 +367,10 @@ class _UnitVector:
     def _validate(self):
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ValidationError("non-finite chart parameters")
+        try:
+            self.coeffs  # cosh overflows from |rapidity| ~ 710 on
+        except OverflowError as exc:
+            raise ValidationError(f"chart parameters overflow: {exc}") from None
 
     @classmethod
     def from_coeffs(cls, coeffs):
@@ -409,7 +413,7 @@ class UnitTimelikeVector(_UnitVector):
 
     @staticmethod
     def _to_angles(c):
-        return math.acosh(max(c[0], 1.0)), math.atan2(c[2], c[1])
+        return math.asinh(math.hypot(c[1], c[2])), math.atan2(c[2], c[1])
 
     @staticmethod
     def _to_coeffs(rapidity, angle):
@@ -432,7 +436,7 @@ class UnitSphereVector(_UnitVector):
 
     @staticmethod
     def _to_angles(c):
-        return math.acos(min(1.0, max(-1.0, c[2]))), math.atan2(c[1], c[0])
+        return math.atan2(math.hypot(c[0], c[1]), c[2]), math.atan2(c[1], c[0])
 
     @staticmethod
     def _to_coeffs(polar, azimuth):

@@ -22,6 +22,7 @@ math) or arrays (scan_region, once per grid), bit for bit alike.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
@@ -73,9 +74,9 @@ def _root(x, where=True):
 
 
 def check_winding(n):
-    """n as an int; ValidationError unless it is a positive integer."""
-    if n < 1 or int(n) != n:
-        raise ValidationError("winding n must be a positive integer")
+    """n as an int; ValidationError unless it is a positive integer that a float holds."""
+    if not 1 <= n <= sys.float_info.max or int(n) != n:
+        raise ValidationError("winding n must be a positive integer below 1.8e308")
     return int(n)
 
 

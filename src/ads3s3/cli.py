@@ -63,18 +63,20 @@ def _emit(text, out):
 
 
 def _table(columns, fmt):
-    """Named equal-length float and bool columns as CSV or JSON, one %-template per row.
+    """Named equal-length columns as CSV or JSON, one %-template per row.
 
-    CSV floats carry 17 significant digits and bools read true/false; JSON
-    is the bytes of json.dumps(list_of_row_dicts, indent=2), non-finite as null.
+    CSV floats carry 17 significant digits, bools read true/false and every
+    other cell (int, CSV-only str) reads as str() does; JSON is the bytes of
+    json.dumps(list_of_row_dicts, indent=2), non-finite floats as null.
     """
     cells, slots = [], []
     for values in map(np.asarray, columns.values()):
+        floats = values.dtype.kind == "f"
         # %s writes a float as its repr, which is what json writes
-        slots.append("%.17g" if fmt == "csv" and values.dtype != bool else "%s")
+        slots.append("%.17g" if fmt == "csv" and floats else "%s")
         if values.dtype == bool:
             values = np.where(values, "true", "false")
-        elif fmt == "json" and not np.isfinite(values).all():
+        elif fmt == "json" and floats and not np.isfinite(values).all():
             values = np.where(np.isfinite(values), values.astype(object), "null")
         cells.append(values.tolist())
     rows = zip(*cells)
@@ -129,13 +131,10 @@ def _load_params(args, strict):
 
 
 def cmd_bridge(args):
-    block = bridge_invariants(args.f, args.b, args.n)
-    payload = block.as_dict()
+    payload = bridge_invariants(args.f, args.b, args.n).as_dict()
     if args.format == "csv":
-        cols = list(payload)
-        payload["degenerate"] = ";".join(block.degenerate)
-        text = ",".join(cols) + "\n" + ",".join(
-            str(payload[c]) if c in ("n", "degenerate") else "%.17g" % payload[c] for c in cols) + "\n"
+        payload["degenerate"] = ";".join(payload["degenerate"])
+        text = _table({name: [value] for name, value in payload.items()}, "csv")
     else:
         text = _json(payload)
     _emit(text, args.out)
@@ -330,6 +329,8 @@ def main(argv=None):
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
+    except SystemExit as exc:  # --help has printed; argparse ends it with parser.exit()
+        return exc.code
     try:
         # by name at call time, so that a wrapper bound on the module (perfbench tracing) runs
         return globals()[f"cmd_{args.command}"](args)

@@ -3,14 +3,12 @@
 Induced metrics f_ab = <(g^{-1} d_a g)(g^{-1} d_b g)> per sector, conformal
 gauge residuals, equation-of-motion residuals and mean curvatures.
 
-All derivatives come from one stencil: a single evaluate_matrices call over
-the offsets h*(-2..2) in tau and sigma around every probe point at once
-gives, per sector, g^{-1} and the central differences (f(+h) - f(-h))/(2h)
-along tau and sigma at the inner 3x3 points.  The equations of motion and
-the chirality condition difference those once more; the gauge conditions
-and the metric read the centre.  The error is O(h^2) with a fixed step
-(default 1e-4); the metric checks use the same stencil at h/2 for
-Richardson extrapolation, O(h^4).
+All derivatives are exact and come from one kernel, _derivatives.  Each
+factor of g = (cos th_l I + sin th_l L) g0 (cos th_r I + sin th_r R) has a
+phase linear in (tau, sigma), and a phase derivative maps its (cos, sin)
+pair to (-sin, cos); Leibniz over the two factors gives g_tau, g_sigma,
+g_tautau and g_sigsig through the one product formula of evaluate_matrices.
+The residuals read these arrays directly, with no step size.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ import numpy as np
 
 from .algebra import SECTOR_SIGNS, DegenerateConfigurationError, ValidationError, _adjugate, ads_dot
 from .charges import charge_gap, charges_analytic, charges_numeric, current_matrices
-from .solutions import embedding_surface, evaluate_matrices
-
-DEFAULT_STEP = 1e-4
+from .solutions import _phase_product, embedding_surface, evaluate_matrices
 
 
 def _trace_half(a, b):
@@ -39,61 +35,62 @@ def _metric(rt, rs, sign):
                            axis=-2).real
 
 
-def _differences(sol, taus, sigmas, h):
-    """The one stencil: g^{-1} and central differences around each point.
+def _derivatives(sol, taus, sigmas):
+    """The one kernel: per sector (g^{-1}, g_tau, g_sig, g_tautau, g_sigsig) at each point.
 
-    A single evaluate_matrices call covers the offsets h*(-2..2) in tau and
-    sigma around every (tau, sigma) pair.  Per sector it returns (inv, dt, ds)
-    at the inner 3x3 points, each of shape (points, 3, 3, 2, 2), with the
-    point itself at [:, 1, 1] and dt = (f(tau + h) - f(tau - h)) * (0.5/h).
+    With A = c_l I + s_l L and B = c_r I + s_r R, the terms A^(i) g0 B^(j)
+    of phase-derivative orders i, j <= 1 come from one _phase_product call,
+    (c, s) -> (-s, c) per order; A'' = -A and B'' = -B close Leibniz.  The
+    order-0 term is evaluate_matrices' g bit for bit.  Arrays have shape
+    (points, 2, 2).
     """
-    h = float(h)
-    offs = h * np.arange(-2.0, 3.0)
-    tau = np.asarray(taus, dtype=float)[:, None, None] + offs[:, None]
-    sigma = np.asarray(sigmas, dtype=float)[:, None, None] + offs
-    scale = 0.5 / h
-    return [(_adjugate(f[:, 1:4, 1:4]),
-             (f[:, 2:, 1:4] - f[:, :3, 1:4]) * scale,
-             (f[:, 1:4, 2:] - f[:, 1:4, :3]) * scale)
-            for f in evaluate_matrices(sol, tau, sigma)]
+    tau = np.asarray(taus, dtype=float)
+    sigma = np.asarray(sigmas, dtype=float)
+    out = []
+    for lam, rho, m, n, lmat, rmat, x0 in sol.matrices:
+        th_l = lam * tau + 0.5 * m * sigma
+        th_r = rho * tau + 0.5 * n * sigma
+        c_l, s_l, c_r, s_r = np.cos(th_l), np.sin(th_l), np.cos(th_r), np.sin(th_r)
+        g, g_l, g_r, g_lr = _phase_product(
+            np.stack([c_l, -s_l, c_l, -s_l]), np.stack([s_l, c_l, s_l, c_l]),
+            np.stack([c_r, c_r, -s_r, -s_r]), np.stack([s_r, s_r, c_r, c_r]), lmat, x0, rmat)
+        u, v = 0.5 * m, 0.5 * n  # d th_l / d sigma, d th_r / d sigma
+        out.append((_adjugate(g), lam * g_l + rho * g_r, u * g_l + v * g_r,
+                    2.0 * lam * rho * g_lr - (lam * lam + rho * rho) * g,
+                    2.0 * u * v * g_lr - (u * u + v * v) * g))
+    return out
 
 
-def _eom(inv, dt, ds, h):
-    """Max-norm of d_tau(g^{-1} d_tau g) - d_sig(g^{-1} d_sig g) per point."""
-    scale = 0.5 / h
-    k_tau, k_sig = inv @ dt, inv @ ds
-    res = (k_tau[:, 2, 1] - k_tau[:, 0, 1]) * scale - (k_sig[:, 1, 2] - k_sig[:, 1, 0]) * scale
-    return np.max(np.abs(res), axis=(-2, -1))
+def _eom(inv, gt, gs, gtt, gss):
+    """Max-norm of d_tau(g^{-1} g_tau) - d_sig(g^{-1} g_sig) = g^{-1}(g_tt - g_ss) - R_t^2 + R_s^2."""
+    rt, rs = inv @ gt, inv @ gs
+    return np.max(np.abs(inv @ (gtt - gss) - rt @ rt + rs @ rs), axis=(-2, -1))
 
 
-def _chirality(inv, dt, ds, h):
-    """|d-bar <(g^{-1} d g)^2>| per point, d = (d_tau + d_sig)/2."""
-    d = inv @ (0.5 * (dt + ds))
-    c = _trace_half(d, d)
-    dbar = 0.5 * ((c[:, 2, 1] - c[:, 0, 1]) - (c[:, 1, 2] - c[:, 1, 0])) * (0.5 / h)
+def _chirality(inv, gt, gs, gtt, gss):
+    """|d-bar <J J>| = |2 <J, d-bar J>| per point, J = g^{-1} d g, d = (d_tau + d_sig)/2.
+
+    d-bar J = g^{-1}(g_tt - g_ss)/4 - (g^{-1} d-bar g) J needs no mixed derivative.
+    """
+    j, jbar = inv @ (0.5 * (gt + gs)), inv @ (0.5 * (gt - gs))
+    dbar = 2.0 * _trace_half(j, 0.25 * (inv @ (gtt - gss)) - jbar @ j)
     return np.hypot(dbar.real, dbar.imag)
 
 
-def _chiral_invariants(stencil):
+def _chiral_invariants(derivs):
     """(chi, bar) per sector at each point: <(g^{-1} d g)^2> and its d-bar twin."""
     out = []
-    for sign, (inv, dt, ds) in zip(SECTOR_SIGNS, stencil):
-        rt, rs = inv[:, 1, 1] @ dt[:, 1, 1], inv[:, 1, 1] @ ds[:, 1, 1]
+    for sign, (inv, gt, gs, *_) in zip(SECTOR_SIGNS, derivs):
+        rt, rs = inv @ gt, inv @ gs
         chi, bar = 0.5 * (rt + rs), 0.5 * (rt - rs)
         out += [sign * _trace_half(chi, chi).real, sign * _trace_half(bar, bar).real]
     return out
 
 
-def _metric_numeric(coarse, fine=None):
-    """[ads, sphere] induced metrics at each point; fine at h/2 adds Richardson."""
-    out = []
-    for sign, (inv, dt, ds), half in zip(SECTOR_SIGNS, coarse, fine or (None, None)):
-        dt, ds = dt[:, 1, 1], ds[:, 1, 1]
-        if half is not None:
-            dt = (4.0 * half[1][:, 1, 1] - dt) / 3.0
-            ds = (4.0 * half[2][:, 1, 1] - ds) / 3.0
-        out.append(_metric(inv[:, 1, 1] @ dt, inv[:, 1, 1] @ ds, sign))
-    return out
+def _metric_numeric(derivs):
+    """[ads, sphere] induced metrics at each point."""
+    return [_metric(inv @ gt, inv @ gs, sign)
+            for sign, (inv, gt, gs, *_) in zip(SECTOR_SIGNS, derivs)]
 
 
 @dataclass(frozen=True)
@@ -104,12 +101,9 @@ class InducedMetric:
     sphere: np.ndarray
 
 
-def induced_metric_numeric(sol, tau, sigma, h_step=DEFAULT_STEP, richardson=False):
-    """Induced metric from central-difference derivatives at one point."""
-    if not 1e-6 <= h_step <= 1e-3:
-        raise ValueError("h_step outside the supported range [1e-6, 1e-3]")
-    fine = _differences(sol, [tau], [sigma], 0.5 * h_step) if richardson else None
-    ads, sph = _metric_numeric(_differences(sol, [tau], [sigma], h_step), fine)
+def induced_metric_numeric(sol, tau, sigma):
+    """Induced metric at one point from the field derivatives of _derivatives."""
+    ads, sph = _metric_numeric(_derivatives(sol, [tau], [sigma]))
     return InducedMetric(ads=ads[0], sphere=sph[0])
 
 
@@ -149,7 +143,7 @@ class GaugeResidual:
     mubar2_sphere: float
 
 
-def gauge_residual(sol, tau, sigma, h_step=DEFAULT_STEP):
+def gauge_residual(sol, tau, sigma):
     """Chiral and antichiral gauge conditions at a point.
 
     chiral  = <(g^{-1} d g)^2> + <(h^{-1} d h)^2>   with d = (d_tau + d_sig)/2
@@ -157,27 +151,25 @@ def gauge_residual(sol, tau, sigma, h_step=DEFAULT_STEP):
     per-sector values give mu^2 and mubar^2 read off each projection.
     """
     chi_g, bar_g, chi_h, bar_h = (
-        float(v[0]) for v in _chiral_invariants(_differences(sol, [tau], [sigma], h_step)))
+        float(v[0]) for v in _chiral_invariants(_derivatives(sol, [tau], [sigma])))
     return GaugeResidual(
         chiral=chi_g + chi_h, antichiral=bar_g + bar_h,
         mu2_ads=-chi_g, mu2_sphere=chi_h, mubar2_ads=-bar_g, mubar2_sphere=bar_h,
     )
 
 
-def eom_residual(sol, tau, sigma, h_step=DEFAULT_STEP):
+def eom_residual(sol, tau, sigma):
     """Max-norm residual of d_tau(g^{-1} d_tau g) - d_sig(g^{-1} d_sig g).
 
-    Nested central differences on the 5x5 stencil; exact solutions leave pure
-    O(h^2) discretization error.  Returns (ads, sphere) residuals.
+    Exact derivatives, so exact solutions leave roundoff only.  Returns
+    (ads, sphere) residuals.
     """
-    return tuple(float(_eom(*sector, float(h_step))[0])
-                 for sector in _differences(sol, [tau], [sigma], h_step))
+    return tuple(float(_eom(*sector)[0]) for sector in _derivatives(sol, [tau], [sigma]))
 
 
-def chirality_residual(sol, tau, sigma, h_step=DEFAULT_STEP):
+def chirality_residual(sol, tau, sigma):
     """Residual of the chirality conditions: |d-bar <(g^{-1} d g)^2>| per sector."""
-    return tuple(float(_chirality(*sector, float(h_step))[0])
-                 for sector in _differences(sol, [tau], [sigma], h_step))
+    return tuple(float(_chirality(*sector)[0]) for sector in _derivatives(sol, [tau], [sigma]))
 
 
 def mean_curvatures(inv):
@@ -248,10 +240,12 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
 
     Checks equations of motion, gauge conditions and chirality at five probe
     points, closure under sigma -> sigma + 2pi and the embedding constraints
-    over the grid, constancy of the induced metric (Richardson-extrapolated
-    derivatives) at seven points and its agreement with the closed-form
-    current metric, and quadrature vs analytic charges.  Thresholds can be
-    overridden per key of DEFAULT_THRESHOLDS, each finite and positive.
+    over the grid, constancy of the induced metric at seven points and its
+    agreement with the closed-form current metric, and quadrature vs analytic
+    charges.  One _derivatives call gives every derivative, exactly; the
+    battery never reads current_matrices, so metric_gap compares two
+    independent computations.  Thresholds can be overridden per key of
+    DEFAULT_THRESHOLDS, each finite and positive.
     """
     tol = dict(DEFAULT_THRESHOLDS)
     for key, value in (thresholds or {}).items():
@@ -279,19 +273,18 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     rng = np.random.default_rng(0)
     pt_tau = np.concatenate([rng.uniform(0.0, 1.5, 4), [0.0, 1.1, 0.3]])
     pt_sig = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 4), [0.0, 2.2, 5.0]])
-    coarse = _differences(sol, pt_tau, pt_sig, DEFAULT_STEP)
-    fine = _differences(sol, pt_tau, pt_sig, 0.5 * DEFAULT_STEP)
+    derivs = _derivatives(sol, pt_tau, pt_sig)
 
-    probes = [tuple(a[:5] for a in sector) for sector in coarse]
-    eom = max(float(np.max(_eom(*sector, DEFAULT_STEP))) for sector in probes)
-    chir = max(float(np.max(_chirality(*sector, DEFAULT_STEP))) for sector in probes)
+    probes = [tuple(a[:5] for a in sector) for sector in derivs]
+    eom = max(float(np.max(_eom(*sector))) for sector in probes)
+    chir = max(float(np.max(_chirality(*sector))) for sector in probes)
     chi_g, bar_g, chi_h, bar_h = _chiral_invariants(probes)
     gauge_c = float(np.max(np.abs(chi_g + chi_h)))
     gauge_a = float(np.max(np.abs(bar_g + bar_h)))
 
     # metric constancy and numeric-vs-analytic agreement
     ref = induced_metric_currents(sol)
-    ads, sph = _metric_numeric(coarse, fine)
+    ads, sph = _metric_numeric(derivs)
     gap = max(float(np.max(np.abs(ads - ref.ads))), float(np.max(np.abs(sph - ref.sphere))))
     spread = max(float(np.ptp(ads, axis=0).max()), float(np.ptp(sph, axis=0).max()))
 

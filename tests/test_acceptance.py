@@ -93,7 +93,6 @@ def test_criterion_1_algebra_identities():
 
 def test_criterion_2_exact_solution_verification():
     rng = np.random.default_rng(102)
-    h = 1e-4
     worst = {"eom": 0.0, "gauge": 0.0, "periodicity": 0.0, "embedding": 0.0,
              "metric_spread": 0.0, "metric_gap": 0.0}
     for _ in range(100):
@@ -103,9 +102,9 @@ def test_criterion_2_exact_solution_verification():
         probes = [(rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi)) for _ in range(2)]
 
         for t, s in probes:
-            ra, rs = eom_residual(sol, t, s, h)
+            ra, rs = eom_residual(sol, t, s)
             worst["eom"] = max(worst["eom"], ra, rs)
-            gr = gauge_residual(sol, t, s, h)
+            gr = gauge_residual(sol, t, s)
             worst["gauge"] = max(worst["gauge"], abs(gr.chiral), abs(gr.antichiral))
 
         taus = np.linspace(0.0, 1.2, 3)
@@ -124,7 +123,7 @@ def test_criterion_2_exact_solution_verification():
         expected = induced_metric_analytic(bridge(f, b, n))
         mats = []
         for t, s in probes + [(0.3, 5.1)]:
-            im = induced_metric_numeric(sol, t, s, h, richardson=True)
+            im = induced_metric_numeric(sol, t, s)
             mats.append(np.concatenate([im.ads.ravel(), im.sphere.ravel()]))
             worst["metric_gap"] = max(worst["metric_gap"],
                                       float(np.max(np.abs(im.ads - expected.ads))),

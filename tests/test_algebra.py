@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -281,6 +282,14 @@ class TestUnitVectors:
         back_s = al.UnitSphereVector.from_coeffs(s.coeffs)
         assert abs(back_s.polar - 1.2) <= 1e-12
         assert abs((back_s.azimuth - 5.1 + math.pi) % (2 * math.pi) - math.pi) <= 1e-12
+
+    @pytest.mark.parametrize("vector", [al.UnitTimelikeVector(1e-9, 0.3),
+                                        al.UnitSphereVector(1e-9, 0.3),
+                                        al.UnitSphereVector(math.pi - 1e-9, 0.3)])
+    def test_roundtrip_keeps_digits_near_the_axis(self, vector):
+        # acosh/acos of a coefficient near 1 kept only half the digits (1e-9 came back as 0)
+        back = type(vector).from_coeffs(vector.coeffs)
+        assert np.allclose(astuple(back), astuple(vector), rtol=1e-12, atol=0.0)
 
     def test_past_directed_rejected(self):
         with pytest.raises(al.ValidationError):

@@ -9,6 +9,8 @@ bracket files are stored as compact JSON with the same numbers.
 The verify cases cover the canonical point at n = 1 and n = 5, an n = 2
 solution in a random isometry frame (complex sphere-sector arithmetic) and
 the same parameters with lam scaled by 1 + 1e-3, which must fail (exit 2).
+Their residuals come from exact derivatives, so the passing cases read at
+roundoff (1e-16 to 1e-13), far inside the 1e-12 comparison.
 The charges cases cover the canonical point, where l = r = t0, and the same
 random-frame n = 2 solution, where the closed-form charges conjugate off
 the reference axes.  Their parameter files sit next to the outputs.

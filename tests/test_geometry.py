@@ -5,10 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ads3s3 import algebra, geometry, solutions
-from ads3s3.algebra import DegenerateConfigurationError, ValidationError
-from ads3s3.bridge import bridge, f_max
+from ads3s3.algebra import (
+    AdsAlgebraElement,
+    DegenerateConfigurationError,
+    SphereAlgebraElement,
+    ValidationError,
+    exp_algebra,
+)
+from ads3s3.bridge import admissible, bridge, f_max
 from ads3s3.geometry import (
     chirality_residual,
     eom_residual,
@@ -19,7 +26,7 @@ from ads3s3.geometry import (
     mean_curvatures,
     verify_solution,
 )
-from ads3s3.solutions import apply_isometry, family_solution
+from ads3s3.solutions import apply_isometry, evaluate_matrices, family_solution
 
 from test_solutions import random_isometry, random_solution
 
@@ -71,7 +78,7 @@ class TestInducedMetricNumeric:
     def test_matches_analytic_at_reference(self):
         blk = bridge(F0, B0, 1)
         expected = induced_metric_analytic(blk)
-        im = induced_metric_numeric(reference_solution(), 0.7, 1.9, 1e-4)
+        im = induced_metric_numeric(reference_solution(), 0.7, 1.9)
         assert np.max(np.abs(im.ads - expected.ads)) <= 1e-6
         assert np.max(np.abs(im.sphere - expected.sphere)) <= 1e-6
 
@@ -79,7 +86,7 @@ class TestInducedMetricNumeric:
         rng = np.random.default_rng(51)
         sol = random_solution(rng)
         ref = induced_metric_currents(sol)
-        im = induced_metric_numeric(sol, 0.3, 2.2, 1e-4, richardson=True)
+        im = induced_metric_numeric(sol, 0.3, 2.2)
         assert np.max(np.abs(im.ads - ref.ads)) <= 1e-9
         assert np.max(np.abs(im.sphere - ref.sphere)) <= 1e-9
 
@@ -89,7 +96,7 @@ class TestInducedMetricNumeric:
         mats = []
         for _ in range(10):
             t, s = rng.uniform(0, 2), rng.uniform(0, 2 * math.pi)
-            im = induced_metric_numeric(sol, t, s, 1e-4, richardson=True)
+            im = induced_metric_numeric(sol, t, s)
             mats.append(np.concatenate([im.ads.ravel(), im.sphere.ravel()]))
         spread = np.ptp(np.stack(mats), axis=0).max()
         assert spread <= 1e-8
@@ -104,10 +111,6 @@ class TestInducedMetricNumeric:
         im = induced_metric_numeric(sol, 0.4, 0.9)
         assert np.max(np.abs(im.ads)) <= 1e-14
         assert np.max(np.abs(im.sphere)) <= 1e-14
-
-    def test_step_range_enforced(self):
-        with pytest.raises(ValueError):
-            induced_metric_numeric(reference_solution(), 0.0, 0.0, 1e-8)
 
 
 class TestGaugeResidual:
@@ -233,9 +236,9 @@ class TestVerifySolution:
         assert params == ["sol", "grid", "thresholds"]
 
     def test_field_evaluations_are_batched(self, monkeypatch):
-        # periodicity, embedding, and one stencil each at h and h/2
-        calls = []
-        original = solutions.evaluate_matrices
+        # periodicity and embedding evaluate fields; every derivative comes from one kernel call
+        calls, kernel = [], []
+        original, derivatives = solutions.evaluate_matrices, geometry._derivatives
 
         def counted(*args):
             calls.append(args)
@@ -243,8 +246,11 @@ class TestVerifySolution:
 
         monkeypatch.setattr(solutions, "evaluate_matrices", counted)
         monkeypatch.setattr(geometry, "evaluate_matrices", counted)
+        monkeypatch.setattr(geometry, "_derivatives",
+                            lambda *args: kernel.append(args) or derivatives(*args))
         verify_solution(random_solution(np.random.default_rng(57), n=3))
         assert len(calls) <= 5
+        assert len(kernel) == 1
 
     def test_raw_sectors_built_once(self, monkeypatch):
         # every layer reads SolutionParams.matrices: one matrix per direction, no group element
@@ -265,7 +271,7 @@ class TestVerifySolution:
 
 
 class TestBatteryAgreesWithPointFunctions:
-    """verify_solution's batched stencil equals the public per-point functions."""
+    """verify_solution's batched derivatives equal the public per-point functions."""
 
     def test_report_matches_pointwise_residuals(self):
         sol = perturbed_solution(2e-4)
@@ -280,7 +286,76 @@ class TestBatteryAgreesWithPointFunctions:
         ref = induced_metric_currents(sol)
         gap = 0.0
         for t, s in probes + [(1.1, 2.2), (0.3, 5.0)]:
-            im = induced_metric_numeric(sol, t, s, richardson=True)
+            im = induced_metric_numeric(sol, t, s)
             gap = max(gap, float(np.max(np.abs(im.ads - ref.ads))),
                       float(np.max(np.abs(im.sphere - ref.sphere))))
         assert report.metric_gap == gap
+
+
+class TestDerivativeKernel:
+    """_derivatives against evaluate_matrices: the value bit for bit, the rest by differences."""
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_matches_central_difference_quotients(self, n):
+        # step 1e-3/omega: truncation ~1e-7 and roundoff ~1e-10 relative, for any winding
+        rng = np.random.default_rng(60 + n)
+        sol = random_solution(rng, n=n)
+        taus, sigmas = rng.uniform(0.0, 1.5, 5), rng.uniform(0.0, 2.0 * math.pi, 5)
+        derivs = geometry._derivatives(sol, taus, sigmas)
+        for k, (lam, rho, m, n_, *_) in enumerate(sol.matrices):
+            h = 1e-3 / max(abs(lam), abs(rho), 0.5 * abs(m), 0.5 * abs(n_))
+            g = evaluate_matrices(sol, taus, sigmas)[k]
+            _, gt, gs, gtt, gss = derivs[k]
+            for first, second, dt, ds in ((gt, gtt, h, 0.0), (gs, gss, 0.0, h)):
+                up = evaluate_matrices(sol, taus + dt, sigmas + ds)[k]
+                down = evaluate_matrices(sol, taus - dt, sigmas - ds)[k]
+                assert np.max(np.abs((up - down) / (2.0 * h) - first)) \
+                    <= 1e-6 * np.max(np.abs(first))
+                assert np.max(np.abs((up - 2.0 * g + down) / (h * h) - second)) \
+                    <= 1e-6 * np.max(np.abs(second))
+
+    def test_value_is_evaluate_matrices_bit_for_bit(self):
+        rng = np.random.default_rng(63)
+        sol = random_solution(rng, n=5)
+        taus, sigmas = rng.uniform(0.0, 1.5, 7), rng.uniform(0.0, 2.0 * math.pi, 7)
+        for (inv, *_), g in zip(geometry._derivatives(sol, taus, sigmas),
+                                evaluate_matrices(sol, taus, sigmas)):
+            assert np.array_equal(inv, algebra._adjugate(g))
+
+
+_ADS_FRAME = st.lists(st.floats(-0.8, 0.8), min_size=3, max_size=3)
+_SPHERE_FRAME = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+@st.composite
+def exact_solutions(draw, f_min=1.0):
+    """b in [1, 3], f >= f_min in the band (edges included), n in 1..50, in a random frame."""
+    b = draw(st.floats(1.0, 3.0))
+    lo, hi = max(b, f_min), f_max(b)
+    f = draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
+    assume(admissible(f, b))
+    frame = [exp_algebra(cls(draw(coeffs)), 1.0) for cls, coeffs in (
+        (AdsAlgebraElement, _ADS_FRAME), (AdsAlgebraElement, _ADS_FRAME),
+        (SphereAlgebraElement, _SPHERE_FRAME), (SphereAlgebraElement, _SPHERE_FRAME))]
+    return apply_isometry(family_solution(f, b, draw(st.integers(1, 50))), *frame)
+
+
+class TestVerdictsOverTheBand:
+    """Exact solutions verify and broken ones fail, at every winding up to 50."""
+
+    @given(exact_solutions())
+    def test_exact_solution_verifies(self, sol):
+        report = verify_solution(sol)
+        assert report.ok, report.failures
+
+    # The break is first order in e, a ~ sqrt(f - 1) and so drops below the absolute
+    # thresholds near the (1, 1) corner, where the string collapses to a point.
+    @given(exact_solutions(f_min=1.01), st.sampled_from(["lam", "rho", "lam_s", "rho_s"]),
+           st.sampled_from([1e-4, -1e-4]))
+    def test_broken_relation_fails(self, sol, field, eps):
+        assert not verify_solution(replace(sol, **{field: getattr(sol, field) * (1.0 + eps)})).ok
+
+    @pytest.mark.xfail(strict=True, reason="first-order relation residual not in the battery")
+    def test_corner_break_fails(self):
+        sol = family_solution(1.0, 1.0, 1)
+        assert not verify_solution(replace(sol, lam_s=sol.lam_s * (1.0 + 1e-3))).ok
