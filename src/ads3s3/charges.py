@@ -8,7 +8,8 @@ directions,
     L = (lam + rho cosh 2theta) l,      R = (lam cosh 2theta + rho) r,
 
 and similarly with cos 2theta_s on the sphere; the coefficients are the
-left/right Casimir magnitudes.
+left/right Casimir magnitudes.  The closed-form currents read the phases
+and the field product of solutions, not its derivative kernel.
 """
 
 from __future__ import annotations
@@ -20,19 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SECTOR_ALGEBRAS, AdsAlgebraElement, SphereAlgebraElement, _adjugate, inner
-from .solutions import theta_invariants
-
-_EYE2 = np.eye(2)
-
-
-def _conj_by_unit_exp(cos_t, sin_t, mid, unit):
-    """exp(t*u) M exp(-t*u) for u*u = -I, vectorized over the phase arrays."""
-    c = np.asarray(cos_t)[..., None, None]
-    s = np.asarray(sin_t)[..., None, None]
-    um = unit @ mid
-    mu = mid @ unit
-    umu = um @ unit
-    return c * c * mid + c * s * (um - mu) - s * s * umu
+from .solutions import _phase_product, _phases, theta_invariants
 
 
 @dataclass(frozen=True)
@@ -48,33 +37,25 @@ class SectorCurrents:
 def current_matrices(sol, tau, sigma):
     """Closed-form current matrices, broadcast over tau / sigma arrays.
 
-    Returns (ads, sphere) SectorCurrents holding raw 2x2 matrices with the
-    broadcast shape of tau x sigma in the leading axes.
+    Each conjugates a direction by one factor, exp(th u) M exp(-th u) =
+    (c I + s u) M (c I - s u).  Returns (ads, sphere) SectorCurrents of raw
+    2x2 matrices with the broadcast shape of tau x sigma in the leading axes.
     """
-    return _current_matrices(sol.matrices, tau, sigma)
-
-
-def _current_matrices(sectors, tau, sigma):
-    """current_matrices on raw sectors (lam, rho, m, n, l, r, x0) of 2x2 arrays."""
     tau = np.asarray(tau, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-
-    def sector(lam, rho, m, n, lmat, rmat, g0):
+    out = []
+    for lam, rho, m, n, lmat, rmat, g0 in sol.matrices:
         g0inv = _adjugate(g0)
-        th_l = lam * tau + 0.5 * m * sigma
-        th_r = rho * tau + 0.5 * n * sigma
-        mid_l = g0 @ rmat @ g0inv
-        mid_r = g0inv @ lmat @ g0
-        conj_l = _conj_by_unit_exp(np.cos(th_l), np.sin(th_l), mid_l, lmat)
-        conj_r = _conj_by_unit_exp(np.cos(th_r), -np.sin(th_r), mid_r, rmat)
-        return SectorCurrents(
+        c_l, s_l, c_r, s_r = _phases(lam, rho, m, n, tau, sigma)
+        conj_l = _phase_product(c_l, s_l, c_l, -s_l, lmat, g0 @ rmat @ g0inv, lmat)
+        conj_r = _phase_product(c_r, -s_r, c_r, s_r, rmat, g0inv @ lmat @ g0, rmat)
+        out.append(SectorCurrents(
             L_tau=lam * lmat + rho * conj_l,
             L_sig=0.5 * m * lmat + 0.5 * n * conj_l,
             R_tau=lam * conj_r + rho * rmat,
             R_sig=0.5 * m * conj_r + 0.5 * n * rmat,
-        )
-
-    return tuple(sector(*raw) for raw in sectors)
+        ))
+    return tuple(out)
 
 
 def currents(sol, tau, sigma):

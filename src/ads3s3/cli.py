@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: bridge, verify, sample, scan, charges, brackets.  Exit codes:
-0 success, 1 validation or usage error, 2 numeric verification failure.
+0 success, 1 validation or usage error (also an arithmetic overflow or an
+allocation that does not fit in memory), 2 numeric verification failure.
 Outputs are deterministic; CSV floats carry 17 significant digits so golden
 files round-trip exactly.  scan and sample write column tables (_table).
 The parser is built once per process, at import; main only parses with it.
@@ -332,10 +333,12 @@ def main(argv=None):
     except SystemExit as exc:  # --help has printed; argparse ends it with parser.exit()
         return exc.code
     try:
+        # overflow raises, for one line below (scan and sample set their own errstate);
         # by name at call time, so that a wrapper bound on the module (perfbench tracing) runs
-        return globals()[f"cmd_{args.command}"](args)
-    except (ValidationError, RegionError, DegenerateConfigurationError,
-            OSError, json.JSONDecodeError) as exc:
+        with np.errstate(over="raise"):
+            return globals()[f"cmd_{args.command}"](args)
+    except (ValidationError, RegionError, DegenerateConfigurationError, OSError,
+            json.JSONDecodeError, FloatingPointError, OverflowError, MemoryError) as exc:
         print(f"ads3s3 {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

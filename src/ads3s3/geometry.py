@@ -3,12 +3,8 @@
 Induced metrics f_ab = <(g^{-1} d_a g)(g^{-1} d_b g)> per sector, conformal
 gauge residuals, equation-of-motion residuals and mean curvatures.
 
-All derivatives are exact and come from one kernel, _derivatives.  Each
-factor of g = (cos th_l I + sin th_l L) g0 (cos th_r I + sin th_r R) has a
-phase linear in (tau, sigma), and a phase derivative maps its (cos, sin)
-pair to (-sin, cos); Leibniz over the two factors gives g_tau, g_sigma,
-g_tautau and g_sigsig through the one product formula of evaluate_matrices.
-The residuals read these arrays directly, with no step size.
+All derivatives are exact, from the one kernel solutions._derivatives; the
+residuals read its arrays directly, with no step size.
 """
 
 from __future__ import annotations
@@ -18,9 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SECTOR_SIGNS, DegenerateConfigurationError, ValidationError, _adjugate, ads_dot
+from .algebra import (
+    SECTOR_SIGNS,
+    AdsGroupElement,
+    DegenerateConfigurationError,
+    SphereGroupElement,
+    ValidationError,
+    ads_dot,
+)
 from .charges import charge_gap, charges_analytic, charges_numeric, current_matrices
-from .solutions import _phase_product, embedding_surface, evaluate_matrices
+from .solutions import _derivatives, evaluate_matrices
 
 
 def _trace_half(a, b):
@@ -33,32 +36,6 @@ def _metric(rt, rs, sign):
     return sign * np.stack([np.stack([_trace_half(rt, rt), _trace_half(rt, rs)], axis=-1),
                             np.stack([_trace_half(rs, rt), _trace_half(rs, rs)], axis=-1)],
                            axis=-2).real
-
-
-def _derivatives(sol, taus, sigmas):
-    """The one kernel: per sector (g^{-1}, g_tau, g_sig, g_tautau, g_sigsig) at each point.
-
-    With A = c_l I + s_l L and B = c_r I + s_r R, the terms A^(i) g0 B^(j)
-    of phase-derivative orders i, j <= 1 come from one _phase_product call,
-    (c, s) -> (-s, c) per order; A'' = -A and B'' = -B close Leibniz.  The
-    order-0 term is evaluate_matrices' g bit for bit.  Arrays have shape
-    (points, 2, 2).
-    """
-    tau = np.asarray(taus, dtype=float)
-    sigma = np.asarray(sigmas, dtype=float)
-    out = []
-    for lam, rho, m, n, lmat, rmat, x0 in sol.matrices:
-        th_l = lam * tau + 0.5 * m * sigma
-        th_r = rho * tau + 0.5 * n * sigma
-        c_l, s_l, c_r, s_r = np.cos(th_l), np.sin(th_l), np.cos(th_r), np.sin(th_r)
-        g, g_l, g_r, g_lr = _phase_product(
-            np.stack([c_l, -s_l, c_l, -s_l]), np.stack([s_l, c_l, s_l, c_l]),
-            np.stack([c_r, c_r, -s_r, -s_r]), np.stack([s_r, s_r, c_r, c_r]), lmat, x0, rmat)
-        u, v = 0.5 * m, 0.5 * n  # d th_l / d sigma, d th_r / d sigma
-        out.append((_adjugate(g), lam * g_l + rho * g_r, u * g_l + v * g_r,
-                    2.0 * lam * rho * g_lr - (lam * lam + rho * rho) * g,
-                    2.0 * u * v * g_lr - (u * u + v * v) * g))
-    return out
 
 
 def _eom(inv, gt, gs, gtt, gss):
@@ -103,7 +80,7 @@ class InducedMetric:
 
 def induced_metric_numeric(sol, tau, sigma):
     """Induced metric at one point from the field derivatives of _derivatives."""
-    ads, sph = _metric_numeric(_derivatives(sol, [tau], [sigma]))
+    ads, sph = _metric_numeric(_derivatives(sol.matrices, [tau], [sigma]))
     return InducedMetric(ads=ads[0], sphere=sph[0])
 
 
@@ -151,7 +128,7 @@ def gauge_residual(sol, tau, sigma):
     per-sector values give mu^2 and mubar^2 read off each projection.
     """
     chi_g, bar_g, chi_h, bar_h = (
-        float(v[0]) for v in _chiral_invariants(_derivatives(sol, [tau], [sigma])))
+        float(v[0]) for v in _chiral_invariants(_derivatives(sol.matrices, [tau], [sigma])))
     return GaugeResidual(
         chiral=chi_g + chi_h, antichiral=bar_g + bar_h,
         mu2_ads=-chi_g, mu2_sphere=chi_h, mubar2_ads=-bar_g, mubar2_sphere=bar_h,
@@ -164,12 +141,12 @@ def eom_residual(sol, tau, sigma):
     Exact derivatives, so exact solutions leave roundoff only.  Returns
     (ads, sphere) residuals.
     """
-    return tuple(float(_eom(*sector)[0]) for sector in _derivatives(sol, [tau], [sigma]))
+    return tuple(float(_eom(*s)[0]) for s in _derivatives(sol.matrices, [tau], [sigma]))
 
 
 def chirality_residual(sol, tau, sigma):
     """Residual of the chirality conditions: |d-bar <(g^{-1} d g)^2>| per sector."""
-    return tuple(float(_chirality(*sector)[0]) for sector in _derivatives(sol, [tau], [sigma]))
+    return tuple(float(_chirality(*s)[0]) for s in _derivatives(sol.matrices, [tau], [sigma]))
 
 
 def mean_curvatures(inv):
@@ -242,8 +219,9 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     points, closure under sigma -> sigma + 2pi and the embedding constraints
     over the grid, constancy of the induced metric at seven points and its
     agreement with the closed-form current metric, and quadrature vs analytic
-    charges.  One _derivatives call gives every derivative, exactly; the
-    battery never reads current_matrices, so metric_gap compares two
+    charges.  One evaluate_matrices call gives the grid fields and one
+    _derivatives call every derivative, exactly; metric_gap compares the
+    latter with the closed-form conjugation of current_matrices, two
     independent computations.  Thresholds can be overridden per key of
     DEFAULT_THRESHOLDS, each finite and positive.
     """
@@ -260,12 +238,12 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     taus = np.linspace(0.0, 1.5, n_tau)
     sigmas = np.linspace(0.0, 2.0 * math.pi, n_sig, endpoint=False)
 
-    # periodicity and embedding constraints over the full grid
+    # periodicity and embedding constraints over the full grid, from one evaluation
     g, h = evaluate_matrices(sol, taus[:, None, None],
                              np.stack([sigmas, sigmas + 2.0 * math.pi]))
     periodicity = max(float(np.max(np.abs(g[:, 0] - g[:, 1]))),
                       float(np.max(np.abs(h[:, 0] - h[:, 1]))))
-    y, x = embedding_surface(sol, taus, sigmas)
+    y, x = AdsGroupElement.embed(g[:, 0]), SphereGroupElement.embed(h[:, 0])
     embedding = max(float(np.max(np.abs(ads_dot(y, y) + 1.0))),
                     float(np.max(np.abs(np.einsum("...i,...i->...", x, x) - 1.0))))
 
@@ -273,7 +251,7 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     rng = np.random.default_rng(0)
     pt_tau = np.concatenate([rng.uniform(0.0, 1.5, 4), [0.0, 1.1, 0.3]])
     pt_sig = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 4), [0.0, 2.2, 5.0]])
-    derivs = _derivatives(sol, pt_tau, pt_sig)
+    derivs = _derivatives(sol.matrices, pt_tau, pt_sig)
 
     probes = [tuple(a[:5] for a in sector) for sector in derivs]
     eom = max(float(np.max(_eom(*sector))) for sector in probes)

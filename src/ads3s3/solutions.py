@@ -9,6 +9,8 @@ with unit vectors l, r (timelike) and l_s, r_s, constant g0, h0, and
 frequencies tied to the integer windings by 4 lam rho = m n,
 4 lam_s rho_s = m_s n_s.  Same parity of m and n (and of m_s, n_s) closes
 the string: sigma -> sigma + 2pi multiplies the factors by (-1)^m (-1)^n.
+The field kernels on raw sectors live here: _phases, _phase_product and the
+exact derivatives of _derivatives.
 """
 
 from __future__ import annotations
@@ -107,15 +109,19 @@ def make_solution(lam, rho, m, n, lhat, rhat, g0,
                           lam_s, rho_s, m_s, n_s, lhat_s, rhat_s, h0)
 
 
+def _phases(lam, rho, m, n, tau, sigma):
+    """(cos, sin) of th_l = lam tau + m sigma/2 and of th_r = rho tau + n sigma/2."""
+    th_l = lam * tau + 0.5 * m * sigma
+    th_r = rho * tau + 0.5 * n * sigma
+    return np.cos(th_l), np.sin(th_l), np.cos(th_r), np.sin(th_r)
+
+
 def _phase_product(c_l, s_l, c_r, s_r, left_mat, g0_mat, right_mat):
     """(c_l I + s_l L) g0 (c_r I + s_r R) broadcast over phase arrays."""
     lg = left_mat @ g0_mat
     gr = g0_mat @ right_mat
     lgr = left_mat @ gr
-    c_l = np.asarray(c_l)[..., None, None]
-    s_l = np.asarray(s_l)[..., None, None]
-    c_r = np.asarray(c_r)[..., None, None]
-    s_r = np.asarray(s_r)[..., None, None]
+    c_l, s_l, c_r, s_r = (np.asarray(a)[..., None, None] for a in (c_l, s_l, c_r, s_r))
     return c_l * c_r * g0_mat + c_l * s_r * gr + s_l * c_r * lg + s_l * s_r * lgr
 
 
@@ -126,20 +132,33 @@ def evaluate_matrices(sol, tau, sigma):
     exponentials reduce to cos/sin pairs and the product is assembled from
     four constant matrices.
     """
-    return _field_matrices(sol.matrices, tau, sigma)
-
-
-def _field_matrices(sectors, tau, sigma):
-    """evaluate_matrices on raw sectors (lam, rho, m, n, l, r, x0) of 2x2 arrays."""
     tau = np.asarray(tau, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
+    return tuple(_phase_product(*_phases(lam, rho, m, n, tau, sigma), lmat, x0, rmat)
+                 for lam, rho, m, n, lmat, rmat, x0 in sol.matrices)
+
+
+def _derivatives(sectors, taus, sigmas):
+    """Per raw sector (as in SolutionParams.matrices) g^{-1}, g_tau, g_sig, g_tautau, g_sigsig.
+
+    With A = c_l I + s_l L and B = c_r I + s_r R, the terms A^(i) g0 B^(j) of
+    phase-derivative orders i, j <= 1 come from one _phase_product call,
+    (c, s) -> (-s, c) per order; A'' = -A and B'' = -B close Leibniz.  The
+    order-0 term is evaluate_matrices' g bit for bit.
+    """
+    tau = np.asarray(taus, dtype=float)
+    sigma = np.asarray(sigmas, dtype=float)
     out = []
     for lam, rho, m, n, lmat, rmat, x0 in sectors:
-        th_l = lam * tau + 0.5 * m * sigma
-        th_r = rho * tau + 0.5 * n * sigma
-        out.append(_phase_product(np.cos(th_l), np.sin(th_l), np.cos(th_r), np.sin(th_r),
-                                  lmat, x0, rmat))
-    return tuple(out)
+        c_l, s_l, c_r, s_r = _phases(lam, rho, m, n, tau, sigma)
+        g, g_l, g_r, g_lr = _phase_product(
+            np.stack([c_l, -s_l, c_l, -s_l]), np.stack([s_l, c_l, s_l, c_l]),
+            np.stack([c_r, c_r, -s_r, -s_r]), np.stack([s_r, s_r, c_r, c_r]), lmat, x0, rmat)
+        u, v = 0.5 * m, 0.5 * n  # d th_l / d sigma, d th_r / d sigma
+        out.append((_adjugate(g), lam * g_l + rho * g_r, u * g_l + v * g_r,
+                    2.0 * lam * rho * g_lr - (lam * lam + rho * rho) * g,
+                    2.0 * u * v * g_lr - (u * u + v * v) * g))
+    return out
 
 
 def evaluate(sol, tau, sigma):

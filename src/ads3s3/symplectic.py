@@ -32,9 +32,9 @@ orbit blocks reproduce the charge coefficients, the remainder being the
 
 Validation happens at the boundary: chart points and StringChart.solution
 are validated types, while the 25 solutions behind one form stay raw 2x2
-arrays from the algebra kernels, fed to the field and current kernels of
-evaluate_matrices and current_matrices, with the chart conditions checked
-on those raw numbers.
+arrays from the algebra kernels, fed to the derivative kernel of solutions
+(one call per solution gives g^{-1} and g_tau, so g and R_tau), with the
+chart conditions checked on those raw numbers.
 
 Poisson brackets use {F, G} = -grad(F)^T omega^{-1} grad(G); the global
 sign is fixed once by matching {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho on
@@ -59,12 +59,12 @@ from .algebra import (
     UnitSphereVector,
     UnitTimelikeVector,
     ValidationError,
+    _adjugate,
     _dot,
     _exp_matrix,
     _normalized_commutator,
 )
-from .charges import _current_matrices
-from .solutions import SolutionParams, _field_matrices
+from .solutions import SolutionParams, _derivatives
 
 # One central-difference layer: h ~ eps^(1/3) balances the h^2 truncation,
 # which grows near the l = r chart singularity, against eps/h roundoff.
@@ -459,25 +459,22 @@ class StringChart(_OrbitChart):
     def _chart_fields(self, x):
         """Per-sector (R_tau, V_j, d_j R_tau) at chart vector x, sigma-sampled.
 
-        V_j = g^{-1} d_j g and d_j R_tau come from one central difference of
-        the closed-form fields over the 24 displaced solutions; the arrays
-        are (sigma, 2, 2) for R_tau and (12, sigma, 2, 2) for the others.
+        One _derivatives call per solution gives g = adj(g^{-1}) and R_tau = g^{-1} g_tau;
+        V_j = g^{-1} d_j g and d_j R_tau are one central difference over the 24
+        displaced solutions, (12, sigma, 2, 2) arrays; R_tau is (sigma, 2, 2).
         """
         def fields(z):
-            sectors = self._raw_solution(z)[0]
-            g, h = _field_matrices(sectors, self.tau, self.sigma)
-            ads, sph = _current_matrices(sectors, self.tau, self.sigma)
-            return (g, ads.R_tau), (h, sph.R_tau)
+            return [(inv, _adjugate(inv), inv @ g_t) for inv, g_t, *_ in
+                    _derivatives(self._raw_solution(z)[0], self.tau, self.sigma)]
 
         shifts = FORM_STEP * np.eye(12)
         plus = [fields(x + e) for e in shifts]
         minus = [fields(x - e) for e in shifts]
         out = []
-        for k, (mat, r_tau) in enumerate(fields(x)):
-            d_mat = np.stack([p[k][0] - m[k][0] for p, m in zip(plus, minus)])
-            d_r = np.stack([p[k][1] - m[k][1] for p, m in zip(plus, minus)])
-            out.append((r_tau, np.linalg.inv(mat) @ d_mat / (2.0 * FORM_STEP),
-                        d_r / (2.0 * FORM_STEP)))
+        for k, (inv, _, r_tau) in enumerate(fields(x)):
+            d_mat = np.stack([p[k][1] - m[k][1] for p, m in zip(plus, minus)])
+            d_r = np.stack([p[k][2] - m[k][2] for p, m in zip(plus, minus)])
+            out.append((r_tau, inv @ d_mat / (2.0 * FORM_STEP), d_r / (2.0 * FORM_STEP)))
         return out
 
     def presymplectic(self, x=None):

@@ -466,6 +466,8 @@ class TestParameterFileMisuse:
         ("g0", "[[1, 2], [3]]", "inhomogeneous"),
         ("n", "1.5", "not an integer"),
         ("lhat", '{"rapidity": 800.0, "angle": 0.0}', "overflow"),
+        # cosh(709) is finite, so only the field arithmetic overflows
+        ("lhat", '{"rapidity": 709.0, "angle": 0.0}', "overflow"),
     ])
     def test_bad_field_exits_one(self, capsys, tmp_path, command, field, value, text):
         data = golden_params()
@@ -494,6 +496,29 @@ class TestParameterFileMisuse:
         assert_one_line_error(
             *run(capsys, "bridge", "--f", F_REF, "--b", B_REF, "--out", str(tmp_path)),
             "Is a directory")
+
+
+class TestHugeInputs:
+    """Overflow and exhausted memory end in one line; the suite allocates nothing huge."""
+
+    @pytest.mark.parametrize("command", ["verify", "charges", "sample"])
+    def test_winding_product_overflow_exits_one(self, capsys, command):
+        # n = 10**300 passes the winding check, but m n no longer converts to a float
+        assert_one_line_error(*run(capsys, command, "--f", "1.5", "--b", "1.25",
+                                   "--n", "1" + "0" * 300), "too large")
+
+    @staticmethod
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+    @pytest.mark.parametrize("target, argv", [
+        ("embedding_surface", ["sample", "--f", F_REF, "--b", B_REF,
+                               "--tau-steps", "1000000", "--sigma-steps", "1000000"]),
+        ("scan_region", ["scan", "--grid", "1:3:1000000,1:2:1000000"]),
+    ])
+    def test_memory_error_exits_one(self, capsys, monkeypatch, target, argv):
+        monkeypatch.setattr(cli, target, self.refuse)
+        assert_one_line_error(*run(capsys, *argv), "Unable to allocate")
 
 
 class TestNoPassEverything:

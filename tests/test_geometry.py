@@ -16,6 +16,7 @@ from ads3s3.algebra import (
     exp_algebra,
 )
 from ads3s3.bridge import admissible, bridge, f_max
+from ads3s3.charges import current_matrices
 from ads3s3.geometry import (
     chirality_residual,
     eom_residual,
@@ -236,9 +237,9 @@ class TestVerifySolution:
         assert params == ["sol", "grid", "thresholds"]
 
     def test_field_evaluations_are_batched(self, monkeypatch):
-        # periodicity and embedding evaluate fields; every derivative comes from one kernel call
+        # one field evaluation serves periodicity and embedding; one kernel call every derivative
         calls, kernel = [], []
-        original, derivatives = solutions.evaluate_matrices, geometry._derivatives
+        original, derivatives = solutions.evaluate_matrices, solutions._derivatives
 
         def counted(*args):
             calls.append(args)
@@ -249,7 +250,7 @@ class TestVerifySolution:
         monkeypatch.setattr(geometry, "_derivatives",
                             lambda *args: kernel.append(args) or derivatives(*args))
         verify_solution(random_solution(np.random.default_rng(57), n=3))
-        assert len(calls) <= 5
+        assert len(calls) == 1
         assert len(kernel) == 1
 
     def test_raw_sectors_built_once(self, monkeypatch):
@@ -292,8 +293,25 @@ class TestBatteryAgreesWithPointFunctions:
         assert report.metric_gap == gap
 
 
+_ADS_FRAME = st.lists(st.floats(-0.8, 0.8), min_size=3, max_size=3)
+_SPHERE_FRAME = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+@st.composite
+def exact_solutions(draw, f_min=1.0):
+    """b in [1, 3], f >= f_min in the band (edges included), n in 1..50, in a random frame."""
+    b = draw(st.floats(1.0, 3.0))
+    lo, hi = max(b, f_min), f_max(b)
+    f = draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
+    assume(admissible(f, b))
+    frame = [exp_algebra(cls(draw(coeffs)), 1.0) for cls, coeffs in (
+        (AdsAlgebraElement, _ADS_FRAME), (AdsAlgebraElement, _ADS_FRAME),
+        (SphereAlgebraElement, _SPHERE_FRAME), (SphereAlgebraElement, _SPHERE_FRAME))]
+    return apply_isometry(family_solution(f, b, draw(st.integers(1, 50))), *frame)
+
+
 class TestDerivativeKernel:
-    """_derivatives against evaluate_matrices: the value bit for bit, the rest by differences."""
+    """solutions._derivatives against evaluate_matrices and the closed-form currents."""
 
     @pytest.mark.parametrize("n", [1, 7, 40])
     def test_matches_central_difference_quotients(self, n):
@@ -301,7 +319,7 @@ class TestDerivativeKernel:
         rng = np.random.default_rng(60 + n)
         sol = random_solution(rng, n=n)
         taus, sigmas = rng.uniform(0.0, 1.5, 5), rng.uniform(0.0, 2.0 * math.pi, 5)
-        derivs = geometry._derivatives(sol, taus, sigmas)
+        derivs = solutions._derivatives(sol.matrices, taus, sigmas)
         for k, (lam, rho, m, n_, *_) in enumerate(sol.matrices):
             h = 1e-3 / max(abs(lam), abs(rho), 0.5 * abs(m), 0.5 * abs(n_))
             g = evaluate_matrices(sol, taus, sigmas)[k]
@@ -318,26 +336,23 @@ class TestDerivativeKernel:
         rng = np.random.default_rng(63)
         sol = random_solution(rng, n=5)
         taus, sigmas = rng.uniform(0.0, 1.5, 7), rng.uniform(0.0, 2.0 * math.pi, 7)
-        for (inv, *_), g in zip(geometry._derivatives(sol, taus, sigmas),
+        for (inv, *_), g in zip(solutions._derivatives(sol.matrices, taus, sigmas),
                                 evaluate_matrices(sol, taus, sigmas)):
             assert np.array_equal(inv, algebra._adjugate(g))
 
-
-_ADS_FRAME = st.lists(st.floats(-0.8, 0.8), min_size=3, max_size=3)
-_SPHERE_FRAME = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
-
-
-@st.composite
-def exact_solutions(draw, f_min=1.0):
-    """b in [1, 3], f >= f_min in the band (edges included), n in 1..50, in a random frame."""
-    b = draw(st.floats(1.0, 3.0))
-    lo, hi = max(b, f_min), f_max(b)
-    f = draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
-    assume(admissible(f, b))
-    frame = [exp_algebra(cls(draw(coeffs)), 1.0) for cls, coeffs in (
-        (AdsAlgebraElement, _ADS_FRAME), (AdsAlgebraElement, _ADS_FRAME),
-        (SphereAlgebraElement, _SPHERE_FRAME), (SphereAlgebraElement, _SPHERE_FRAME))]
-    return apply_isometry(family_solution(f, b, draw(st.integers(1, 50))), *frame)
+    @given(exact_solutions())
+    def test_currents_match_closed_form(self, sol):
+        # current_matrices conjugates by one factor; the kernel multiplies by Leibniz.
+        # Both cancel terms of size omega |g|^2, so roundoff scales with that, not with
+        # the currents, which vanish at the (1, 1) corner.
+        taus, sigmas = np.linspace(0.0, 1.5, 5), np.linspace(0.0, 2.0 * math.pi, 5)
+        for (lam, rho, m, n, *_), (inv, gt, gs, *_), cur in zip(
+                sol.matrices, solutions._derivatives(sol.matrices, taus, sigmas),
+                current_matrices(sol, taus, sigmas)):
+            scale = max(abs(lam), abs(rho), 0.5 * abs(m), 0.5 * abs(n)) * np.max(np.abs(inv)) ** 2
+            for kernel, exact in zip((gt @ inv, gs @ inv, inv @ gt, inv @ gs),
+                                     (cur.L_tau, cur.L_sig, cur.R_tau, cur.R_sig)):
+                assert np.max(np.abs(kernel - exact)) <= 1e-12 * scale
 
 
 class TestVerdictsOverTheBand:
