@@ -15,13 +15,12 @@ and the field product of solutions, not its derivative kernel.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import SECTOR_ALGEBRAS, AdsAlgebraElement, SphereAlgebraElement, _adjugate, inner
-from .solutions import _phase_product, _phases, theta_invariants
+from .solutions import _periodic_sigmas, _phase_product, _phases, theta_invariants
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class ChargeSet:
     m_L_s: float
     m_R_s: float
 
-
     @property
     def vectors(self):
         return self.L, self.R, self.L_s, self.R_s
@@ -96,21 +94,12 @@ def charge_gap(a, b):
     return max(float(np.max(np.abs(u.coeffs - v.coeffs))) for u, v in zip(a.vectors, b.vectors))
 
 
-def charges_numeric(sol, tau=0.0, quad_points=None):
+def charges_numeric(sol, tau=0.0):
     """Charges by trapezoidal quadrature of the tau-currents over sigma.
 
-    The integrands are trigonometric polynomials in sigma, so the uniform
-    periodic trapezoid rule is exact once quad_points exceeds the bandwidth;
-    below the bound 4(|m|+|n|+|m_s|+|n_s|)+16 a warning is emitted.  The
-    default is the larger of 256 and that bound.
+    The nodes of _periodic_sigmas from 256 up make it exact at any winding.
     """
-    n_min = 4 * (abs(sol.m) + abs(sol.n) + abs(sol.m_s) + abs(sol.n_s)) + 16
-    if quad_points is None:
-        quad_points = max(256, n_min)
-    if quad_points < n_min:
-        warnings.warn(f"quad_points={quad_points} below recommended {n_min}; "
-                      "quadrature may lose spectral accuracy", stacklevel=2)
-    sigmas = np.linspace(0.0, 2.0 * math.pi, quad_points, endpoint=False)
+    sigmas = _periodic_sigmas(256, sol.m, sol.n, sol.m_s, sol.n_s)
     out = []
     for cls, cur in zip(SECTOR_ALGEBRAS, current_matrices(sol, float(tau), sigmas)):
         out += [cls.from_matrix(cur.L_tau.mean(axis=0)), cls.from_matrix(cur.R_tau.mean(axis=0))]

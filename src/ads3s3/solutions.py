@@ -9,8 +9,8 @@ with unit vectors l, r (timelike) and l_s, r_s, constant g0, h0, and
 frequencies tied to the integer windings by 4 lam rho = m n,
 4 lam_s rho_s = m_s n_s.  Same parity of m and n (and of m_s, n_s) closes
 the string: sigma -> sigma + 2pi multiplies the factors by (-1)^m (-1)^n.
-The field kernels on raw sectors live here: _phases, _phase_product and the
-exact derivatives of _derivatives.
+The field kernels on raw sectors live here: _phases, _phase_product, the
+exact derivatives of _derivatives and the sigma-nodes of _periodic_sigmas.
 """
 
 from __future__ import annotations
@@ -123,6 +123,17 @@ def _phase_product(c_l, s_l, c_r, s_r, left_mat, g0_mat, right_mat):
     lgr = left_mat @ gr
     c_l, s_l, c_r, s_r = (np.asarray(a)[..., None, None] for a in (c_l, s_l, c_r, s_r))
     return c_l * c_r * g0_mat + c_l * s_r * gr + s_l * c_r * lg + s_l * s_r * lgr
+
+
+def _periodic_sigmas(count, *windings):
+    """Periodic trapezoid nodes on [0, 2pi): count of them, or the next count dividing no winding.
+
+    N nodes average e^{ik sigma} exactly unless N divides k, and the library's
+    sigma-averages (charges, string form) carry only 0 and the windings as frequencies.
+    """
+    while any(w % count == 0 for w in windings if w):
+        count += 1
+    return np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
 
 
 def evaluate_matrices(sol, tau, sigma):
@@ -372,13 +383,13 @@ def params_from_dict(data, strict=True):
 
     strict=False skips the frequency/parity relations (group validity is
     always enforced) so that verification can probe invalid parameters.
-    Windings must be integral; a fractional one is rejected, not truncated.
+    Windings must be integral; a fractional or boolean one is rejected, not truncated.
     """
     def winding(name):
-        w = int(data[name])
-        if w != float(data[name]):
-            raise ValidationError(f"winding {name} = {data[name]!r} is not an integer")
-        return w
+        w = data[name]
+        if isinstance(w, bool) or int(w) != float(w):
+            raise ValidationError(f"winding {name} = {w!r} is not an integer")
+        return int(w)
 
     try:
         h0 = np.array([[complex(re, im) for re, im in row] for row in data["h0"]])
@@ -396,7 +407,7 @@ def params_from_dict(data, strict=True):
         )
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed parameter file: {exc}") from exc
     if strict:
         return make_solution(**kwargs)

@@ -64,12 +64,12 @@ from .algebra import (
     _exp_matrix,
     _normalized_commutator,
 )
-from .solutions import SolutionParams, _derivatives
+from .solutions import SolutionParams, _derivatives, _periodic_sigmas
 
 # One central-difference layer: h ~ eps^(1/3) balances the h^2 truncation,
 # which grows near the l = r chart singularity, against eps/h roundoff.
 FORM_STEP = 5e-6
-SIGMA_POINTS = 64  # sigma samples of the string 1-form's quadrature
+SIGMA_POINTS = 64  # base count of the string 1-form's sigma nodes, see _periodic_sigmas
 DEFAULT_GRAD_STEP = 1e-6
 
 
@@ -401,12 +401,12 @@ class StringChart(_OrbitChart):
     labels = ("l1", "l2", "r1", "r2", "ls_u", "ls_v", "rs_u", "rs_v",
               "f", "b", "phi1", "phi2")
     coefficient_index = {"m_L": 0, "m_R": 1, "m_L_s": 2, "m_R_s": 3}
-    sigma = np.linspace(0.0, 2.0 * math.pi, SIGMA_POINTS, endpoint=False)
     sphere_gauge_sign = -1.0
 
     def __init__(self, point, tau=0.0):
         self.n = int(point.n)
         self.tau = float(tau)
+        self.sigma = _periodic_sigmas(SIGMA_POINTS, self.n)
         super().__init__(point)
 
     def _extra_coords(self, point):

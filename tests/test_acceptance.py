@@ -174,8 +174,8 @@ def test_criterion_3_bridge_reproduction():
 def test_criterion_4_charges():
     sol = family_solution(F0, B0, 1)
     ana = charges_analytic(sol)
-    num0 = charges_numeric(sol, tau=0.0, quad_points=256)
-    num1 = charges_numeric(sol, tau=1.7, quad_points=256)
+    num0 = charges_numeric(sol, tau=0.0)
+    num1 = charges_numeric(sol, tau=1.7)
 
     quad_gap = max(float(np.max(np.abs(a.coeffs - b.coeffs))) for a, b in (
         (num0.L, ana.L), (num0.R, ana.R), (num0.L_s, ana.L_s), (num0.R_s, ana.R_s)))

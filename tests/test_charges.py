@@ -1,9 +1,9 @@
+import inspect
 import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from ads3s3 import algebra as al
 from ads3s3.algebra import (
@@ -24,7 +24,13 @@ from ads3s3.charges import (
     currents,
 )
 from ads3s3.geometry import induced_metric_currents
-from ads3s3.solutions import apply_isometry, evaluate_matrices, family_solution, make_solution
+from ads3s3.solutions import (
+    _periodic_sigmas,
+    apply_isometry,
+    evaluate_matrices,
+    family_solution,
+    make_solution,
+)
 
 from test_solutions import random_isometry, random_solution
 
@@ -133,7 +139,7 @@ class TestChargesReference:
 
     def test_quadrature_matches_closed_form(self):
         sol = reference_solution()
-        num = charges_numeric(sol, quad_points=256)
+        num = charges_numeric(sol)
         ana = charges_analytic(sol)
         for a, b in ((num.L, ana.L), (num.R, ana.R), (num.L_s, ana.L_s), (num.R_s, ana.R_s)):
             assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-10
@@ -176,9 +182,18 @@ class TestEdgeCases:
         assert np.max(np.abs(ana.L.coeffs - 0.7 * sol.lhat.coeffs)) <= 1e-14
         assert np.max(np.abs(num.R.coeffs - ana.R.coeffs)) <= 1e-12
 
-    def test_small_quadrature_warns(self):
-        with pytest.warns(UserWarning, match="quad_points"):
-            charges_numeric(reference_solution(), quad_points=8)
+    def test_node_count_steps_past_a_dividing_winding(self):
+        # 256 divides every winding, so 256 nodes would alias each e^{i 256 sigma} onto the mean
+        sol = make_solution(-128.0, 128.0, -256, 256, UnitTimelikeVector(0.4, 1.0),
+                            UnitTimelikeVector(0.2, 2.0), exp_algebra(al.ads_basis()[1], 0.3),
+                            128.0, 128.0, 256, 256, UnitSphereVector.from_coeffs([0.6, 0.0, 0.8]),
+                            UnitSphereVector(), exp_algebra(al.sphere_basis()[1], 0.4))
+        assert _periodic_sigmas(256, sol.m, sol.n, sol.m_s, sol.n_s).size == 257
+        ana = charges_analytic(sol)
+        assert charge_gap(charges_numeric(sol), ana) <= 1e-12 * ana.m_L
+
+    def test_quadrature_has_no_node_knob(self):
+        assert list(inspect.signature(charges_numeric).parameters) == ["sol", "tau"]
 
     def test_particle_limit_symmetric(self):
         # cosh2theta = 1 and cos2theta_s = 1: left and right Casimirs agree
@@ -194,7 +209,7 @@ class TestEdgeCases:
 class TestChargeGap:
     def test_largest_coefficient_difference(self):
         sol = random_solution(np.random.default_rng(65), n=2)
-        ana, num = charges_analytic(sol), charges_numeric(sol, quad_points=64)
+        ana, num = charges_analytic(sol), charges_numeric(sol)
         by_hand = max(float(np.max(np.abs(a.coeffs - b.coeffs))) for a, b in (
             (ana.L, num.L), (ana.R, num.R), (ana.L_s, num.L_s), (ana.R_s, num.R_s)))
         assert charge_gap(ana, num) == by_hand == charge_gap(num, ana)

@@ -318,6 +318,13 @@ class TestChargesCommand:
         assert code == 0
         assert strict_loads(out)["quadrature_gap"] <= 1e-10
 
+    def test_million_winding_on_fixed_node_count(self, capsys):
+        # the node count does not grow with n, so this allocates no more than n = 1
+        code, out, _ = run(capsys, "charges", "--f", F_REF, "--b", B_REF, "--n", "1000000")
+        assert code == 0
+        payload = strict_loads(out)
+        assert payload["quadrature_gap"] <= 1e-10 * payload["mL"]
+
 
 class TestBracketsCommand:
     def test_particle_mode(self, capsys):
@@ -465,6 +472,8 @@ class TestParameterFileMisuse:
         ("n", "1e400", "infinity"),
         ("g0", "[[1, 2], [3]]", "inhomogeneous"),
         ("n", "1.5", "not an integer"),
+        ("m", "true", "not an integer"),
+        ("lhat", "[1.0, 2.0]", "malformed"),
         ("lhat", '{"rapidity": 800.0, "angle": 0.0}', "overflow"),
         # cosh(709) is finite, so only the field arithmetic overflows
         ("lhat", '{"rapidity": 709.0, "angle": 0.0}', "overflow"),

@@ -212,7 +212,7 @@ class TestVerifySolution:
         assert report.ok
 
     def test_high_winding_charges_follow_bandwidth_bound(self):
-        # n = 40 needs 656 quadrature points; a pinned 256 warned and lost accuracy
+        # n = 40 with 256 sigma nodes: exact, since 256 divides no winding
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = verify_solution(family_solution(F0, B0, 40))
