@@ -18,7 +18,13 @@ from ads3s3 import (
     poisson_bracket,
 )
 from ads3s3.charges import charge_coefficients, charges_analytic
-from ads3s3.symplectic import expected_bracket, gradient
+from ads3s3.symplectic import (
+    BRACKET_STRUCTURE,
+    CHARGE_NAMES,
+    bracket_table,
+    expected_bracket,
+    gradient,
+)
 
 point = ParticleChartPoint(
     lhat=UnitTimelikeVector(0.4, 0.7), rhat=UnitTimelikeVector(0.8, 2.1),
@@ -33,11 +39,9 @@ print("mass shell: m = sqrt(M^2 + m_s^2) =", point.m)
 print("form condition number:", f"{form.condition_number:.1f}")
 
 print("\nbrackets vs the left/right algebra:")
+values = dict(zip(CHARGE_NAMES, chart.charges(x)))
 for a, b in (("L1", "L2"), ("R1", "R2"), ("L0", "R1"), ("Ls1", "Ls2"), ("Rs1", "Rs2")):
     got = poisson_bracket(chart.charge_function(a), chart.charge_function(b), form, x)
-    values = {n: chart.charge_function(n)(x)
-              for n in ("L0", "L1", "L2", "R0", "R1", "R2",
-                        "Ls1", "Ls2", "Ls3", "Rs1", "Rs2", "Rs3")}
     print(f"  {{{a}, {b}}} = {got:+.8f}   expected {expected_bracket(a, b, values):+.8f}")
 
 print("\n== string phase space (numeric d-theta on the 12-chart) ==")
@@ -58,16 +62,12 @@ for name, g, e in zip(("m_L", "m_R", "m_L^s", "m_R^s"), got, expect):
     print(f"  {name:6s} block {g:+.8f}   charges {e:+.8f}")
 
 print("\nstring charge brackets close on the same algebra:")
-names = ["L0", "L1", "L2", "R0", "R1", "R2", "Ls1", "Ls2", "Ls3", "Rs1", "Rs2", "Rs3"]
-values = {n: schart.charge_function(n)(sx) for n in names}
-grads = np.stack([gradient(schart.charge_function(n), sx) for n in names])
+grads = gradient(schart.charges, sx)  # the 12 x 12 Jacobian of the charge vector
 table = -grads @ sform.inverse() @ grads.T
-worst = max(abs(table[i, j] - expected_bracket(a, b, values))
-            for i, a in enumerate(names) for j, b in enumerate(names))
+worst = np.max(np.abs(table - BRACKET_STRUCTURE @ schart.charges(sx)))
 print("  max deviation over all pairs:", f"{worst:.2e}")
 
 print("\ninvariant functions are central:")
 for cas in ("m_L", "m_R", "m_L_s", "m_R_s"):
-    vals = [abs(poisson_bracket(schart.charge_function(cas),
-                                schart.charge_function(n), sform, sx)) for n in names]
-    print(f"  max |{{{cas}, charges}}| = {max(vals):.2e}")
+    row = bracket_table([schart.charge_function(cas), schart.charges], sform, sx)[0, 1:]
+    print(f"  max |{{{cas}, charges}}| = {np.max(np.abs(row)):.2e}")

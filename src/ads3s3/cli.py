@@ -28,12 +28,12 @@ from .charges import charge_coefficients, charge_gap, charges_analytic, charges_
 from .geometry import DEFAULT_THRESHOLDS, verify_solution
 from .solutions import embedding_surface, family_solution, params_from_dict
 from .symplectic import (
+    BRACKET_STRUCTURE,
     ParticleChart,
     ParticleChartPoint,
     StringChart,
     StringChartPoint,
     bracket_table,
-    expected_bracket,
 )
 
 
@@ -239,16 +239,8 @@ def _random_string_point(rng, n=1):
 
 def _algebra_residual(chart, form, x):
     """Max deviation of the charge brackets from the left/right algebra."""
-    worst = 0.0
-    names = [f"{side}{i}" for side in ("L", "R") for i in range(3)] + \
-            [f"{side}{i}" for side in ("Ls", "Rs") for i in (1, 2, 3)]
-    functions = [chart.charge_function(name) for name in names]
-    values = {name: fn(x) for name, fn in zip(names, functions)}
-    table = bracket_table(functions, form, x)
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            worst = max(worst, abs(float(table[i, j]) - expected_bracket(a, b, values)))
-    return worst
+    table = bracket_table([chart.charges], form, x)
+    return float(np.max(np.abs(table - BRACKET_STRUCTURE @ chart.charges(x))))
 
 
 def cmd_brackets(args):

@@ -55,10 +55,11 @@ class SolutionParams:
     """Parameter chart of a particle-type solution.
 
     Plain container: group membership of g0, h0 and unit normalization of
-    the direction vectors are enforced by their types, while the frequency
-    relations and winding parity are checked by make_solution.  Keeping the
-    container permissive lets verification commands evaluate deliberately
-    invalid parameter sets and watch the residuals react.
+    the direction vectors are enforced by their types and finite frequencies
+    here, while the frequency relations and winding parity are checked by
+    make_solution.  Keeping the container permissive lets verification
+    commands evaluate deliberately invalid parameter sets and watch the
+    residuals react.
     """
 
     lam: float
@@ -75,6 +76,12 @@ class SolutionParams:
     lhat_s: UnitSphereVector
     rhat_s: UnitSphereVector
     h0: SphereGroupElement
+
+    def __post_init__(self):
+        for name in ("lam", "rho", "lam_s", "rho_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"frequency {name} = {value!r} is not finite")
 
     @property
     def sectors(self):
@@ -100,13 +107,14 @@ def make_solution(lam, rho, m, n, lhat, rhat, g0,
                   lam_s, rho_s, m_s, n_s, lhat_s, rhat_s, h0):
     """Validated constructor enforcing the closed-string relations."""
     m, n, m_s, n_s = check_windings(m, n, m_s, n_s)
+    sol = SolutionParams(lam, rho, m, n, lhat, rhat, g0,
+                         lam_s, rho_s, m_s, n_s, lhat_s, rhat_s, h0)
     if abs(4.0 * lam * rho - m * n) > RELATION_TOL * max(1.0, abs(m * n)):
         raise ValidationError(f"4 lam rho = {4.0 * lam * rho} differs from m n = {m * n}")
     if abs(4.0 * lam_s * rho_s - m_s * n_s) > RELATION_TOL * max(1.0, abs(m_s * n_s)):
         raise ValidationError(
             f"4 lam_s rho_s = {4.0 * lam_s * rho_s} differs from m_s n_s = {m_s * n_s}")
-    return SolutionParams(lam, rho, m, n, lhat, rhat, g0,
-                          lam_s, rho_s, m_s, n_s, lhat_s, rhat_s, h0)
+    return sol
 
 
 def _phases(lam, rho, m, n, tau, sigma):

@@ -36,7 +36,9 @@ arrays from the algebra kernels, fed to the derivative kernel of solutions
 (one call per solution gives g^{-1} and g_tau, so g and R_tau), with the
 chart conditions checked on those raw numbers.
 
-Poisson brackets use {F, G} = -grad(F)^T omega^{-1} grad(G); the global
+Poisson brackets use {F, G} = -grad(F)^T omega^{-1} grad(G).  Each chart's
+charges(x) is the vector Q of the twelve CHARGE_NAMES, so one Jacobian gives
+the whole table {Q_a, Q_b}, which closes on BRACKET_STRUCTURE @ Q.  The global
 sign is fixed once by matching {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho on
 the AdS left block.
 """
@@ -52,6 +54,7 @@ from .bridge import admissible as _admissible, check_winding, family_angles, fam
 from .algebra import (
     EPS,
     EPS_MIXED,
+    ETA,
     SECTOR_SIGNS,
     AdsAlgebraElement,
     DegenerateConfigurationError,
@@ -71,6 +74,16 @@ from .solutions import SolutionParams, _derivatives, _periodic_sigmas
 FORM_STEP = 5e-6
 SIGMA_POINTS = 64  # base count of the string 1-form's sigma nodes, see _periodic_sigmas
 DEFAULT_GRAD_STEP = 1e-6
+
+# the components of chart.charges(x): L_mu, R_mu (AdS, lower index), Ls_m, Rs_m
+CHARGE_NAMES = ("L0", "L1", "L2", "R0", "R1", "R2",
+                "Ls1", "Ls2", "Ls3", "Rs1", "Rs2", "Rs3")
+
+# {Q_a, Q_b} = sum_c BRACKET_STRUCTURE[a, b, c] Q_c over CHARGE_NAMES: -2 eps_{mu nu}^rho
+# on L, +2 eps_{mu nu}^rho on R, +2 eps_{mnl} on Ls, -2 eps_{mnl} on Rs, zero across blocks
+BRACKET_STRUCTURE = np.zeros((12, 12, 12))
+for _k, _block in enumerate((-2.0 * EPS_MIXED, 2.0 * EPS_MIXED, 2.0 * EPS, -2.0 * EPS)):
+    BRACKET_STRUCTURE[3 * _k:3 * _k + 3, 3 * _k:3 * _k + 3, 3 * _k:3 * _k + 3] = _block
 
 
 @dataclass(frozen=True)
@@ -115,14 +128,10 @@ class TwoFormMatrix:
 
 
 def gradient(fn, x, step=DEFAULT_GRAD_STEP):
-    """Central-difference gradient of a scalar chart function."""
+    """Central-difference gradient of a scalar chart function, or the Jacobian of a vector one."""
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * step)
-    return g
+    return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * step)
+                     for e in step * np.eye(x.size)], axis=-1)
 
 
 def poisson_bracket(F, G, omega, x, step=DEFAULT_GRAD_STEP):
@@ -137,12 +146,12 @@ def poisson_bracket(F, G, omega, x, step=DEFAULT_GRAD_STEP):
 
 
 def bracket_table(functions, form, x, step=DEFAULT_GRAD_STEP):
-    """All pairwise brackets {F_a, F_b} at x as one matrix.
+    """All pairwise brackets at x of the functions' components (a row each) as one matrix.
 
     The gradients are stacked into G and the table -G omega^{-1} G^T comes
     from a single solve, which keeps the singular-form guard of inverse().
     """
-    grads = np.stack([gradient(fn, x, step) for fn in functions])
+    grads = np.concatenate([np.atleast_2d(gradient(fn, x, step)) for fn in functions])
     return -grads @ form.solve(grads.T)
 
 
@@ -192,10 +201,6 @@ class _SphereChartAxes:
 
 def _ads_from_chart(l1, l2):
     return np.array([math.sqrt(1.0 + l1 * l1 + l2 * l2), l1, l2])
-
-
-# chart slots of the charges L, R (AdS, lower index) and Ls, Rs (sphere)
-_CHARGE_SLOTS = {"L": 0, "R": 1, "Ls": 2, "Rs": 3}
 
 
 class _OrbitChart:
@@ -249,28 +254,28 @@ class _OrbitChart:
         return tuple(scale * float(form.matrix[2 * k, 2 * k + 1])
                      for k, scale in enumerate(self._block_normalisers(self._x0)))
 
-    def charge_function(self, name):
-        """Chart function for a charge component or an orbit coefficient.
+    def charges(self, x):
+        """The twelve charge components at chart vector x, in CHARGE_NAMES order.
 
-        Names: L0..L2, R0..R2 (AdS, lower index), Ls1..Ls3, Rs1..Rs3 and the
-        keys of coefficient_index.  A charge is its orbit coefficient times
-        its unit direction.
+        Each is its orbit coefficient times its direction, the AdS ones lowered by eta.
         """
-        coeffs = self.orbit_coefficients
+        dirs = np.array([self._direction(k, x) for k in range(4)])
+        dirs[:2] = dirs[:2] @ ETA
+        return (np.array(self.orbit_coefficients(x))[:, None] * dirs).ravel()
+
+    def charge_function(self, name):
+        """Scalar chart function of one charge component or orbit coefficient.
+
+        Names: CHARGE_NAMES and the keys of coefficient_index; any other
+        name is rejected here, before the function is evaluated.
+        """
         if name in self.coefficient_index:
             k = self.coefficient_index[name]
-            return lambda x: float(coeffs(x)[k])
-        slot = _CHARGE_SLOTS.get(name[:-1])
-        if slot is None or not name[-1].isdigit():
+            return lambda x: float(self.orbit_coefficients(x)[k])
+        if name not in CHARGE_NAMES:
             raise ValueError(f"unknown charge function {name!r}")
-        idx = int(name[-1])
-        if slot < 2:
-            def component(vec):
-                return -vec[0] if idx == 0 else vec[idx]
-        else:
-            def component(vec):
-                return vec[idx - 1]
-        return lambda x: float(coeffs(x)[slot] * component(self._direction(slot, x)))
+        k = CHARGE_NAMES.index(name)
+        return lambda x: float(self.charges(x)[k])
 
 
 @dataclass(frozen=True)
@@ -502,31 +507,12 @@ class StringChart(_OrbitChart):
 
 
 def expected_bracket(name_a, name_b, values):
-    """Target value of {A, B} for charge components and Casimir functions.
+    """Target value of {A, B}, read from BRACKET_STRUCTURE.
 
-        {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho   {R_mu, R_nu} = +2 eps_{mu nu}^rho R_rho
-        {Ls_m, Ls_n} = +2 eps_{mnl} Ls_l          {Rs_m, Rs_n} = -2 eps_{mnl} Rs_l
-
-    with everything else (cross-sector, left-right, Casimirs) zero.  values
-    maps component names to their numbers at the evaluation point.
+    0.0 unless both names are in CHARGE_NAMES (Casimirs commute with everything).
+    values maps charge names to their numbers; only those {A, B} involves are read.
     """
-    def split(name):
-        for fam in ("Ls", "Rs", "L", "R"):
-            if name.startswith(fam) and name[len(fam):].isdigit():
-                return fam, int(name[len(fam):])
-        return name, None
-
-    fam_a, i = split(name_a)
-    fam_b, j = split(name_b)
-    if fam_a != fam_b or i is None or j is None:
+    if name_a not in CHARGE_NAMES or name_b not in CHARGE_NAMES:
         return 0.0
-    if fam_a == "L":
-        return float(-2.0 * sum(EPS_MIXED[i, j, r] * values[f"L{r}"] for r in range(3)))
-    if fam_a == "R":
-        return float(2.0 * sum(EPS_MIXED[i, j, r] * values[f"R{r}"] for r in range(3)))
-    if fam_a == "Ls":
-        return float(2.0 * sum(EPS[i - 1, j - 1, l] * values[f"Ls{l + 1}"]
-                               for l in range(3)))
-    return float(-2.0 * sum(EPS[i - 1, j - 1, l] * values[f"Rs{l + 1}"]
-                            for l in range(3)))
-
+    row = BRACKET_STRUCTURE[CHARGE_NAMES.index(name_a), CHARGE_NAMES.index(name_b)]
+    return float(sum(row[c] * values[CHARGE_NAMES[c]] for c in np.flatnonzero(row)))

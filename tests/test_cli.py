@@ -477,6 +477,9 @@ class TestParameterFileMisuse:
         ("lhat", '{"rapidity": 800.0, "angle": 0.0}', "overflow"),
         # cosh(709) is finite, so only the field arithmetic overflows
         ("lhat", '{"rapidity": 709.0, "angle": 0.0}', "overflow"),
+        # a non-finite frequency is named, before any arithmetic warns on it
+        ("lam", "1e400", "frequency lam = inf"),
+        ("rho_s", "NaN", "frequency rho_s = nan"),
     ])
     def test_bad_field_exits_one(self, capsys, tmp_path, command, field, value, text):
         data = golden_params()

@@ -106,6 +106,23 @@ class TestMakeSolution:
                 lhat_s=UnitSphereVector(), rhat_s=UnitSphereVector(),
                 h0=SphereGroupElement.identity())
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lam", "rho", "lam_s", "rho_s"])
+    def test_non_finite_frequency_rejected(self, field, value):
+        # abs(nan) > tol is False, so the relation check alone lets nan through
+        kwargs = dict(lam=1.5, rho=-1.0 / 6.0, m=-1, n=1,
+                      lhat=UnitTimelikeVector(), rhat=UnitTimelikeVector(),
+                      g0=AdsGroupElement.identity(),
+                      lam_s=1.0, rho_s=0.25, m_s=1, n_s=1,
+                      lhat_s=UnitSphereVector(), rhat_s=UnitSphereVector(),
+                      h0=SphereGroupElement.identity())
+        with pytest.raises(ValidationError, match=f"frequency {field} = "):
+            make_solution(**{**kwargs, field: value})
+        data = params_to_dict(make_solution(**kwargs))
+        for strict in (True, False):
+            with pytest.raises(ValidationError, match=f"frequency {field} = "):
+                params_from_dict({**data, field: value}, strict=strict)
+
     def test_static_point_accepted(self):
         sol = make_solution(
             lam=0.0, rho=0.0, m=0, n=0,

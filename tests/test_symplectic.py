@@ -23,6 +23,8 @@ from ads3s3.charges import (
 from ads3s3.geometry import eom_residual
 from ads3s3.solutions import evaluate_matrices, theta_invariants
 from ads3s3.symplectic import (
+    BRACKET_STRUCTURE,
+    CHARGE_NAMES,
     FORM_STEP,
     ParticleChart,
     ParticleChartPoint,
@@ -41,10 +43,6 @@ from test_solutions import g_from_LR
 T0, T1, T2 = al.ads_basis()
 S1, S2, S3 = al.sphere_basis()
 F0, B0 = 5.0 / 3.0, 5.0 / 4.0
-
-ADS_NAMES = ["L0", "L1", "L2", "R0", "R1", "R2"]
-SPH_NAMES = ["Ls1", "Ls2", "Ls3", "Rs1", "Rs2", "Rs3"]
-ALL_NAMES = ADS_NAMES + SPH_NAMES
 
 
 def random_timelike(rng, lo=0.1, hi=1.0):
@@ -84,16 +82,28 @@ def random_string_point(rng, n=1):
                             phi2=rng.uniform(0, 1.5), n=n)
 
 
-def bracket_table_residual(chart, form, x, names=ALL_NAMES, step=1e-6):
-    """Max |{A,B} - expected| over all charge-component pairs."""
-    values = {n: chart.charge_function(n)(x) for n in names}
-    grads = np.stack([gradient(chart.charge_function(n), x, step) for n in names])
+def bracket_table_residual(chart, form, x, step=1e-6):
+    """Max |{A,B} - expected| over all charge-component pairs, from one charge Jacobian."""
+    values = dict(zip(CHARGE_NAMES, chart.charges(x)))
+    grads = gradient(chart.charges, x, step)
     table = -grads @ form.inverse() @ grads.T
-    worst = 0.0
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            worst = max(worst, abs(table[i, j] - expected_bracket(a, b, values)))
-    return worst
+    return max(abs(table[i, j] - expected_bracket(a, b, values))
+               for i, a in enumerate(CHARGE_NAMES) for j, b in enumerate(CHARGE_NAMES))
+
+
+def jacobi_residual(chart, x, step=1e-4):
+    """Max |{A,{B,C}} + {B,{C,A}} + {C,{A,B}}| over all charge-component triples.
+
+    The inner table takes its gradients at the default step, the outer
+    brackets differentiate the whole table at `step`.
+    """
+    def table(y):
+        return bracket_table([chart.charges], chart.form(y), y).ravel()
+
+    # outer[a, b, c] = {Q_a, {Q_b, Q_c}}
+    outer = bracket_table([chart.charges, table], chart.form(x), x, step)[:12, 12:]
+    outer = outer.reshape(12, 12, 12)
+    return float(np.max(np.abs(outer + outer.transpose(1, 2, 0) + outer.transpose(2, 0, 1))))
 
 
 def entry(form, label_a, label_b):
@@ -391,7 +401,7 @@ class TestParticleSymplectic:
         x = chart.coords(point)
         form = chart.form(x)
         for cas in ("m_L", "m_s"):
-            for name in ALL_NAMES:
+            for name in CHARGE_NAMES:
                 got = poisson_bracket(chart.charge_function(cas),
                                       chart.charge_function(name), form, x)
                 assert abs(got) <= 1e-6
@@ -400,20 +410,7 @@ class TestParticleSymplectic:
         rng = np.random.default_rng(78)
         point = random_particle_point(rng)
         chart = ParticleChart(point)
-        x = chart.coords(point)
-
-        def pb(a, b):
-            def fn(y):
-                return poisson_bracket(chart.charge_function(a),
-                                       chart.charge_function(b), chart.form(y), y)
-            return fn
-
-        for trip in (("L0", "L1", "L2"), ("Ls1", "Ls2", "Ls3"), ("L1", "R2", "Ls3")):
-            a, b, c = trip
-            total = (poisson_bracket(chart.charge_function(a), pb(b, c), chart.form, x, step=1e-4)
-                     + poisson_bracket(chart.charge_function(b), pb(c, a), chart.form, x, step=1e-4)
-                     + poisson_bracket(chart.charge_function(c), pb(a, b), chart.form, x, step=1e-4))
-            assert abs(total) <= 1e-4
+        assert jacobi_residual(chart, chart.coords(point)) <= 1e-4
 
     def test_closedness_fd_on_leaves(self):
         # The assembled block form is the leaf-wise splitting: it is closed
@@ -567,7 +564,7 @@ class TestStringSymplectic:
         x = chart.coords(point)
         form = chart.form(x)
         for cas in ("m_L", "m_R", "m_L_s", "m_R_s"):
-            for name in ALL_NAMES + ["m_L", "m_R", "m_L_s", "m_R_s"]:
+            for name in CHARGE_NAMES + ("m_L", "m_R", "m_L_s", "m_R_s"):
                 got = poisson_bracket(chart.charge_function(cas),
                                       chart.charge_function(name), form, x)
                 assert abs(got) <= 1e-5
@@ -704,7 +701,7 @@ class TestPoissonBracketProperties:
         form = chart.form(x)
         assert abs(np.linalg.det(form.matrix)) > 1e-300
         with pytest.raises(DegenerateConfigurationError, match="singular"):
-            bracket_table([chart.charge_function(name) for name in ALL_NAMES], form, x)
+            bracket_table([chart.charges], form, x)
 
     def test_table_matches_pairwise_brackets(self):
         rng = np.random.default_rng(96)
@@ -713,12 +710,54 @@ class TestPoissonBracketProperties:
             chart = chart_cls(point)
             x = chart.coords(point)
             form = chart.form(x)
-            functions = [chart.charge_function(name) for name in ALL_NAMES]
-            table = bracket_table(functions, form, x)
+            functions = [chart.charge_function(name) for name in CHARGE_NAMES]
+            # the one-Jacobian table of the charge vector against scalar brackets
+            table = bracket_table([chart.charges], form, x)
             grads = [gradient(fn, x) for fn in functions]
             inv = form.inverse()
+            assert np.max(np.abs(table + table.T)) <= 1e-10
             for i, fa in enumerate(functions):
                 for j, fb in enumerate(functions):
-                    assert abs(table[i, j] - poisson_bracket(fa, fb, form, x)) <= 1e-10
                     # the explicit -dF omega^{-1} dG, independent of the solve
                     assert abs(table[i, j] + grads[i] @ inv @ grads[j]) <= 1e-10
+                    if j >= i:  # the lower half follows by the antisymmetry above
+                        assert abs(table[i, j] - poisson_bracket(fa, fb, form, x)) <= 1e-10
+
+
+class TestChargeNames:
+    @pytest.mark.parametrize("name", ["Ls0", "Rs0", "L3", "R9", "Ls4", "L", "m_x"])
+    def test_unknown_name_rejected_at_creation(self, name):
+        rng = np.random.default_rng(99)
+        for chart in (ParticleChart(random_particle_point(rng)),
+                      StringChart(random_string_point(rng))):
+            with pytest.raises(ValueError, match="unknown charge function"):
+                chart.charge_function(name)
+        values = dict(zip(CHARGE_NAMES, np.arange(1.0, 13.0)))
+        assert expected_bracket(name, "Ls1", values) == 0.0
+        assert expected_bracket("Ls1", name, values) == 0.0
+
+    def test_charge_functions_are_the_charge_vector(self):
+        rng = np.random.default_rng(100)
+        for chart_cls, point in ((ParticleChart, random_particle_point(rng)),
+                                 (StringChart, random_string_point(rng))):
+            chart = chart_cls(point)
+            x = chart.coords(point)
+            q = chart.charges(x)
+            assert [chart.charge_function(name)(x) for name in CHARGE_NAMES] == q.tolist()
+            # L_mu = m_L eta_{mu nu} l^nu: the Casimir -L.L = m_L^2, and Ls.Ls = m_L_s^2
+            m_L, _, m_L_s, _ = chart.orbit_coefficients(x)
+            assert abs(-q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + m_L ** 2) <= 1e-12 * m_L ** 2
+            assert abs(q[6:9] @ q[6:9] - m_L_s ** 2) <= 1e-12 * m_L_s ** 2
+
+    def test_bracket_structure_is_the_basis_algebra(self):
+        # left charges close on minus the basis commutators, right ones on plus
+        expected = np.zeros((12, 12, 12))
+        for k, cls in enumerate(al.SECTOR_ALGEBRAS):
+            basis = cls._basis
+            comm = np.array([[cls._project(basis[a] @ basis[b] - basis[b] @ basis[a])
+                              for b in range(3)] for a in range(3)])
+            assert np.all(comm.imag == 0.0)
+            for side, sign in enumerate((-1.0, 1.0)):
+                block = slice(6 * k + 3 * side, 6 * k + 3 * side + 3)
+                expected[block, block, block] = sign * comm.real
+        assert np.array_equal(BRACKET_STRUCTURE, expected)
