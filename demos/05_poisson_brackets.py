@@ -15,14 +15,12 @@ from ads3s3 import (
     StringChartPoint,
     UnitSphereVector,
     UnitTimelikeVector,
-    poisson_bracket,
 )
 from ads3s3.charges import charge_coefficients, charges_analytic
 from ads3s3.symplectic import (
     BRACKET_STRUCTURE,
     CHARGE_NAMES,
     bracket_table,
-    expected_bracket,
     gradient,
 )
 
@@ -39,10 +37,11 @@ print("mass shell: m = sqrt(M^2 + m_s^2) =", point.m)
 print("form condition number:", f"{form.condition_number:.1f}")
 
 print("\nbrackets vs the left/right algebra:")
-values = dict(zip(CHARGE_NAMES, chart.charges(x)))
+table = bracket_table([chart.charges], form, x)  # {Q_a, Q_b} over CHARGE_NAMES
+expected = BRACKET_STRUCTURE @ chart.charges(x)
 for a, b in (("L1", "L2"), ("R1", "R2"), ("L0", "R1"), ("Ls1", "Ls2"), ("Rs1", "Rs2")):
-    got = poisson_bracket(chart.charge_function(a), chart.charge_function(b), form, x)
-    print(f"  {{{a}, {b}}} = {got:+.8f}   expected {expected_bracket(a, b, values):+.8f}")
+    i, j = CHARGE_NAMES.index(a), CHARGE_NAMES.index(b)
+    print(f"  {{{a}, {b}}} = {table[i, j]:+.8f}   expected {expected[i, j]:+.8f}")
 
 print("\n== string phase space (numeric d-theta on the 12-chart) ==")
 spoint = StringChartPoint(
@@ -68,6 +67,7 @@ worst = np.max(np.abs(table - BRACKET_STRUCTURE @ schart.charges(sx)))
 print("  max deviation over all pairs:", f"{worst:.2e}")
 
 print("\ninvariant functions are central:")
-for cas in ("m_L", "m_R", "m_L_s", "m_R_s"):
-    row = bracket_table([schart.charge_function(cas), schart.charges], sform, sx)[0, 1:]
+# rows: the four orbit coefficients; columns: the twelve charges
+central = bracket_table([schart.orbit_coefficients, schart.charges], sform, sx)[:4, 4:]
+for cas, row in zip(("m_L", "m_R", "m_L_s", "m_R_s"), central):
     print(f"  max |{{{cas}, charges}}| = {np.max(np.abs(row)):.2e}")

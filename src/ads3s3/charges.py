@@ -97,12 +97,13 @@ def charge_gap(a, b):
 def charges_numeric(sol, tau=0.0):
     """Charges by trapezoidal quadrature of the tau-currents over sigma.
 
-    The nodes of _periodic_sigmas from 256 up make it exact at any winding.
+    The nodes of _periodic_sigmas from 256 up make it exact at any winding.  The averages skip
+    from_matrix, whose absolute trace check rejects entries of size n or of a boosted frame.
     """
     sigmas = _periodic_sigmas(256, sol.m, sol.n, sol.m_s, sol.n_s)
     out = []
     for cls, cur in zip(SECTOR_ALGEBRAS, current_matrices(sol, float(tau), sigmas)):
-        out += [cls.from_matrix(cur.L_tau.mean(axis=0)), cls.from_matrix(cur.R_tau.mean(axis=0))]
+        out += [cls(cls._project(c.mean(axis=0)).real) for c in (cur.L_tau, cur.R_tau)]
     return _charge_set(*out)
 
 

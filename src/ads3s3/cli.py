@@ -190,7 +190,7 @@ def cmd_scan(args):
 
 
 def cmd_charges(args):
-    scale = args.scale
+    scale = np.float64(args.scale)  # numpy arithmetic: overflow raises under main's errstate
     if not math.isfinite(scale):
         raise ValidationError(f"--scale must be finite, got {scale}")
     sol = _load_params(args, strict=True)

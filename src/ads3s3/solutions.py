@@ -163,13 +163,15 @@ def _derivatives(sectors, taus, sigmas):
     With A = c_l I + s_l L and B = c_r I + s_r R, the terms A^(i) g0 B^(j) of
     phase-derivative orders i, j <= 1 come from one _phase_product call,
     (c, s) -> (-s, c) per order; A'' = -A and B'' = -B close Leibniz.  The
-    order-0 term is evaluate_matrices' g bit for bit.
+    order-0 term is evaluate_matrices' g bit for bit.  A sector may stack k
+    solutions: lam, rho (k, 1) and L, R, x0 (k, 1, 2, 2) give (k, sigma, 2, 2).
     """
     tau = np.asarray(taus, dtype=float)
     sigma = np.asarray(sigmas, dtype=float)
     out = []
     for lam, rho, m, n, lmat, rmat, x0 in sectors:
         c_l, s_l, c_r, s_r = _phases(lam, rho, m, n, tau, sigma)
+        lam, rho = (np.asarray(v)[..., None, None] for v in (lam, rho))  # over the matrix axes
         g, g_l, g_r, g_lr = _phase_product(
             np.stack([c_l, -s_l, c_l, -s_l]), np.stack([s_l, c_l, s_l, c_l]),
             np.stack([c_r, c_r, -s_r, -s_r]), np.stack([s_r, s_r, c_r, c_r]), lmat, x0, rmat)

@@ -32,15 +32,14 @@ orbit blocks reproduce the charge coefficients, the remainder being the
 
 Validation happens at the boundary: chart points and StringChart.solution
 are validated types, while the 25 solutions behind one form stay raw 2x2
-arrays from the algebra kernels, fed to the derivative kernel of solutions
-(one call per solution gives g^{-1} and g_tau, so g and R_tau), with the
-chart conditions checked on those raw numbers.
+arrays from the algebra kernels, stacked per sector for one call of the
+derivative kernel of solutions, with the chart conditions checked on them.
 
 Poisson brackets use {F, G} = -grad(F)^T omega^{-1} grad(G).  Each chart's
-charges(x) is the vector Q of the twelve CHARGE_NAMES, so one Jacobian gives
-the whole table {Q_a, Q_b}, which closes on BRACKET_STRUCTURE @ Q.  The global
-sign is fixed once by matching {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho on
-the AdS left block.
+charges(x) is the vector Q of the twelve CHARGE_NAMES and orbit_coefficients(x)
+that of its four Casimirs, so one Jacobian gives the whole table {Q_a, Q_b},
+which closes on BRACKET_STRUCTURE @ Q.  The global sign is fixed once by
+matching {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho on the AdS left block.
 """
 
 from __future__ import annotations
@@ -212,7 +211,7 @@ class _OrbitChart:
     the direction's largest component at the base point, so the chart stays
     away from its coordinate singularity.  Orbit block k of a form is the
     k-th orbit coefficient over the k-th block normaliser.  Subclasses supply
-    labels, coefficient_index, the extra coordinates and orbit_coefficients(x).
+    labels, the extra coordinates and orbit_coefficients(x), a length-4 array.
     """
 
     def __init__(self, point):
@@ -261,21 +260,7 @@ class _OrbitChart:
         """
         dirs = np.array([self._direction(k, x) for k in range(4)])
         dirs[:2] = dirs[:2] @ ETA
-        return (np.array(self.orbit_coefficients(x))[:, None] * dirs).ravel()
-
-    def charge_function(self, name):
-        """Scalar chart function of one charge component or orbit coefficient.
-
-        Names: CHARGE_NAMES and the keys of coefficient_index; any other
-        name is rejected here, before the function is evaluated.
-        """
-        if name in self.coefficient_index:
-            k = self.coefficient_index[name]
-            return lambda x: float(self.orbit_coefficients(x)[k])
-        if name not in CHARGE_NAMES:
-            raise ValueError(f"unknown charge function {name!r}")
-        k = CHARGE_NAMES.index(name)
-        return lambda x: float(self.charges(x)[k])
+        return (self.orbit_coefficients(x)[:, None] * dirs).ravel()
 
 
 @dataclass(frozen=True)
@@ -319,7 +304,6 @@ class ParticleChart(_OrbitChart):
     """
 
     labels = ("l1", "l2", "r1", "r2", "ls_u", "ls_v", "rs_u", "rs_v", "m_s", "chi")
-    coefficient_index = {"m_L": 0, "m_R": 1, "m_s": 2}
 
     def __init__(self, point):
         self.M = point.M
@@ -331,7 +315,7 @@ class ParticleChart(_OrbitChart):
     def orbit_coefficients(self, x):
         m_s = float(x[8])
         m = math.sqrt(self.M ** 2 + m_s ** 2)
-        return m, m, m_s, m_s
+        return np.array([m, m, m_s, m_s])
 
     def form(self, x=None):
         """Assembled block-diagonal symplectic form at chart vector x."""
@@ -405,7 +389,6 @@ class StringChart(_OrbitChart):
 
     labels = ("l1", "l2", "r1", "r2", "ls_u", "ls_v", "rs_u", "rs_v",
               "f", "b", "phi1", "phi2")
-    coefficient_index = {"m_L": 0, "m_R": 1, "m_L_s": 2, "m_R_s": 3}
     sphere_gauge_sign = -1.0
 
     def __init__(self, point, tau=0.0):
@@ -421,8 +404,8 @@ class StringChart(_OrbitChart):
         """(lam + rho c2t, lam c2t + rho, lam_s + rho_s c2ts, lam_s c2ts + rho_s) at (f, b)."""
         rel = family_relations(float(x[8]), float(x[9]), self.n)
         c2t, c2ts = rel.cosh2theta, rel.cos2theta_s
-        return (rel.lam + rel.rho * c2t, rel.lam * c2t + rel.rho,
-                rel.lam_s + rel.rho_s * c2ts, rel.lam_s * c2ts + rel.rho_s)
+        return np.array([rel.lam + rel.rho * c2t, rel.lam * c2t + rel.rho,
+                         rel.lam_s + rel.rho_s * c2ts, rel.lam_s * c2ts + rel.rho_s])
 
     def _raw_solution(self, x):
         """Raw sectors (lam, rho, m, n, l, r, x0) of 2x2 arrays at chart vector x.
@@ -464,22 +447,22 @@ class StringChart(_OrbitChart):
     def _chart_fields(self, x):
         """Per-sector (R_tau, V_j, d_j R_tau) at chart vector x, sigma-sampled.
 
-        One _derivatives call per solution gives g = adj(g^{-1}) and R_tau = g^{-1} g_tau;
-        V_j = g^{-1} d_j g and d_j R_tau are one central difference over the 24
-        displaced solutions, (12, sigma, 2, 2) arrays; R_tau is (sigma, 2, 2).
+        Each sector stacks its raw solutions at x and x +- FORM_STEP e_j on a leading
+        axis of 25, so one _derivatives call per sector gives all their g = adj(g^{-1})
+        and R_tau = g^{-1} g_tau; V_j = g^{-1} d_j g and d_j R_tau are one central
+        difference over that stack, (12, sigma, 2, 2) arrays; R_tau is (sigma, 2, 2).
         """
-        def fields(z):
-            return [(inv, _adjugate(inv), inv @ g_t) for inv, g_t, *_ in
-                    _derivatives(self._raw_solution(z)[0], self.tau, self.sigma)]
-
         shifts = FORM_STEP * np.eye(12)
-        plus = [fields(x + e) for e in shifts]
-        minus = [fields(x - e) for e in shifts]
+        raw = [self._raw_solution(z)[0] for z in (x, *(x + shifts), *(x - shifts))]
         out = []
-        for k, (inv, _, r_tau) in enumerate(fields(x)):
-            d_mat = np.stack([p[k][1] - m[k][1] for p, m in zip(plus, minus)])
-            d_r = np.stack([p[k][2] - m[k][2] for p, m in zip(plus, minus)])
-            out.append((r_tau, inv @ d_mat / (2.0 * FORM_STEP), d_r / (2.0 * FORM_STEP)))
+        for sector in zip(*raw):  # m and n are the winding's, shared by all 25
+            lam, rho, m, n, *mats = zip(*sector)
+            stack = (np.array(lam)[:, None], np.array(rho)[:, None], m[0], n[0],
+                     *(np.array(a)[:, None] for a in mats))
+            inv, g_t, *_ = _derivatives([stack], self.tau, self.sigma)[0]
+            mat, r_tau = _adjugate(inv), inv @ g_t
+            out.append((r_tau[0], inv[0] @ (mat[1:13] - mat[13:]) / (2.0 * FORM_STEP),
+                        (r_tau[1:13] - r_tau[13:]) / (2.0 * FORM_STEP)))
         return out
 
     def presymplectic(self, x=None):
@@ -504,15 +487,3 @@ class StringChart(_OrbitChart):
                                      - np.einsum("isab,jsba->ij", rv, v)).real
         k_mat /= self.sigma.size
         return TwoFormMatrix(k_mat - k_mat.T, self.labels)
-
-
-def expected_bracket(name_a, name_b, values):
-    """Target value of {A, B}, read from BRACKET_STRUCTURE.
-
-    0.0 unless both names are in CHARGE_NAMES (Casimirs commute with everything).
-    values maps charge names to their numbers; only those {A, B} involves are read.
-    """
-    if name_a not in CHARGE_NAMES or name_b not in CHARGE_NAMES:
-        return 0.0
-    row = BRACKET_STRUCTURE[CHARGE_NAMES.index(name_a), CHARGE_NAMES.index(name_b)]
-    return float(sum(row[c] * values[CHARGE_NAMES[c]] for c in np.flatnonzero(row)))

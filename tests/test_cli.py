@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ads3s3 import cli
+from ads3s3.algebra import ads_basis, exp_algebra
 from ads3s3.cli import _table, main
-from ads3s3.solutions import family_solution, params_to_dict
+from ads3s3.solutions import apply_isometry, family_solution, params_to_dict
 
 from test_cli_golden import BYTE_EXACT, DATA, NUMERIC
 
@@ -311,6 +312,26 @@ class TestChargesCommand:
         assert code == 0
         strict_loads(out)
 
+    def test_huge_winding_exits_zero(self, capsys):
+        # the sigma-averaged currents have entries of size n, beyond an absolute trace check
+        code, out, err = run(capsys, "charges", "--f", F_REF, "--b", B_REF, "--n", "100000000")
+        assert (code, err) == (0, "")
+        assert abs(strict_loads(out)["mL"] - 1.2465277777777777e8) <= 1e-6
+
+    def test_boosted_frame_gives_charges_and_a_verdict(self, capsys, tmp_path):
+        # the r = 6 frame g_L = g_R = exp(0.7 t0) exp(3 t1): entries of size e^6
+        t0, t1, _ = ads_basis()
+        g = exp_algebra(t0, 0.7) @ exp_algebra(t1, 3.0)
+        sol = apply_isometry(family_solution(5.0 / 3.0, 5.0 / 4.0, 1), g_left=g, g_right=g)
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(params_to_dict(sol)))
+        code, out, err = run(capsys, "charges", "--params", str(path))
+        assert (code, err) == (0, "")
+        assert abs(strict_loads(out)["mL"] - 1.2465277777777777) <= 1e-6
+        code, out, err = run(capsys, "verify", "--params", str(path))
+        assert code in (0, 2) and err == ""
+        assert strict_loads(out)["ok"] is (code == 0)
+
     def test_high_winding_quadrature_follows_bound(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -544,3 +565,7 @@ class TestNoPassEverything:
     def test_scale_must_be_finite(self, capsys, scale):
         assert_one_line_error(
             *run(capsys, "charges", "--f", F_REF, "--b", B_REF, f"--scale={scale}"), "finite")
+
+    def test_scale_overflow_exits_one(self, capsys):
+        assert_one_line_error(
+            *run(capsys, "charges", "--f", F_REF, "--b", B_REF, "--scale", "1e308"), "overflow")

@@ -33,7 +33,6 @@ from ads3s3.symplectic import (
     TwoFormMatrix,
     _ads_from_chart,
     bracket_table,
-    expected_bracket,
     gradient,
     poisson_bracket,
 )
@@ -84,11 +83,9 @@ def random_string_point(rng, n=1):
 
 def bracket_table_residual(chart, form, x, step=1e-6):
     """Max |{A,B} - expected| over all charge-component pairs, from one charge Jacobian."""
-    values = dict(zip(CHARGE_NAMES, chart.charges(x)))
     grads = gradient(chart.charges, x, step)
     table = -grads @ form.inverse() @ grads.T
-    return max(abs(table[i, j] - expected_bracket(a, b, values))
-               for i, a in enumerate(CHARGE_NAMES) for j, b in enumerate(CHARGE_NAMES))
+    return float(np.max(np.abs(table - BRACKET_STRUCTURE @ chart.charges(x))))
 
 
 def jacobi_residual(chart, x, step=1e-4):
@@ -314,14 +311,15 @@ class TestCanonicalOneFormSplitting:
                 return x[4] * (-v[0] if mu == 0 else v[mu])
             return fn
 
-        values = {f"L{mu}": Lmu(mu)(x0) for mu in range(3)}
-        values.update({f"R{mu}": Rmu(mu)(x0) for mu in range(3)})
+        # L0..L2, R0..R2 are the first six components of the charge vector
+        values = np.array([Lmu(mu)(x0) for mu in range(3)] + [Rmu(mu)(x0) for mu in range(3)])
+        expected = BRACKET_STRUCTURE[:6, :6, :6] @ values
         for a in range(3):
             for b in range(3):
                 got = poisson_bracket(Lmu(a), Lmu(b), om, x0)
-                assert abs(got - expected_bracket(f"L{a}", f"L{b}", values)) <= 1e-5
+                assert abs(got - expected[a, b]) <= 1e-5
                 got = poisson_bracket(Rmu(a), Rmu(b), om, x0)
-                assert abs(got - expected_bracket(f"R{a}", f"R{b}", values)) <= 1e-5
+                assert abs(got - expected[3 + a, 3 + b]) <= 1e-5
                 assert abs(poisson_bracket(Lmu(a), Rmu(b), om, x0)) <= 1e-5
 
     def test_sphere_splitting(self):
@@ -362,7 +360,7 @@ class TestParticleSymplectic:
         form = chart.form(x)
         m = point.m
         assert abs(entry(form, "l1", "l2") + m / 2.0) <= 1e-14
-        got = poisson_bracket(chart.charge_function("L1"), chart.charge_function("L2"),
+        got = poisson_bracket(lambda z: chart.charges(z)[1], lambda z: chart.charges(z)[2],
                               form, x)
         assert abs(got + 2.0 * m) <= 1e-6
 
@@ -400,11 +398,9 @@ class TestParticleSymplectic:
         chart = ParticleChart(point)
         x = chart.coords(point)
         form = chart.form(x)
-        for cas in ("m_L", "m_s"):
-            for name in CHARGE_NAMES:
-                got = poisson_bracket(chart.charge_function(cas),
-                                      chart.charge_function(name), form, x)
-                assert abs(got) <= 1e-6
+        grads_cas = gradient(chart.orbit_coefficients, x)
+        table = -grads_cas @ form.inverse() @ gradient(chart.charges, x).T
+        assert np.max(np.abs(table)) <= 1e-6
 
     def test_jacobi_identity(self):
         rng = np.random.default_rng(78)
@@ -563,11 +559,9 @@ class TestStringSymplectic:
         chart = StringChart(point)
         x = chart.coords(point)
         form = chart.form(x)
-        for cas in ("m_L", "m_R", "m_L_s", "m_R_s"):
-            for name in CHARGE_NAMES + ("m_L", "m_R", "m_L_s", "m_R_s"):
-                got = poisson_bracket(chart.charge_function(cas),
-                                      chart.charge_function(name), form, x)
-                assert abs(got) <= 1e-5
+        grads_cas = gradient(chart.orbit_coefficients, x)
+        grads_all = np.concatenate([gradient(chart.charges, x), grads_cas])
+        assert np.max(np.abs(-grads_cas @ form.inverse() @ grads_all.T)) <= 1e-5
 
     def test_tau_independence(self):
         rng = np.random.default_rng(89)
@@ -644,6 +638,22 @@ class TestStringSymplectic:
         with pytest.raises(ValidationError, match="inadmissible"):
             StringChart(point).form()
 
+    def test_form_makes_one_kernel_call_per_sector(self, monkeypatch):
+        from ads3s3 import symplectic
+        point = random_string_point(np.random.default_rng(98))
+        chart = StringChart(point)
+        x = chart.coords(point)
+        calls = []
+
+        def counted(sectors, taus, sigmas, kernel=symplectic._derivatives):
+            calls.append([np.shape(lam) for lam, *_ in sectors])
+            return kernel(sectors, taus, sigmas)
+
+        monkeypatch.setattr(symplectic, "_derivatives", counted)
+        chart.form(x)
+        # one call per sector, each over the 25 solutions at x and x +- FORM_STEP e_j
+        assert calls == [[(25, 1)], [(25, 1)]]
+
     def test_form_builds_no_validated_objects(self, monkeypatch):
         point = random_string_point(np.random.default_rng(98))
         chart = StringChart(point)
@@ -668,9 +678,7 @@ class TestPoissonBracketProperties:
         chart = ParticleChart(point)
         x = chart.coords(point)
         form = chart.form(x)
-        F = chart.charge_function("L1")
-        G = chart.charge_function("R2")
-        H = chart.charge_function("Ls1")
+        F, G, H = (lambda z, k=k: chart.charges(z)[k] for k in (1, 5, 6))  # L1, R2, Ls1
         assert abs(poisson_bracket(F, G, form, x)
                    + poisson_bracket(G, F, form, x)) <= 1e-12
 
@@ -710,7 +718,7 @@ class TestPoissonBracketProperties:
             chart = chart_cls(point)
             x = chart.coords(point)
             form = chart.form(x)
-            functions = [chart.charge_function(name) for name in CHARGE_NAMES]
+            functions = [lambda z, k=k: chart.charges(z)[k] for k in range(12)]
             # the one-Jacobian table of the charge vector against scalar brackets
             table = bracket_table([chart.charges], form, x)
             grads = [gradient(fn, x) for fn in functions]
@@ -725,17 +733,6 @@ class TestPoissonBracketProperties:
 
 
 class TestChargeNames:
-    @pytest.mark.parametrize("name", ["Ls0", "Rs0", "L3", "R9", "Ls4", "L", "m_x"])
-    def test_unknown_name_rejected_at_creation(self, name):
-        rng = np.random.default_rng(99)
-        for chart in (ParticleChart(random_particle_point(rng)),
-                      StringChart(random_string_point(rng))):
-            with pytest.raises(ValueError, match="unknown charge function"):
-                chart.charge_function(name)
-        values = dict(zip(CHARGE_NAMES, np.arange(1.0, 13.0)))
-        assert expected_bracket(name, "Ls1", values) == 0.0
-        assert expected_bracket("Ls1", name, values) == 0.0
-
     def test_charge_functions_are_the_charge_vector(self):
         rng = np.random.default_rng(100)
         for chart_cls, point in ((ParticleChart, random_particle_point(rng)),
@@ -743,7 +740,7 @@ class TestChargeNames:
             chart = chart_cls(point)
             x = chart.coords(point)
             q = chart.charges(x)
-            assert [chart.charge_function(name)(x) for name in CHARGE_NAMES] == q.tolist()
+            assert q.shape == (len(CHARGE_NAMES),) and chart.orbit_coefficients(x).shape == (4,)
             # L_mu = m_L eta_{mu nu} l^nu: the Casimir -L.L = m_L^2, and Ls.Ls = m_L_s^2
             m_L, _, m_L_s, _ = chart.orbit_coefficients(x)
             assert abs(-q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + m_L ** 2) <= 1e-12 * m_L ** 2
