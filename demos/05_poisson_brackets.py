@@ -17,12 +17,7 @@ from ads3s3 import (
     UnitTimelikeVector,
 )
 from ads3s3.charges import charge_coefficients, charges_analytic
-from ads3s3.symplectic import (
-    BRACKET_STRUCTURE,
-    CHARGE_NAMES,
-    bracket_table,
-    gradient,
-)
+from ads3s3.symplectic import BRACKET_STRUCTURE, CHARGE_NAMES, bracket_table
 
 point = ParticleChartPoint(
     lhat=UnitTimelikeVector(0.4, 0.7), rhat=UnitTimelikeVector(0.8, 2.1),
@@ -37,13 +32,13 @@ print("mass shell: m = sqrt(M^2 + m_s^2) =", point.m)
 print("form condition number:", f"{form.condition_number:.1f}")
 
 print("\nbrackets vs the left/right algebra:")
-table = bracket_table([chart.charges], form, x)  # {Q_a, Q_b} over CHARGE_NAMES
+table = bracket_table(chart.charges_jacobian(x), form)  # {Q_a, Q_b} over CHARGE_NAMES
 expected = BRACKET_STRUCTURE @ chart.charges(x)
 for a, b in (("L1", "L2"), ("R1", "R2"), ("L0", "R1"), ("Ls1", "Ls2"), ("Rs1", "Rs2")):
     i, j = CHARGE_NAMES.index(a), CHARGE_NAMES.index(b)
     print(f"  {{{a}, {b}}} = {table[i, j]:+.8f}   expected {expected[i, j]:+.8f}")
 
-print("\n== string phase space (numeric d-theta on the 12-chart) ==")
+print("\n== string phase space (d-theta on the 12-chart from exact chart tangents) ==")
 spoint = StringChartPoint(
     lhat=UnitTimelikeVector(0.3, 0.5), rhat=UnitTimelikeVector(0.7, 2.6),
     lhat_s=UnitSphereVector(0.8, 0.4), rhat_s=UnitSphereVector(2.0, 2.9),
@@ -61,13 +56,14 @@ for name, g, e in zip(("m_L", "m_R", "m_L^s", "m_R^s"), got, expect):
     print(f"  {name:6s} block {g:+.8f}   charges {e:+.8f}")
 
 print("\nstring charge brackets close on the same algebra:")
-grads = gradient(schart.charges, sx)  # the 12 x 12 Jacobian of the charge vector
-table = -grads @ sform.inverse() @ grads.T
+grads = schart.charges_jacobian(sx)  # the exact 12 x 12 Jacobian of the charge vector
+table = bracket_table(grads, sform)
 worst = np.max(np.abs(table - BRACKET_STRUCTURE @ schart.charges(sx)))
 print("  max deviation over all pairs:", f"{worst:.2e}")
 
 print("\ninvariant functions are central:")
 # rows: the four orbit coefficients; columns: the twelve charges
-central = bracket_table([schart.orbit_coefficients, schart.charges], sform, sx)[:4, 4:]
+central = bracket_table(np.concatenate([schart.orbit_coefficients_jacobian(sx), grads]),
+                        sform)[:4, 4:]
 for cas, row in zip(("m_L", "m_R", "m_L_s", "m_R_s"), central):
     print(f"  max |{{{cas}, charges}}| = {np.max(np.abs(row)):.2e}")

@@ -176,8 +176,8 @@ class _AlgebraElement:
 
     @classmethod
     def _matrix(cls, coeffs):
-        """Raw 2x2 array of the element with these basis coefficients."""
-        return np.einsum("i,ijk->jk", coeffs, cls._basis)
+        """Raw 2x2 array of the element with these basis coefficients, or a stack of them."""
+        return np.einsum("...i,ijk->...jk", coeffs, cls._basis)
 
     @property
     def matrix(self):
@@ -323,28 +323,30 @@ def normalized_commutator(lhat, rhat):
     input where the commutator direction is undefined.
     """
     algebra = _same_sector(lhat, rhat)
-    coeffs, gamma = _normalized_commutator(algebra, lhat.coeffs, rhat.coeffs)
+    coeffs, gamma, *_ = _normalized_commutator(algebra, lhat.coeffs, rhat.coeffs)
     return algebra(coeffs), gamma
 
 
 def _normalized_commutator(algebra, l, r):
-    """Raw normalized_commutator: coefficients of n and the separation gamma."""
+    """Raw normalized_commutator: the coefficients of n, gamma, s = sinh or sin 2gamma and k.
+
+    Near-(anti)parallel input keeps its digits: with k = +-1 picking the nearer of +-r,
+    [l, r] = k [l - k r, l] and s^2 = |<l - r, l - r> <l + r, l + r>| / 4 are formed from
+    differences, which float subtraction keeps exact, rather than from <l, r>^2 - 1.
+    """
     ip = _dot(algebra, l, r)
     if algebra is AdsAlgebraElement:
-        c2g = -ip
-        if c2g <= 1.0 + 1e-14:
+        if -ip <= 1.0 + 1e-14:
             raise DegenerateConfigurationError(
-                f"parallel timelike vectors (cosh 2gamma = {c2g})")
-        gamma = 0.5 * math.acosh(c2g)
-        s2g = math.sqrt(c2g * c2g - 1.0)
-    else:
-        if abs(ip) >= 1.0 - 1e-14:
-            raise DegenerateConfigurationError(
-                f"(anti)parallel sphere vectors (cos 2gamma = {ip})")
-        gamma = 0.5 * math.acos(ip)
-        s2g = math.sqrt(1.0 - ip * ip)
-    lm, rm = algebra._matrix(l), algebra._matrix(r)
-    return (1.0 / (2.0 * s2g)) * algebra._project(lm @ rm - rm @ lm).real, gamma
+                f"parallel timelike vectors (cosh 2gamma = {-ip})")
+    elif abs(ip) >= 1.0 - 1e-14:
+        raise DegenerateConfigurationError(
+            f"(anti)parallel sphere vectors (cos 2gamma = {ip})")
+    k = 1.0 if algebra.sign * ip < 0.0 else -1.0
+    s2g = 0.5 * math.sqrt(abs(_dot(algebra, l - r, l - r) * _dot(algebra, l + r, l + r)))
+    gamma = 0.5 * (math.asinh(s2g) if algebra is AdsAlgebraElement else math.atan2(s2g, ip))
+    wm, lm = algebra._matrix(l - k * r), algebra._matrix(l)
+    return (k / (2.0 * s2g)) * algebra._project(wm @ lm - lm @ wm).real, gamma, s2g, k
 
 
 def boost(alpha, nhat, rhat):

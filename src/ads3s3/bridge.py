@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import ValidationError
+from .algebra import DegenerateConfigurationError, ValidationError
 
 
 class RegionError(ValueError):
@@ -129,6 +129,26 @@ def family_angles(cosh2theta, cos2theta_s):
     """theta >= 0 and theta_s in [0, pi/2], with the invariants clipped to their ranges."""
     return (0.5 * math.acosh(max(cosh2theta, 1.0)),
             0.5 * math.acos(min(1.0, max(-1.0, cos2theta_s))))
+
+
+def family_tangent(rel):
+    """(d/df, d/db) of lam, rho, lam_s, rho_s, cosh 2theta, cos 2theta_s, theta, theta_s: (8, 2).
+
+    dlam/df = lam/e and drho/df = -rho/e (sphere: over a, in b); dtheta = dcosh2theta /
+    (2 sinh 2theta), dtheta_s = -dcos2theta_s / (2 sin 2theta_s) with both sines factored
+    through the edges f = b and f = f_max(b), where they and a = 0 raise.
+    """
+    f, b = rel.f, rel.b
+    q = f * f - b * f - 2.0  # as in _above_band: -q = 1 - cos 2theta_s >= 0 in the band
+    sinh2t = math.sqrt(max(0.0, b * (f - b) * (rel.cosh2theta + 1.0)))
+    sin2ts = math.sqrt(max(0.0, -q * f * (f - b)))
+    if not (rel.a > 0.0 and sinh2t > 0.0 and sin2ts > 0.0):
+        raise DegenerateConfigurationError(
+            "chart tangents diverge on the band edges b = 1, f = b and f = f_max(b)")
+    d_c2t, d_c2ts = (b, f - 2.0 * b), (2.0 * f - b, -f)
+    return np.array([(rel.lam / rel.e, 0.0), (-rel.rho / rel.e, 0.0),
+                     (0.0, rel.lam_s / rel.a), (0.0, -rel.rho_s / rel.a), d_c2t, d_c2ts,
+                     np.divide(d_c2t, 2.0 * sinh2t), np.divide(d_c2ts, -2.0 * sin2ts)])
 
 
 def invariants_from_ads(f, b, n):

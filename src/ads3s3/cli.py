@@ -239,7 +239,7 @@ def _random_string_point(rng, n=1):
 
 def _algebra_residual(chart, form, x):
     """Max deviation of the charge brackets from the left/right algebra."""
-    table = bracket_table([chart.charges], form, x)
+    table = bracket_table(chart.charges_jacobian(x), form)
     return float(np.max(np.abs(table - BRACKET_STRUCTURE @ chart.charges(x))))
 
 

@@ -26,20 +26,23 @@ sector by sector as
 
     omega_ij = <d_i R_tau, V_j> - <d_j R_tau, V_i> - <R_tau, [V_i, V_j]>,
 
-which needs one central-difference layer for d_j g and d_j R_tau.  Its
+with no step: one solution at the chart point and the exact tangents of its
+inputs along the twelve chart directions give d_j g and d_j R_tau.  Its
 orbit blocks reproduce the charge coefficients, the remainder being the
 (f, b, phi1, phi2) sector that has no closed form here.
 
 Validation happens at the boundary: chart points and StringChart.solution
-are validated types, while the 25 solutions behind one form stay raw 2x2
-arrays from the algebra kernels, stacked per sector for one call of the
-derivative kernel of solutions, with the chart conditions checked on them.
+are validated types, while the solution behind one form and its tangents
+stay raw 2x2 arrays from the algebra kernels, pushed through the sigma-nodes
+by the phase product of solutions, with the chart conditions checked on them.
 
 Poisson brackets use {F, G} = -grad(F)^T omega^{-1} grad(G).  Each chart's
 charges(x) is the vector Q of the twelve CHARGE_NAMES and orbit_coefficients(x)
-that of its four Casimirs, so one Jacobian gives the whole table {Q_a, Q_b},
-which closes on BRACKET_STRUCTURE @ Q.  The global sign is fixed once by
-matching {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho on the AdS left block.
+that of its four Casimirs; their exact Jacobians charges_jacobian(x) and
+orbit_coefficients_jacobian(x) give the whole table {Q_a, Q_b} from one solve,
+which closes on BRACKET_STRUCTURE @ Q.  gradient() differences other chart
+functions.  The global sign is fixed once by matching
+{L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho on the AdS left block.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import admissible as _admissible, check_winding, family_angles, family_relations
+from .bridge import (admissible as _admissible, check_winding, family_angles, family_relations,
+                     family_tangent)
 from .algebra import (
     EPS,
     EPS_MIXED,
@@ -62,26 +66,29 @@ from .algebra import (
     UnitTimelikeVector,
     ValidationError,
     _adjugate,
+    _cosh_sinh_like,
     _dot,
     _exp_matrix,
     _normalized_commutator,
 )
-from .solutions import SolutionParams, _derivatives, _periodic_sigmas
+from .solutions import SolutionParams, _phase_product, _phases, _periodic_sigmas
 
-# One central-difference layer: h ~ eps^(1/3) balances the h^2 truncation,
-# which grows near the l = r chart singularity, against eps/h roundoff.
-FORM_STEP = 5e-6
 SIGMA_POINTS = 64  # base count of the string 1-form's sigma nodes, see _periodic_sigmas
-DEFAULT_GRAD_STEP = 1e-6
+DEFAULT_GRAD_STEP = 1e-6  # of gradient, the difference utility for generic chart functions
 
 # the components of chart.charges(x): L_mu, R_mu (AdS, lower index), Ls_m, Rs_m
 CHARGE_NAMES = ("L0", "L1", "L2", "R0", "R1", "R2",
                 "Ls1", "Ls2", "Ls3", "Rs1", "Rs2", "Rs3")
 
-# {Q_a, Q_b} = sum_c BRACKET_STRUCTURE[a, b, c] Q_c over CHARGE_NAMES: -2 eps_{mu nu}^rho
-# on L, +2 eps_{mu nu}^rho on R, +2 eps_{mnl} on Ls, -2 eps_{mnl} on Rs, zero across blocks
+# per sector on basis coefficients: the metric of <u, v> and [u, v] = sum_c C[a, b, c] u_a v_b e_c,
+# from t_mu t_nu = eta_{mu nu} I + eps_{mu nu}^rho t_rho, s_m s_n = -delta_{mn} I - eps_{mnl} s_l
+_METRIC = {AdsAlgebraElement: ETA, SphereAlgebraElement: np.eye(3)}
+_COMMUTATOR = {AdsAlgebraElement: 2.0 * EPS_MIXED, SphereAlgebraElement: -2.0 * EPS}
+
+# {Q_a, Q_b} = sum_c BRACKET_STRUCTURE[a, b, c] Q_c over CHARGE_NAMES: the left charges close
+# on minus the basis commutators, the right ones on plus, and the blocks commute
 BRACKET_STRUCTURE = np.zeros((12, 12, 12))
-for _k, _block in enumerate((-2.0 * EPS_MIXED, 2.0 * EPS_MIXED, 2.0 * EPS, -2.0 * EPS)):
+for _k, _block in enumerate(sign * _COMMUTATOR[cls] for cls in _METRIC for sign in (-1.0, 1.0)):
     BRACKET_STRUCTURE[3 * _k:3 * _k + 3, 3 * _k:3 * _k + 3, 3 * _k:3 * _k + 3] = _block
 
 
@@ -134,24 +141,23 @@ def gradient(fn, x, step=DEFAULT_GRAD_STEP):
 
 
 def poisson_bracket(F, G, omega, x, step=DEFAULT_GRAD_STEP):
-    """{F, G} at x from the (possibly x-dependent) symplectic form.
+    """{F, G} at x of two scalar chart functions, by their difference gradients.
 
-    omega is a TwoFormMatrix or a callable x -> TwoFormMatrix; gradients are
-    numeric.  Sign convention: the AdS left charges close on
-    {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho.
+    omega is a TwoFormMatrix or a callable x -> TwoFormMatrix.  Sign
+    convention: the AdS left charges close on {L_mu, L_nu} = -2 eps_{mu nu}^rho L_rho.
     """
     form = omega(x) if callable(omega) else omega
-    return float(bracket_table([F, G], form, x, step)[0, 1])
+    return float(bracket_table(np.stack([gradient(F, x, step), gradient(G, x, step)]), form)[0, 1])
 
 
-def bracket_table(functions, form, x, step=DEFAULT_GRAD_STEP):
-    """All pairwise brackets at x of the functions' components (a row each) as one matrix.
+def bracket_table(rows, form):
+    """All pairwise brackets -G omega^{-1} G^T of the gradient rows G, as one matrix.
 
-    The gradients are stacked into G and the table -G omega^{-1} G^T comes
-    from a single solve, which keeps the singular-form guard of inverse().
+    The rows are stacked gradients (a chart's exact Jacobians, or gradient() of
+    generic functions); one solve keeps the singular-form guard of inverse().
     """
-    grads = np.concatenate([np.atleast_2d(gradient(fn, x, step)) for fn in functions])
-    return -grads @ form.solve(grads.T)
+    rows = np.asarray(rows, dtype=float)
+    return -rows @ form.solve(rows.T)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +217,8 @@ class _OrbitChart:
     the direction's largest component at the base point, so the chart stays
     away from its coordinate singularity.  Orbit block k of a form is the
     k-th orbit coefficient over the k-th block normaliser.  Subclasses supply
-    labels, the extra coordinates and orbit_coefficients(x), a length-4 array.
+    labels, the extra coordinates, orbit_coefficients(x), a length-4 array, and
+    its exact Jacobian orbit_coefficients_jacobian(x); charges_jacobian(x) follows.
     """
 
     def __init__(self, point):
@@ -232,6 +239,18 @@ class _OrbitChart:
         if k < 2:
             return _ads_from_chart(u, v)
         return (self.ls_axes, self.rs_axes)[k - 2].from_coords(u, v)
+
+    def _direction_tangents(self, k, x):
+        """Tangents of direction k along the chart directions, (x.size, 3), zero off rows 2k, 2k+1.
+
+        The AdS charts are cyclic too, with l0 dependent: d^2 = 1 +- (u^2 + v^2), dd/du = +-u/d.
+        """
+        sign, axes = ((1.0, _SphereChartAxes(0, 1.0)) if k < 2
+                      else (-1.0, (self.ls_axes, self.rs_axes)[k - 2]))
+        out, uv = np.zeros((x.size, 3)), slice(2 * k, 2 * k + 2)
+        out[2 * k, axes.u_index] = out[2 * k + 1, axes.v_index] = 1.0
+        out[uv, axes.axis] = sign * x[uv] / self._direction(k, x)[axes.axis]
+        return out
 
     def _block_normalisers(self, x):
         """Signed normalisers -2 l0, 2 r0, 2 w_ls, -2 w_rs of the orbit blocks.
@@ -261,6 +280,15 @@ class _OrbitChart:
         dirs = np.array([self._direction(k, x) for k in range(4)])
         dirs[:2] = dirs[:2] @ ETA
         return (self.orbit_coefficients(x)[:, None] * dirs).ravel()
+
+    def charges_jacobian(self, x):
+        """Exact Jacobian of charges(x), (12, x.size): d(m_k d_k) = dm_k d_k + m_k dd_k."""
+        x = np.asarray(x, dtype=float)
+        coeffs, d_coeffs = self.orbit_coefficients(x), self.orbit_coefficients_jacobian(x)
+        out = np.concatenate([np.outer(self._direction(k, x), d_coeffs[k])
+                              + coeffs[k] * self._direction_tangents(k, x).T for k in range(4)])
+        out[[0, 3]] *= -1.0  # L_0 and R_0 lowered by eta
+        return out
 
 
 @dataclass(frozen=True)
@@ -317,6 +345,12 @@ class ParticleChart(_OrbitChart):
         m = math.sqrt(self.M ** 2 + m_s ** 2)
         return np.array([m, m, m_s, m_s])
 
+    def orbit_coefficients_jacobian(self, x):
+        """Exact Jacobian of orbit_coefficients(x): only m_s moves them, dm/dm_s = m_s / m."""
+        out, coeffs = np.zeros((4, np.size(x))), self.orbit_coefficients(x)
+        out[:, 8] = coeffs[2] / coeffs
+        return out
+
     def form(self, x=None):
         """Assembled block-diagonal symplectic form at chart vector x."""
         x = self._x0 if x is None else np.asarray(x, dtype=float)
@@ -362,11 +396,52 @@ def _check_string_point(f, b, l, r, ls, rs):
         raise ValidationError("chart needs l_s and r_s non-(anti)parallel")
 
 
+def _exp_tangent(algebra, u, du, phase, dphase):
+    """Raw exp(phase u) = c I + S u of a unit u and its tangents along the chart directions.
+
+    With u u = q I, (c, S) = (cos, sin) or (cosh, sinh) of phase, and the tangents are
+    (q S I + c u) dphase + S du over the rows of dphase and du.
+    """
+    q = algebra.sign * _dot(algebra, u, u)
+    c, s = _cosh_sinh_like(q * phase * phase)
+    s *= phase
+    one, um = np.eye(2), algebra._matrix(u)
+    return (c * one + s * um,
+            dphase[:, None, None] * (q * s * one + c * um) + s * algebra._matrix(du))
+
+
+def _family_tangents(rel):
+    """bridge.family_tangent(rel) as rows over the twelve string-chart directions, (8, 12)."""
+    out = np.zeros((8, 12))
+    out[:, 8:10] = family_tangent(rel)
+    return out
+
+
 def _orbit_element(algebra, l, r, phase_l, phase_r, theta):
     """Raw exp(phase_l l) exp(-(gamma + theta) n) exp(phase_r r), (n, gamma) from (l, r)."""
-    nh, gamma = _normalized_commutator(algebra, l, r)
+    nh, gamma, *_ = _normalized_commutator(algebra, l, r)
     return (_exp_matrix(algebra, l, phase_l) @ _exp_matrix(algebra, nh, -(gamma + theta))
             @ _exp_matrix(algebra, r, phase_r))
+
+
+def _orbit_tangents(algebra, l, r, phase_l, phase_r, theta, tangents):
+    """Tangents of _orbit_element along the chart directions, given those of its inputs.
+
+    tangents = (dl, dr, dphase_l, dphase_r, dtheta).  As n = [l, r] / (2 s), s = sinh or sin
+    2gamma, dgamma = -d<l, r> / (2 s) with d<l, r> = <l - k r, dr - k dl> (s and k from
+    _normalized_commutator), and dn is d[l, r] / (2 s) less its part along n.
+    """
+    dl, dr, dphase_l, dphase_r, dtheta = tangents
+    nh, gamma, s2g, k = _normalized_commutator(algebra, l, r)
+    metric, comm = _METRIC[algebra], _COMMUTATOR[algebra]
+    d_c = np.einsum("abc,ja,b->jc", comm, dl, r) + np.einsum("abc,a,jb->jc", comm, l, dr)
+    d_n = (d_c - np.outer(d_c @ (metric @ nh), nh)) / (2.0 * s2g)
+    (a, da), (m, dm), (c, dc) = (
+        _exp_tangent(algebra, l, dl, phase_l, dphase_l),
+        _exp_tangent(algebra, nh, d_n, -(gamma + theta),
+                     (dr - k * dl) @ (metric @ (l - k * r)) / (2.0 * s2g) - dtheta),
+        _exp_tangent(algebra, r, dr, phase_r, dphase_r))
+    return (da @ m + a @ dm) @ c + a @ m @ dc
 
 
 class StringChart(_OrbitChart):
@@ -374,7 +449,8 @@ class StringChart(_OrbitChart):
 
     Reconstructs a full solution from the twelve coordinates, evaluates the
     presymplectic 1-form by sigma-quadrature and the symplectic form from
-    the d(theta) identity, both over one central-difference layer.
+    the d(theta) identity, both from that one solution and its exact chart
+    tangents, with no difference step.
 
     The translation gauge pins the four constant-element phases to two chart
     angles as phi1 = phi_l = -phi_r and phi2 = phi_l^s = -phi_r^s.  In this
@@ -390,6 +466,8 @@ class StringChart(_OrbitChart):
     labels = ("l1", "l2", "r1", "r2", "ls_u", "ls_v", "rs_u", "rs_v",
               "f", "b", "phi1", "phi2")
     sphere_gauge_sign = -1.0
+    # the chart directions each sector's fields move along: its directions, (f, b), its phase
+    _SECTOR_ROWS = ([0, 1, 2, 3, 8, 9, 10], [4, 5, 6, 7, 8, 9, 11])
 
     def __init__(self, point, tau=0.0):
         self.n = int(point.n)
@@ -407,11 +485,22 @@ class StringChart(_OrbitChart):
         return np.array([rel.lam + rel.rho * c2t, rel.lam * c2t + rel.rho,
                          rel.lam_s + rel.rho_s * c2ts, rel.lam_s * c2ts + rel.rho_s])
 
-    def _raw_solution(self, x):
-        """Raw sectors (lam, rho, m, n, l, r, x0) of 2x2 arrays at chart vector x.
+    def orbit_coefficients_jacobian(self, x):
+        """Exact Jacobian of orbit_coefficients(x), by the product rule on its four lines."""
+        rel = family_relations(float(x[8]), float(x[9]), self.n)
+        dlam, drho, dlam_s, drho_s, dc2t, dc2ts, _, _ = _family_tangents(rel)
+        c2t, c2ts = rel.cosh2theta, rel.cos2theta_s
+        return np.array([dlam + drho * c2t + rel.rho * dc2t, dlam * c2t + rel.lam * dc2t + drho,
+                         dlam_s + drho_s * c2ts + rel.rho_s * dc2ts,
+                         dlam_s * c2ts + rel.lam_s * dc2ts + drho_s])
 
-        Also returns the angle pairs of (l, r, l_s, r_s): the directions go
-        through their angle charts, as the validated unit vectors take them.
+    def _raw_solution(self, x, tangents=False):
+        """Raw sectors (lam, rho, m, n, l, r, x0) of 2x2 arrays at chart vector x, and tangents.
+
+        With tangents, the second item holds per sector (dlam, drho, dl, dr, dx0) along the
+        twelve chart directions on a leading axis, else None.  Also returns the angle pairs
+        of (l, r, l_s, r_s): the directions go through their angle charts, as the validated
+        unit vectors take them.
         """
         if not np.all(np.isfinite(x)):
             raise ValidationError("non-finite chart vector")
@@ -422,12 +511,22 @@ class StringChart(_OrbitChart):
         _check_string_point(f, b, l, r, ls, rs)
         rel = family_relations(f, b, self.n)
         theta, theta_s = family_angles(rel.cosh2theta, rel.cos2theta_s)
-        ads, sph = AdsAlgebraElement, SphereAlgebraElement
-        return ((rel.lam, rel.rho, rel.m, rel.n, ads._matrix(l), ads._matrix(r),
-                 _orbit_element(ads, l, r, phi1, -phi1, theta)),
-                (rel.lam_s, rel.rho_s, rel.m_s, rel.n_s, sph._matrix(ls), sph._matrix(rs),
-                 _orbit_element(sph, ls, rs, phi2, self.sphere_gauge_sign * phi2, theta_s)),
-                ), angles
+        ads, sph, sgn = AdsAlgebraElement, SphereAlgebraElement, self.sphere_gauge_sign
+        sectors = ((rel.lam, rel.rho, rel.m, rel.n, ads._matrix(l), ads._matrix(r),
+                    _orbit_element(ads, l, r, phi1, -phi1, theta)),
+                   (rel.lam_s, rel.rho_s, rel.m_s, rel.n_s, sph._matrix(ls), sph._matrix(rs),
+                    _orbit_element(sph, ls, rs, phi2, sgn * phi2, theta_s)))
+        if not tangents:
+            return sectors, None, angles
+        dl, dr, dls, drs = (self._direction_tangents(k, x) for k in range(4))
+        dlam, drho, dlam_s, drho_s, _, _, dtheta, dtheta_s = _family_tangents(rel)
+        dphi1, dphi2 = np.eye(12)[10:]
+        return sectors, (
+            (dlam, drho, ads._matrix(dl), ads._matrix(dr),
+             _orbit_tangents(ads, l, r, phi1, -phi1, theta, (dl, dr, dphi1, -dphi1, dtheta))),
+            (dlam_s, drho_s, sph._matrix(dls), sph._matrix(drs),
+             _orbit_tangents(sph, ls, rs, phi2, sgn * phi2, theta_s,
+                             (dls, drs, dphi2, sgn * dphi2, dtheta_s)))), angles
 
     def solution(self, x):
         """Solution parameters at chart vector x.
@@ -437,7 +536,7 @@ class StringChart(_OrbitChart):
         from the invariant bridge at (f, b).  These are the numbers of
         _raw_solution, wrapped in validated types.
         """
-        sectors, angles = self._raw_solution(np.asarray(x, dtype=float))
+        sectors, _, angles = self._raw_solution(np.asarray(x, dtype=float))
         fields = []
         for (*freqs, _, _, x0), unit, pair in zip(sectors, (UnitTimelikeVector, UnitSphereVector),
                                                    (angles[:2], angles[2:])):
@@ -445,45 +544,56 @@ class StringChart(_OrbitChart):
         return SolutionParams(*fields)
 
     def _chart_fields(self, x):
-        """Per-sector (R_tau, V_j, d_j R_tau) at chart vector x, sigma-sampled.
+        """Per-sector (rows, R_tau, V_j, X_j) at chart vector x, sigma-sampled, from one solution.
 
-        Each sector stacks its raw solutions at x and x +- FORM_STEP e_j on a leading
-        axis of 25, so one _derivatives call per sector gives all their g = adj(g^{-1})
-        and R_tau = g^{-1} g_tau; V_j = g^{-1} d_j g and d_j R_tau are one central
-        difference over that stack, (12, sigma, 2, 2) arrays; R_tau is (sigma, 2, 2).
+        g = A g0 B (A = c_l I + s_l L, B = c_r I + s_r R) is linear in each factor, so the
+        tangents of g0, L and R pass through the sigma-nodes as three _phase_product calls,
+        those of lam and rho as tau (dlam A' g0 B + drho A g0 B'); the phase orders of
+        _derivatives give g_tau = lam A' g0 B + rho A g0 B' and its tangent alike.
+        V_j = g^{-1} d_j g and X_j = g^{-1} d_j g_tau run over the sector's chart directions
+        `rows` (7, sigma, 2, 2); R_tau = g^{-1} g_tau is (sigma, 2, 2).
         """
-        shifts = FORM_STEP * np.eye(12)
-        raw = [self._raw_solution(z)[0] for z in (x, *(x + shifts), *(x - shifts))]
-        out = []
-        for sector in zip(*raw):  # m and n are the winding's, shared by all 25
-            lam, rho, m, n, *mats = zip(*sector)
-            stack = (np.array(lam)[:, None], np.array(rho)[:, None], m[0], n[0],
-                     *(np.array(a)[:, None] for a in mats))
-            inv, g_t, *_ = _derivatives([stack], self.tau, self.sigma)[0]
-            mat, r_tau = _adjugate(inv), inv @ g_t
-            out.append((r_tau[0], inv[0] @ (mat[1:13] - mat[13:]) / (2.0 * FORM_STEP),
-                        (r_tau[1:13] - r_tau[13:]) / (2.0 * FORM_STEP)))
+        sectors, tangents, _ = self._raw_solution(x, tangents=True)
+        tau, out = self.tau, []
+        for (lam, rho, m, n, lmat, rmat, x0), tangent, rows in zip(sectors, tangents,
+                                                                  self._SECTOR_ROWS):
+            dlam, drho, dl, dr, dx0 = (t[rows, None] for t in tangent)
+            c_l, s_l, c_r, s_r = _phases(lam, rho, m, n, tau, self.sigma)
+            cl, sl = np.stack([c_l, -s_l, c_l, -s_l]), np.stack([s_l, c_l, s_l, c_l])
+            cr, sr = np.stack([c_r, c_r, -s_r, -s_r]), np.stack([s_r, s_r, c_r, c_r])
+            g, g_l, g_r, g_lr = _phase_product(cl, sl, cr, sr, lmat, x0, rmat)
+            cl, sl, cr, sr = (w[:3, None] for w in (cl, sl, cr, sr))  # orders of g, g_l, g_r
+            d_g, d_gl, d_gr = (_phase_product(cl, sl, cr, sr, lmat, dx0, rmat)
+                               + _phase_product(0.0 * cl, sl, cr, sr, dl, x0, rmat)
+                               + _phase_product(cl, sl, 0.0 * cr, sr, lmat, x0, dr))
+            dlam, drho = dlam[..., None, None], drho[..., None, None]
+            d_phase = dlam * g_l + drho * g_r
+            d_gt = (lam * d_gl + rho * d_gr + d_phase
+                    + tau * ((lam * drho + rho * dlam) * g_lr - (lam * dlam + rho * drho) * g))
+            inv = _adjugate(g)
+            out.append((rows, inv @ (lam * g_l + rho * g_r), inv @ (d_g + tau * d_phase),
+                        inv @ d_gt))
         return out
 
     def presymplectic(self, x=None):
-        """Components theta_j of the presymplectic 1-form at chart vector x."""
+        """Components theta_j = <R_tau, V_j> of the presymplectic 1-form at chart vector x."""
         x = self._x0 if x is None else np.asarray(x, dtype=float)
         out = np.zeros(12)
-        for sign, (r, v, _) in zip(SECTOR_SIGNS, self._chart_fields(x)):
-            out += (0.5 * sign) * np.einsum("sab,jsba->j", r, v).real
+        for sign, (rows, r, v, _) in zip(SECTOR_SIGNS, self._chart_fields(x)):
+            out[rows] += (0.5 * sign) * np.einsum("sab,jsba->j", r, v).real
         return out / self.sigma.size
 
     def form(self, x=None):
         """Symplectic form omega = d(theta) at chart vector x.
 
-        omega_ij = <d_i R, V_j> - <d_j R, V_i> - <R, [V_i, V_j]> per sector,
-        i.e. K - K^T with K_ij = <d_i R, V_j> - <R V_i V_j>, sigma-averaged.
+        omega_ij = <d_i R, V_j> - <d_j R, V_i> - <R, [V_i, V_j]> per sector, i.e.
+        K - K^T with K_ij = <d_i R, V_j> - <R V_i V_j>.  As d_i R = X_i - V_i R and
+        traceless 2x2 matrices anticommute to their trace, V_i R + R V_i = tr(V_i R) I,
+        the R terms drop against tr V_j = 0: K_ij = <X_i, V_j>, sigma-averaged.
         """
         x = self._x0 if x is None else np.asarray(x, dtype=float)
         k_mat = np.zeros((12, 12))
-        for sign, (r, v, dr) in zip(SECTOR_SIGNS, self._chart_fields(x)):
-            rv = r @ v
-            k_mat += (0.5 * sign) * (np.einsum("isab,jsba->ij", dr, v)
-                                     - np.einsum("isab,jsba->ij", rv, v)).real
+        for sign, (rows, _, v, xt) in zip(SECTOR_SIGNS, self._chart_fields(x)):
+            k_mat[np.ix_(rows, rows)] += (0.5 * sign) * np.einsum("isab,jsba->ij", xt, v).real
         k_mat /= self.sigma.size
         return TwoFormMatrix(k_mat - k_mat.T, self.labels)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ads3s3.algebra import DegenerateConfigurationError
 from ads3s3.bridge import (
     FeasibilityResult,
     RegionError,
@@ -13,7 +14,9 @@ from ads3s3.bridge import (
     admissible,
     bridge,
     f_max,
+    family_angles,
     family_relations,
+    family_tangent,
     feasibility_general,
     invariants_from_ads,
     invariants_from_sphere,
@@ -184,6 +187,37 @@ class TestBoundaries:
         assert abs(lower.cosh2theta - 1.0) <= 1e-7
         upper = bridge(f_max(b) - eps, b, 1)
         assert abs(upper.cos2theta_s - 1.0) <= 1e-7
+
+
+class TestFamilyTangent:
+    @staticmethod
+    def fields(f, b, n):
+        rel = family_relations(f, b, n)
+        return np.array([rel.lam, rel.rho, rel.lam_s, rel.rho_s, rel.cosh2theta,
+                         rel.cos2theta_s, *family_angles(rel.cosh2theta, rel.cos2theta_s)])
+
+    def test_matches_richardson_differences(self):
+        rng = np.random.default_rng(11)
+        h = 1e-4
+        for n in (1, 3, 40):
+            b = rng.uniform(1.05, 1.8)
+            f = rng.uniform(b + 0.05, f_max(b) - 0.05)
+            got = family_tangent(family_relations(f, b, n))
+            for k, e in enumerate(np.eye(2)):
+                def diff(step):
+                    return (self.fields(*(np.array([f, b]) + step * e), n)
+                            - self.fields(*(np.array([f, b]) - step * e), n)) / (2.0 * step)
+                want = (4.0 * diff(0.5 * h) - diff(h)) / 3.0
+                assert np.max(np.abs(got[:, k] - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("f, b", [(1.3, 1.3), (f_max(1.4), 1.4), (1.5, 1.0)])
+    def test_band_edges_rejected(self, f, b):
+        with pytest.raises(DegenerateConfigurationError, match="band edges"):
+            family_tangent(family_relations(f, b, 1))
+
+    def test_finite_next_to_the_edges(self):
+        for f, b in ((1.2 + 1e-9, 1.2), (f_max(1.2) - 1e-9, 1.2), (1.5, 1.0 + 1e-12)):
+            assert np.all(np.isfinite(family_tangent(family_relations(f, b, 1))))
 
 
 class TestScanRegion:

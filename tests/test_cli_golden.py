@@ -1,10 +1,11 @@
 """CLI outputs against golden files.
 
-bridge, scan and sample (CSV and JSON) must match byte for byte.  verify, charges and the
-particle brackets go through LAPACK and are compared number by number to
-1e-12; the string brackets come from a central difference at h = 5e-6,
-which amplifies roundoff by about 1/h, and are compared to 1e-9.  The
-bracket files are stored as compact JSON with the same numbers.
+bridge, scan and sample (CSV and JSON) must match byte for byte.  verify, charges and both
+bracket modes go through LAPACK and are compared number by number to 1e-12.
+The string form and every bracket gradient come from exact chart tangents,
+with no difference step to amplify roundoff, so the string brackets share
+that tolerance and their algebra residuals read at roundoff.  The bracket
+files are stored as compact JSON with the same numbers.
 
 The verify cases cover the canonical point at n = 1 and n = 5, an n = 2
 solution in a random isometry frame (complex sphere-sector arithmetic) and
@@ -51,7 +52,7 @@ NUMERIC = {
     "charges_n2_frame.json":
         (["charges", "--params", str(DATA / "params_n2_frame.json")], 1e-12, 0),
     "brackets_particle.json": (["brackets", "--mode", "particle", "--seed", "0"], 1e-12, 0),
-    "brackets_string.json": (["brackets", "--mode", "string", "--seed", "0"], 1e-9, 0),
+    "brackets_string.json": (["brackets", "--mode", "string", "--seed", "0"], 1e-12, 0),
 }
 
 

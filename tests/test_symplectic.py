@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ads3s3 import algebra as al
 from ads3s3.algebra import (
@@ -25,7 +26,6 @@ from ads3s3.solutions import evaluate_matrices, theta_invariants
 from ads3s3.symplectic import (
     BRACKET_STRUCTURE,
     CHARGE_NAMES,
-    FORM_STEP,
     ParticleChart,
     ParticleChartPoint,
     StringChart,
@@ -95,10 +95,11 @@ def jacobi_residual(chart, x, step=1e-4):
     brackets differentiate the whole table at `step`.
     """
     def table(y):
-        return bracket_table([chart.charges], chart.form(y), y).ravel()
+        return bracket_table(gradient(chart.charges, y), chart.form(y)).ravel()
 
     # outer[a, b, c] = {Q_a, {Q_b, Q_c}}
-    outer = bracket_table([chart.charges, table], chart.form(x), x, step)[:12, 12:]
+    rows = np.concatenate([gradient(chart.charges, x, step), gradient(table, x, step)])
+    outer = bracket_table(rows, chart.form(x))[:12, 12:]
     outer = outer.reshape(12, 12, 12)
     return float(np.max(np.abs(outer + outer.transpose(1, 2, 0) + outer.transpose(2, 0, 1))))
 
@@ -131,6 +132,8 @@ def numeric_exterior_derivative(theta_fn, x, labels, step):
 
 
 NESTED_STEP = 2e-5  # the step the nested-difference form is accurate at
+FORM_STEP = 5e-6  # one central-difference layer: h ~ eps^(1/3)
+RICHARDSON_STEP = 1e-4  # of the (h, h/2) extrapolated rebuild, truncation O(h^4)
 
 
 def rebuilt_presymplectic(chart, x, step):
@@ -152,6 +155,22 @@ def rebuilt_presymplectic(chart, x, step):
         term_h = -0.5 * np.einsum("sij,sji->s", sph.R_tau, hinv @ (h_p - h_m) / (2 * step))
         out[j] = float(np.mean(term_g).real + np.mean(term_h).real)
     return out
+
+
+def richardson_presymplectic(chart, x, step=RICHARDSON_STEP):
+    """rebuilt_presymplectic extrapolated from h and h/2: (4 theta(h/2) - theta(h)) / 3."""
+    return (4.0 * rebuilt_presymplectic(chart, x, 0.5 * step)
+            - rebuilt_presymplectic(chart, x, step)) / 3.0
+
+
+def oracle_points():
+    """The charts of the nested-difference oracle, one at -<l, r> = 1.002 near the l = r edge."""
+    rng = np.random.default_rng(95)
+    cases = [(1, -1.0), (1, -1.0), (1, -1.0), (2, -1.0), (2, -1.0), (2, 1.0)]
+    for n, gauge in cases:
+        point = random_string_point(rng, n=n)
+        chart = (StringChart if gauge < 0 else SymmetricGaugeChart)(point)
+        yield chart, chart.coords(point)
 
 
 def nested_difference_form(chart, x):
@@ -604,16 +623,23 @@ class TestStringSymplectic:
         assert sv.min() > 1e-3
 
     def test_matches_nested_difference_oracle(self):
-        rng = np.random.default_rng(95)
-        cases = [(1, -1.0), (1, -1.0), (1, -1.0), (2, -1.0), (2, -1.0), (2, 1.0)]
-        for n, gauge in cases:
-            point = random_string_point(rng, n=n)
-            chart = (StringChart if gauge < 0 else SymmetricGaugeChart)(point)
-            x = chart.coords(point)
-            assert np.max(np.abs(chart.presymplectic(x)
-                                 - rebuilt_presymplectic(chart, x, FORM_STEP))) <= 1e-10
+        # the bare rebuild at FORM_STEP moves by up to 2e-9 between h and h/2 here, so the
+        # exact theta is checked against the (h, h/2) extrapolation; a failure shows both gaps
+        for chart, x in oracle_points():
+            theta = chart.presymplectic(x)
+            gap = np.max(np.abs(theta - richardson_presymplectic(chart, x)))
+            assert gap <= 1e-10, (
+                gap, np.max(np.abs(theta - rebuilt_presymplectic(chart, x, FORM_STEP))))
             got = chart.form(x).matrix
             assert np.max(np.abs(got - nested_difference_form(chart, x).matrix)) <= 1e-6
+
+    def test_orbit_blocks_exact_at_oracle_points(self):
+        # the closed-form charges to roundoff, also at -<l, r> = 1.002 (2e-7 by a difference)
+        for chart, x in oracle_points():
+            sol = chart.solution(x)
+            expect = charge_coefficients(charges_analytic(sol), sol)
+            for g, e in zip(chart.orbit_block_coefficients(), expect):
+                assert abs(g - e) <= 1e-12
 
     def test_symmetric_sphere_gauge_is_degenerate_here(self):
         # with phi2 on both right phases (+ sign) the sigma-translation acts
@@ -628,31 +654,42 @@ class TestStringSymplectic:
         sv = np.linalg.svd(form.matrix, compute_uv=False)
         assert np.sum(sv < 1e-6) == 2
 
-
     @pytest.mark.parametrize("f", [f_max(1.2) - 1e-6, 1.2 + 1e-6])
-    def test_form_step_across_an_admissible_edge_rejected(self, f):
-        # the stencil at f + FORM_STEP or b + FORM_STEP leaves the band
+    def test_form_next_to_an_admissible_edge(self, f):
+        # no stencil leaves the band: the exact tangents hold 1e-6 inside either edge
         point = random_string_point(np.random.default_rng(97))
         point = StringChartPoint(point.lhat, point.rhat, point.lhat_s, point.rhat_s,
                                  f=f, b=1.2)
-        with pytest.raises(ValidationError, match="inadmissible"):
+        chart = StringChart(point)
+        form = chart.form()
+        assert np.all(np.isfinite(form.matrix))
+        sol = chart.solution(chart.coords(point))
+        expect = charge_coefficients(charges_analytic(sol), sol)
+        for g, e in zip(chart.orbit_block_coefficients(form), expect):
+            assert abs(g - e) <= 1e-12
+
+    @pytest.mark.parametrize("f", [f_max(1.2), 1.2])
+    def test_form_on_an_admissible_edge_rejected(self, f):
+        point = random_string_point(np.random.default_rng(97))
+        point = StringChartPoint(point.lhat, point.rhat, point.lhat_s, point.rhat_s,
+                                 f=f, b=1.2)
+        with pytest.raises(DegenerateConfigurationError, match="band edges"):
             StringChart(point).form()
 
-    def test_form_makes_one_kernel_call_per_sector(self, monkeypatch):
-        from ads3s3 import symplectic
+    def test_form_builds_one_raw_solution(self, monkeypatch):
         point = random_string_point(np.random.default_rng(98))
         chart = StringChart(point)
         x = chart.coords(point)
         calls = []
 
-        def counted(sectors, taus, sigmas, kernel=symplectic._derivatives):
-            calls.append([np.shape(lam) for lam, *_ in sectors])
-            return kernel(sectors, taus, sigmas)
+        def counted(z, build=chart._raw_solution, **kwargs):
+            calls.append(z)
+            return build(z, **kwargs)
 
-        monkeypatch.setattr(symplectic, "_derivatives", counted)
+        monkeypatch.setattr(chart, "_raw_solution", counted)
         chart.form(x)
-        # one call per sector, each over the 25 solutions at x and x +- FORM_STEP e_j
-        assert calls == [[(25, 1)], [(25, 1)]]
+        # the solution at x and its exact tangents, with no stencil around it
+        assert len(calls) == 1 and np.array_equal(calls[0], x)
 
     def test_form_builds_no_validated_objects(self, monkeypatch):
         point = random_string_point(np.random.default_rng(98))
@@ -698,7 +735,7 @@ class TestPoissonBracketProperties:
     def test_singular_form_rejected_by_table(self):
         form = TwoFormMatrix(np.zeros((2, 2)), ("a", "b"))
         with pytest.raises(DegenerateConfigurationError):
-            bracket_table([lambda x: x[0], lambda x: x[1]], form, np.zeros(2))
+            bracket_table(np.eye(2), form)
 
     def test_rank_deficient_form_rejected_by_table(self):
         # the degenerate slice has rank 10, yet its determinant is far from 0
@@ -709,7 +746,7 @@ class TestPoissonBracketProperties:
         form = chart.form(x)
         assert abs(np.linalg.det(form.matrix)) > 1e-300
         with pytest.raises(DegenerateConfigurationError, match="singular"):
-            bracket_table([chart.charges], form, x)
+            bracket_table(gradient(chart.charges, x), form)
 
     def test_table_matches_pairwise_brackets(self):
         rng = np.random.default_rng(96)
@@ -720,7 +757,7 @@ class TestPoissonBracketProperties:
             form = chart.form(x)
             functions = [lambda z, k=k: chart.charges(z)[k] for k in range(12)]
             # the one-Jacobian table of the charge vector against scalar brackets
-            table = bracket_table([chart.charges], form, x)
+            table = bracket_table(gradient(chart.charges, x), form)
             grads = [gradient(fn, x) for fn in functions]
             inv = form.inverse()
             assert np.max(np.abs(table + table.T)) <= 1e-10
@@ -730,6 +767,22 @@ class TestPoissonBracketProperties:
                     assert abs(table[i, j] + grads[i] @ inv @ grads[j]) <= 1e-10
                     if j >= i:  # the lower half follows by the antisymmetry above
                         assert abs(table[i, j] - poisson_bracket(fa, fb, form, x)) <= 1e-10
+
+
+class TestExactJacobians:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 7]))
+    def test_match_differences(self, seed, n):
+        # the closed-form tangents against central differences of the same functions
+        rng = np.random.default_rng(seed)
+        for chart, point in ((ParticleChart, random_particle_point(rng)),
+                             (StringChart, random_string_point(rng, n=n))):
+            chart = chart(point)
+            x = chart.coords(point)
+            for exact, fn in ((chart.charges_jacobian, chart.charges),
+                              (chart.orbit_coefficients_jacobian, chart.orbit_coefficients)):
+                want = gradient(fn, x, 1e-6)
+                assert exact(x).shape == want.shape
+                assert np.max(np.abs(exact(x) - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 class TestChargeNames:
