@@ -21,9 +21,9 @@ metric and acosh of sl(2,R) against the Euclidean metric and acos of
 su(2), and the sphere antipode in aligning_rotation.
 
 Validation happens at the boundary: the classes check their data, and
-exp_algebra, normalized_commutator and the unit-vector charts wrap raw
-kernels on coefficient and 2x2 arrays (an algebra class tags the sector),
-which internal hot paths such as the string chart call directly.
+normalized_commutator and the unit-vector charts wrap raw kernels on
+coefficient and 2x2 arrays (an algebra class tags the sector), which
+internal hot paths such as the string chart call directly.
 """
 
 from __future__ import annotations
@@ -72,6 +72,14 @@ class DegenerateConfigurationError(ValueError):
 def _check_finite(arr, what):
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what} contains non-finite entries")
+
+
+def _check_finite_fields(obj, names, kind=""):
+    """Reject the first of these scalar fields of obj that is not finite, by name."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{kind}{name} = {value!r} is not finite")
 
 
 def _adjugate(m):
@@ -281,12 +289,6 @@ def _cosh_sinh_like(q):
     return 1.0 + q / 2.0 + q * q / 24.0, 1.0 + q / 6.0 + q * q / 120.0
 
 
-def _exp_matrix(algebra, coeffs, theta):
-    """Raw exp(theta v) for v with these coefficients in `algebra`."""
-    c, s = _cosh_sinh_like(algebra.sign * theta * theta * _dot(algebra, coeffs, coeffs))
-    return c * np.eye(2, dtype=algebra._group._dtype) + (s * theta) * algebra._matrix(coeffs)
-
-
 def exp_algebra(v, theta=1.0):
     """Group exponential exp(theta * v).
 
@@ -296,7 +298,8 @@ def exp_algebra(v, theta=1.0):
     """
     if not math.isfinite(theta):
         raise ValidationError("non-finite exponent")
-    return v._group(_exp_matrix(type(v), v.coeffs, theta))
+    c, s = _cosh_sinh_like(v.sign * theta * theta * _dot(type(v), v.coeffs, v.coeffs))
+    return v._group(c * np.eye(2, dtype=v._group._dtype) + (s * theta) * v.matrix)
 
 
 def to_embedding(g):

@@ -9,8 +9,8 @@ with unit vectors l, r (timelike) and l_s, r_s, constant g0, h0, and
 frequencies tied to the integer windings by 4 lam rho = m n,
 4 lam_s rho_s = m_s n_s.  Same parity of m and n (and of m_s, n_s) closes
 the string: sigma -> sigma + 2pi multiplies the factors by (-1)^m (-1)^n.
-The field kernels on raw sectors live here: _phases, _phase_product, the
-exact derivatives of _derivatives and the sigma-nodes of _periodic_sigmas.
+The field kernels on raw sectors live here: _phases, _phase_orders, _phase_product,
+the exact derivatives of _derivatives and the sigma-nodes of _periodic_sigmas.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .algebra import (
     UnitTimelikeVector,
     ValidationError,
     _adjugate,
+    _check_finite_fields,
     adjoint,
     ads_basis,
     aligning_rotation,
@@ -78,10 +79,7 @@ class SolutionParams:
     h0: SphereGroupElement
 
     def __post_init__(self):
-        for name in ("lam", "rho", "lam_s", "rho_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"frequency {name} = {value!r} is not finite")
+        _check_finite_fields(self, ("lam", "rho", "lam_s", "rho_s"), "frequency ")
 
     @property
     def sectors(self):
@@ -124,6 +122,17 @@ def _phases(lam, rho, m, n, tau, sigma):
     return np.cos(th_l), np.sin(th_l), np.cos(th_r), np.sin(th_r)
 
 
+def _phase_orders(lam, rho, m, n, tau, sigma):
+    """The (c_l, s_l, c_r, s_r) of _phases stacked in the orders (i, j) = 00, 10, 01, 11.
+
+    Through _phase_product they give the terms A^(i) g0 B^(j) of phase-derivative
+    orders i, j <= 1, as a phase derivative maps (c, s) to (-s, c).
+    """
+    c_l, s_l, c_r, s_r = _phases(lam, rho, m, n, tau, sigma)
+    return (np.stack([c_l, -s_l, c_l, -s_l]), np.stack([s_l, c_l, s_l, c_l]),
+            np.stack([c_r, c_r, -s_r, -s_r]), np.stack([s_r, s_r, c_r, c_r]))
+
+
 def _phase_product(c_l, s_l, c_r, s_r, left_mat, g0_mat, right_mat):
     """(c_l I + s_l L) g0 (c_r I + s_r R) broadcast over phase arrays."""
     lg = left_mat @ g0_mat
@@ -161,20 +170,16 @@ def _derivatives(sectors, taus, sigmas):
     """Per raw sector (as in SolutionParams.matrices) g^{-1}, g_tau, g_sig, g_tautau, g_sigsig.
 
     With A = c_l I + s_l L and B = c_r I + s_r R, the terms A^(i) g0 B^(j) of
-    phase-derivative orders i, j <= 1 come from one _phase_product call,
-    (c, s) -> (-s, c) per order; A'' = -A and B'' = -B close Leibniz.  The
-    order-0 term is evaluate_matrices' g bit for bit.  A sector may stack k
-    solutions: lam, rho (k, 1) and L, R, x0 (k, 1, 2, 2) give (k, sigma, 2, 2).
+    phase-derivative orders i, j <= 1 come from one _phase_product call on the
+    stacks of _phase_orders; A'' = -A and B'' = -B close Leibniz.  The order-0
+    term is evaluate_matrices' g bit for bit.
     """
     tau = np.asarray(taus, dtype=float)
     sigma = np.asarray(sigmas, dtype=float)
     out = []
     for lam, rho, m, n, lmat, rmat, x0 in sectors:
-        c_l, s_l, c_r, s_r = _phases(lam, rho, m, n, tau, sigma)
-        lam, rho = (np.asarray(v)[..., None, None] for v in (lam, rho))  # over the matrix axes
-        g, g_l, g_r, g_lr = _phase_product(
-            np.stack([c_l, -s_l, c_l, -s_l]), np.stack([s_l, c_l, s_l, c_l]),
-            np.stack([c_r, c_r, -s_r, -s_r]), np.stack([s_r, s_r, c_r, c_r]), lmat, x0, rmat)
+        g, g_l, g_r, g_lr = _phase_product(*_phase_orders(lam, rho, m, n, tau, sigma),
+                                           lmat, x0, rmat)
         u, v = 0.5 * m, 0.5 * n  # d th_l / d sigma, d th_r / d sigma
         out.append((_adjugate(g), lam * g_l + rho * g_r, u * g_l + v * g_r,
                     2.0 * lam * rho * g_lr - (lam * lam + rho * rho) * g,

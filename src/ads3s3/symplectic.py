@@ -2,7 +2,9 @@
 
 The particle phase space on the group manifolds is charted by the unit
 directions of the left/right charges, the sphere Casimir m_s and one angle;
-its symplectic form splits into coadjoint-orbit blocks,
+all four directions share one cyclic chart, w^2 = 1 + q (u^2 + v^2) with
+q = +1 on the AdS hyperboloid and -1 on the sphere.  Its symplectic form
+splits into coadjoint-orbit blocks,
 
     omega = m w_L + m w_R + m_s w_L^s + m_s w_R^s + dm_s ^ dchi,
     w_L = dl2 ^ dl1 / (2 l^0),    w_R = dr1 ^ dr2 / (2 r^0),
@@ -32,9 +34,9 @@ orbit blocks reproduce the charge coefficients, the remainder being the
 (f, b, phi1, phi2) sector that has no closed form here.
 
 Validation happens at the boundary: chart points and StringChart.solution
-are validated types, while the solution behind one form and its tangents
-stay raw 2x2 arrays from the algebra kernels, pushed through the sigma-nodes
-by the phase product of solutions, with the chart conditions checked on them.
+are validated types.  StringChart._raw_solution builds one solution and its
+tangents as raw 2x2 arrays, with the chart conditions checked on them; the
+form pushes them through the sigma-nodes by the phase product of solutions.
 
 Poisson brackets use {F, G} = -grad(F)^T omega^{-1} grad(G).  Each chart's
 charges(x) is the vector Q of the twelve CHARGE_NAMES and orbit_coefficients(x)
@@ -52,8 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import (admissible as _admissible, check_winding, family_angles, family_relations,
-                     family_tangent)
+from .bridge import check_winding, family_angles, family_relations, family_tangent
 from .algebra import (
     EPS,
     EPS_MIXED,
@@ -66,12 +67,12 @@ from .algebra import (
     UnitTimelikeVector,
     ValidationError,
     _adjugate,
+    _check_finite_fields,
     _cosh_sinh_like,
     _dot,
-    _exp_matrix,
     _normalized_commutator,
 )
-from .solutions import SolutionParams, _phase_product, _phases, _periodic_sigmas
+from .solutions import SolutionParams, _phase_orders, _phase_product, _periodic_sigmas
 
 SIGMA_POINTS = 64  # base count of the string 1-form's sigma nodes, see _periodic_sigmas
 DEFAULT_GRAD_STEP = 1e-6  # of gradient, the difference utility for generic chart functions
@@ -164,92 +165,75 @@ def bracket_table(rows, form):
 # particle sector
 
 @dataclass(frozen=True)
-class _SphereChartAxes:
-    """Cyclic coordinate chart (u, v) on the unit sphere with dependent w.
+class _DirectionChart:
+    """Cyclic chart (u, v) on a unit direction with dependent w = sign sqrt(1 + q (u^2 + v^2)).
 
-    axis is the dependent component index; (u, v) are the cyclically next
-    two components, so the area form is du ^ dv / w in every chart.
+    q = +1 on the AdS hyperboloid (axis 0, w = l0) and q = -1 on the unit sphere; axis is
+    the dependent component index and (u, v) the cyclically next two components, so the
+    sphere's area form is du ^ dv / w in every chart.
     """
 
     axis: int
     sign: float
+    q: float
 
     @classmethod
-    def for_vector(cls, coeffs):
+    def for_sphere(cls, coeffs):
         axis = int(np.argmax(np.abs(coeffs)))
-        return cls(axis=axis, sign=1.0 if coeffs[axis] >= 0.0 else -1.0)
+        return cls(axis, 1.0 if coeffs[axis] >= 0.0 else -1.0, -1.0)
 
     @property
-    def u_index(self):
-        return (self.axis + 1) % 3
+    def uv(self):
+        return (self.axis + 1) % 3, (self.axis + 2) % 3
 
-    @property
-    def v_index(self):
-        return (self.axis + 2) % 3
+    def coords(self, coeffs):
+        return tuple(float(coeffs[i]) for i in self.uv)
 
-    def to_coords(self, coeffs):
-        return float(coeffs[self.u_index]), float(coeffs[self.v_index])
-
-    def from_coords(self, u, v):
-        w2 = 1.0 - u * u - v * v
+    def direction(self, u, v):
+        w2 = 1.0 + self.q * u * u + self.q * v * v
         if w2 <= 0.0:
             raise DegenerateConfigurationError("sphere chart coordinates left the disk")
-        out = np.empty(3)
-        out[self.u_index] = u
-        out[self.v_index] = v
-        out[self.axis] = self.sign * math.sqrt(w2)
+        (iu, iv), out = self.uv, np.empty(3)
+        out[iu], out[iv], out[self.axis] = u, v, self.sign * math.sqrt(w2)
         return out
-
-    def w(self, u, v):
-        return self.sign * math.sqrt(max(0.0, 1.0 - u * u - v * v))
-
-
-def _ads_from_chart(l1, l2):
-    return np.array([math.sqrt(1.0 + l1 * l1 + l2 * l2), l1, l2])
 
 
 class _OrbitChart:
     """Chart on the four orbit directions (l, r, l_s, r_s) plus extra coordinates.
 
-    The first eight coordinates are (l1, l2, r1, r2), the spatial components
-    of the AdS directions (global on the future hyperboloid), and the (u, v)
-    pairs of the sphere directions in cyclic charts whose dependent axis is
-    the direction's largest component at the base point, so the chart stays
-    away from its coordinate singularity.  Orbit block k of a form is the
-    k-th orbit coefficient over the k-th block normaliser.  Subclasses supply
-    labels, the extra coordinates, orbit_coefficients(x), a length-4 array, and
-    its exact Jacobian orbit_coefficients_jacobian(x); charges_jacobian(x) follows.
+    The first eight coordinates are the (u, v) pairs of the four directions in
+    their _DirectionChart: (l1, l2, r1, r2) for the AdS ones (global on the future
+    hyperboloid), and for the sphere ones cyclic charts whose dependent axis is the
+    direction's largest component at the base point, so the chart stays away from
+    its coordinate singularity.  Orbit block k of a form is the k-th orbit
+    coefficient over the k-th block normaliser.  Subclasses supply labels, the extra
+    coordinates, orbit_coefficients(x), a length-4 array, and its exact Jacobian
+    orbit_coefficients_jacobian(x); charges_jacobian(x) follows.
     """
 
     def __init__(self, point):
-        self.ls_axes = _SphereChartAxes.for_vector(point.lhat_s.coeffs)
-        self.rs_axes = _SphereChartAxes.for_vector(point.rhat_s.coeffs)
+        self.axes = ((_DirectionChart(0, 1.0, 1.0),) * 2
+                     + tuple(_DirectionChart.for_sphere(d.coeffs)
+                             for d in (point.lhat_s, point.rhat_s)))
         self._x0 = self.coords(point)
 
     def coords(self, point):
-        l, r = point.lhat.coeffs, point.rhat.coeffs
-        lsu, lsv = self.ls_axes.to_coords(point.lhat_s.coeffs)
-        rsu, rsv = self.rs_axes.to_coords(point.rhat_s.coeffs)
-        return np.array([l[1], l[2], r[1], r[2], lsu, lsv, rsu, rsv,
-                         *self._extra_coords(point)])
+        dirs = (point.lhat, point.rhat, point.lhat_s, point.rhat_s)
+        return np.array([c for chart, d in zip(self.axes, dirs) for c in chart.coords(d.coeffs)]
+                        + list(self._extra_coords(point)))
 
     def _direction(self, k, x):
         """Coefficients of direction k = 0..3 (l, r, l_s, r_s) at chart vector x."""
-        u, v = x[2 * k], x[2 * k + 1]
-        if k < 2:
-            return _ads_from_chart(u, v)
-        return (self.ls_axes, self.rs_axes)[k - 2].from_coords(u, v)
+        return self.axes[k].direction(x[2 * k], x[2 * k + 1])
 
     def _direction_tangents(self, k, x):
         """Tangents of direction k along the chart directions, (x.size, 3), zero off rows 2k, 2k+1.
 
-        The AdS charts are cyclic too, with l0 dependent: d^2 = 1 +- (u^2 + v^2), dd/du = +-u/d.
+        As w^2 = 1 + q (u^2 + v^2), dw/du = q u / w.
         """
-        sign, axes = ((1.0, _SphereChartAxes(0, 1.0)) if k < 2
-                      else (-1.0, (self.ls_axes, self.rs_axes)[k - 2]))
-        out, uv = np.zeros((x.size, 3)), slice(2 * k, 2 * k + 2)
-        out[2 * k, axes.u_index] = out[2 * k + 1, axes.v_index] = 1.0
-        out[uv, axes.axis] = sign * x[uv] / self._direction(k, x)[axes.axis]
+        chart, out, uv = self.axes[k], np.zeros((x.size, 3)), slice(2 * k, 2 * k + 2)
+        out[2 * k, chart.uv[0]] = out[2 * k + 1, chart.uv[1]] = 1.0
+        out[uv, chart.axis] = chart.q * x[uv] / self._direction(k, x)[chart.axis]
         return out
 
     def _block_normalisers(self, x):
@@ -258,13 +242,11 @@ class _OrbitChart:
         AdS blocks m dl2^dl1/(2 l0) and m dr1^dr2/(2 r0); the sphere blocks
         carry the mirrored orientation of the su(2) structure constants.
         """
-        l0, r0 = self._direction(0, x)[0], self._direction(1, x)[0]
-        w_ls = self.ls_axes.w(x[4], x[5])
-        w_rs = self.rs_axes.w(x[6], x[7])
-        if abs(w_ls) < 1e-8 or abs(w_rs) < 1e-8:
+        w = [self._direction(k, x)[chart.axis] for k, chart in enumerate(self.axes)]
+        if min(map(abs, w)) < 1e-8:
             raise DegenerateConfigurationError(
                 "sphere chart at its coordinate singularity; rebuild the chart")
-        return -2.0 * l0, 2.0 * r0, 2.0 * w_ls, -2.0 * w_rs
+        return tuple(s * wk for s, wk in zip((-2.0, 2.0, 2.0, -2.0), w))
 
     def orbit_block_coefficients(self, form=None):
         """Signed orbit coefficients (m_L, m_R, m_L_s, m_R_s) read off a form."""
@@ -310,6 +292,7 @@ class ParticleChartPoint:
     phi_s: float = 0.0
 
     def __post_init__(self):
+        _check_finite_fields(self, ("m_s", "M", "phi", "phi_s"))
         if self.m_s <= 0.0:
             raise ValidationError("sphere Casimir m_s must be positive")
         if self.M < 0.0:
@@ -381,15 +364,15 @@ class StringChartPoint:
 
     def __post_init__(self):
         check_winding(self.n)
+        _check_finite_fields(self, ("f", "b", "phi1", "phi2"))
         _check_string_point(self.f, self.b, self.lhat.coeffs, self.rhat.coeffs,
                             self.lhat_s.coeffs, self.rhat_s.coeffs)
 
 
 def _check_string_point(f, b, l, r, ls, rs):
-    """The chart's conditions on (f, b) and raw direction coefficients."""
-    ok = _admissible(f, b)
-    if not ok:
-        raise ValidationError(f"inadmissible (f, b): {ok.reason}")
+    """Chart conditions on (f, b) and raw directions; family_tangent diverges on the band edges."""
+    if not (b > 1.0 and f > b and f * f - b * f - 2.0 < 0.0):
+        raise ValidationError(f"chart needs b > 1, f > b and f^2 - b f - 2 < 0 at ({f}, {b})")
     if -_dot(AdsAlgebraElement, l, r) <= 1.0 + 1e-12:
         raise ValidationError("chart needs l != r (boost axis undefined)")
     if abs(_dot(SphereAlgebraElement, ls, rs)) >= 1.0 - 1e-12:
@@ -417,17 +400,11 @@ def _family_tangents(rel):
     return out
 
 
-def _orbit_element(algebra, l, r, phase_l, phase_r, theta):
-    """Raw exp(phase_l l) exp(-(gamma + theta) n) exp(phase_r r), (n, gamma) from (l, r)."""
-    nh, gamma, *_ = _normalized_commutator(algebra, l, r)
-    return (_exp_matrix(algebra, l, phase_l) @ _exp_matrix(algebra, nh, -(gamma + theta))
-            @ _exp_matrix(algebra, r, phase_r))
-
-
 def _orbit_tangents(algebra, l, r, phase_l, phase_r, theta, tangents):
-    """Tangents of _orbit_element along the chart directions, given those of its inputs.
+    """Raw orbit element exp(phase_l l) exp(-(gamma + theta) n) exp(phase_r r) and its tangents.
 
-    tangents = (dl, dr, dphase_l, dphase_r, dtheta).  As n = [l, r] / (2 s), s = sinh or sin
+    (n, gamma) come from (l, r), and tangents = (dl, dr, dphase_l, dphase_r, dtheta) are those
+    of the inputs along the chart directions.  As n = [l, r] / (2 s), s = sinh or sin
     2gamma, dgamma = -d<l, r> / (2 s) with d<l, r> = <l - k r, dr - k dl> (s and k from
     _normalized_commutator), and dn is d[l, r] / (2 s) less its part along n.
     """
@@ -441,16 +418,16 @@ def _orbit_tangents(algebra, l, r, phase_l, phase_r, theta, tangents):
         _exp_tangent(algebra, nh, d_n, -(gamma + theta),
                      (dr - k * dl) @ (metric @ (l - k * r)) / (2.0 * s2g) - dtheta),
         _exp_tangent(algebra, r, dr, phase_r, dphase_r))
-    return (da @ m + a @ dm) @ c + a @ m @ dc
+    return a @ m @ c, (da @ m + a @ dm) @ c + a @ m @ dc
 
 
 class StringChart(_OrbitChart):
     """Chart machinery for the string solution space.
 
-    Reconstructs a full solution from the twelve coordinates, evaluates the
-    presymplectic 1-form by sigma-quadrature and the symplectic form from
-    the d(theta) identity, both from that one solution and its exact chart
-    tangents, with no difference step.
+    Reconstructs a full solution and its exact chart tangents from the twelve
+    coordinates in one build, and evaluates from them the presymplectic 1-form
+    by sigma-quadrature and the symplectic form from the d(theta) identity,
+    with no difference step.
 
     The translation gauge pins the four constant-element phases to two chart
     angles as phi1 = phi_l = -phi_r and phi2 = phi_l^s = -phi_r^s.  In this
@@ -494,39 +471,30 @@ class StringChart(_OrbitChart):
                          dlam_s + drho_s * c2ts + rel.rho_s * dc2ts,
                          dlam_s * c2ts + rel.lam_s * dc2ts + drho_s])
 
-    def _raw_solution(self, x, tangents=False):
+    def _raw_solution(self, x):
         """Raw sectors (lam, rho, m, n, l, r, x0) of 2x2 arrays at chart vector x, and tangents.
 
-        With tangents, the second item holds per sector (dlam, drho, dl, dr, dx0) along the
-        twelve chart directions on a leading axis, else None.  Also returns the angle pairs
-        of (l, r, l_s, r_s): the directions go through their angle charts, as the validated
-        unit vectors take them.
+        The second item holds per sector (dlam, drho, dl, dr, dx0) along the twelve chart
+        directions on a leading axis.
         """
         if not np.all(np.isfinite(x)):
             raise ValidationError("non-finite chart vector")
-        units = (UnitTimelikeVector,) * 2 + (UnitSphereVector,) * 2
-        angles = [unit._to_angles(self._direction(k, x)) for k, unit in enumerate(units)]
-        l, r, ls, rs = (unit._to_coeffs(*a) for unit, a in zip(units, angles))
+        l, r, ls, rs = (self._direction(k, x) for k in range(4))
         f, b, phi1, phi2 = (float(v) for v in x[8:])
         _check_string_point(f, b, l, r, ls, rs)
         rel = family_relations(f, b, self.n)
         theta, theta_s = family_angles(rel.cosh2theta, rel.cos2theta_s)
-        ads, sph, sgn = AdsAlgebraElement, SphereAlgebraElement, self.sphere_gauge_sign
-        sectors = ((rel.lam, rel.rho, rel.m, rel.n, ads._matrix(l), ads._matrix(r),
-                    _orbit_element(ads, l, r, phi1, -phi1, theta)),
-                   (rel.lam_s, rel.rho_s, rel.m_s, rel.n_s, sph._matrix(ls), sph._matrix(rs),
-                    _orbit_element(sph, ls, rs, phi2, sgn * phi2, theta_s)))
-        if not tangents:
-            return sectors, None, angles
         dl, dr, dls, drs = (self._direction_tangents(k, x) for k in range(4))
         dlam, drho, dlam_s, drho_s, _, _, dtheta, dtheta_s = _family_tangents(rel)
         dphi1, dphi2 = np.eye(12)[10:]
-        return sectors, (
-            (dlam, drho, ads._matrix(dl), ads._matrix(dr),
-             _orbit_tangents(ads, l, r, phi1, -phi1, theta, (dl, dr, dphi1, -dphi1, dtheta))),
-            (dlam_s, drho_s, sph._matrix(dls), sph._matrix(drs),
-             _orbit_tangents(sph, ls, rs, phi2, sgn * phi2, theta_s,
-                             (dls, drs, dphi2, sgn * dphi2, dtheta_s)))), angles
+        ads, sph, sgn = AdsAlgebraElement, SphereAlgebraElement, self.sphere_gauge_sign
+        g0, dg0 = _orbit_tangents(ads, l, r, phi1, -phi1, theta, (dl, dr, dphi1, -dphi1, dtheta))
+        h0, dh0 = _orbit_tangents(sph, ls, rs, phi2, sgn * phi2, theta_s,
+                                  (dls, drs, dphi2, sgn * dphi2, dtheta_s))
+        return (((rel.lam, rel.rho, rel.m, rel.n, ads._matrix(l), ads._matrix(r), g0),
+                 (rel.lam_s, rel.rho_s, rel.m_s, rel.n_s, sph._matrix(ls), sph._matrix(rs), h0)),
+                ((dlam, drho, ads._matrix(dl), ads._matrix(dr), dg0),
+                 (dlam_s, drho_s, sph._matrix(dls), sph._matrix(drs), dh0)))
 
     def solution(self, x):
         """Solution parameters at chart vector x.
@@ -536,11 +504,13 @@ class StringChart(_OrbitChart):
         from the invariant bridge at (f, b).  These are the numbers of
         _raw_solution, wrapped in validated types.
         """
-        sectors, _, angles = self._raw_solution(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        sectors, _ = self._raw_solution(x)
         fields = []
-        for (*freqs, _, _, x0), unit, pair in zip(sectors, (UnitTimelikeVector, UnitSphereVector),
-                                                   (angles[:2], angles[2:])):
-            fields += [*freqs, *(unit(*a) for a in pair), unit._algebra._group(x0)]
+        for k, (*freqs, _, _, x0), unit in zip((0, 2), sectors,
+                                                (UnitTimelikeVector, UnitSphereVector)):
+            fields += [*freqs, unit.from_coeffs(self._direction(k, x)),
+                       unit.from_coeffs(self._direction(k + 1, x)), unit._algebra._group(x0)]
         return SolutionParams(*fields)
 
     def _chart_fields(self, x):
@@ -549,18 +519,16 @@ class StringChart(_OrbitChart):
         g = A g0 B (A = c_l I + s_l L, B = c_r I + s_r R) is linear in each factor, so the
         tangents of g0, L and R pass through the sigma-nodes as three _phase_product calls,
         those of lam and rho as tau (dlam A' g0 B + drho A g0 B'); the phase orders of
-        _derivatives give g_tau = lam A' g0 B + rho A g0 B' and its tangent alike.
+        solutions._phase_orders give g_tau = lam A' g0 B + rho A g0 B' and its tangent alike.
         V_j = g^{-1} d_j g and X_j = g^{-1} d_j g_tau run over the sector's chart directions
         `rows` (7, sigma, 2, 2); R_tau = g^{-1} g_tau is (sigma, 2, 2).
         """
-        sectors, tangents, _ = self._raw_solution(x, tangents=True)
+        sectors, tangents = self._raw_solution(x)
         tau, out = self.tau, []
         for (lam, rho, m, n, lmat, rmat, x0), tangent, rows in zip(sectors, tangents,
                                                                   self._SECTOR_ROWS):
             dlam, drho, dl, dr, dx0 = (t[rows, None] for t in tangent)
-            c_l, s_l, c_r, s_r = _phases(lam, rho, m, n, tau, self.sigma)
-            cl, sl = np.stack([c_l, -s_l, c_l, -s_l]), np.stack([s_l, c_l, s_l, c_l])
-            cr, sr = np.stack([c_r, c_r, -s_r, -s_r]), np.stack([s_r, s_r, c_r, c_r])
+            cl, sl, cr, sr = _phase_orders(lam, rho, m, n, tau, self.sigma)
             g, g_l, g_r, g_lr = _phase_product(cl, sl, cr, sr, lmat, x0, rmat)
             cl, sl, cr, sr = (w[:3, None] for w in (cl, sl, cr, sr))  # orders of g, g_l, g_r
             d_g, d_gl, d_gr = (_phase_product(cl, sl, cr, sr, lmat, dx0, rmat)

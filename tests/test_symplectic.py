@@ -14,7 +14,7 @@ from ads3s3.algebra import (
     exp_algebra,
     inner,
 )
-from ads3s3.bridge import bridge, f_max
+from ads3s3.bridge import bridge, f_max, family_relations, family_tangent
 from ads3s3.charges import (
     charge_coefficients,
     charges_analytic,
@@ -31,7 +31,7 @@ from ads3s3.symplectic import (
     StringChart,
     StringChartPoint,
     TwoFormMatrix,
-    _ads_from_chart,
+    _DirectionChart,
     bracket_table,
     gradient,
     poisson_bracket,
@@ -40,6 +40,7 @@ from ads3s3.symplectic import (
 from test_solutions import g_from_LR
 
 T0, T1, T2 = al.ads_basis()
+ADS_CHART = _DirectionChart(0, 1.0, 1.0)
 S1, S2, S3 = al.sphere_basis()
 F0, B0 = 5.0 / 3.0, 5.0 / 4.0
 
@@ -279,13 +280,13 @@ class TestCanonicalOneFormSplitting:
 
     @staticmethod
     def ads_g(z):
-        lh = UnitTimelikeVector.from_coeffs(_ads_from_chart(z[0], z[1]))
-        rh = UnitTimelikeVector.from_coeffs(_ads_from_chart(z[2], z[3]))
+        lh = UnitTimelikeVector.from_coeffs(ADS_CHART.direction(z[0], z[1]))
+        rh = UnitTimelikeVector.from_coeffs(ADS_CHART.direction(z[2], z[3]))
         return g_from_LR(lh, rh, z[5]).matrix
 
     @staticmethod
     def ads_R(z):
-        return z[4] * UnitTimelikeVector.from_coeffs(_ads_from_chart(z[2], z[3])).matrix
+        return z[4] * UnitTimelikeVector.from_coeffs(ADS_CHART.direction(z[2], z[3])).matrix
 
     def ads_theta(self, x):
         step = 1e-6
@@ -320,13 +321,13 @@ class TestCanonicalOneFormSplitting:
 
         def Lmu(mu):
             def fn(x):
-                v = _ads_from_chart(x[0], x[1])
+                v = ADS_CHART.direction(x[0], x[1])
                 return x[4] * (-v[0] if mu == 0 else v[mu])
             return fn
 
         def Rmu(mu):
             def fn(x):
-                v = _ads_from_chart(x[2], x[3])
+                v = ADS_CHART.direction(x[2], x[3])
                 return x[4] * (-v[0] if mu == 0 else v[mu])
             return fn
 
@@ -342,26 +343,25 @@ class TestCanonicalOneFormSplitting:
                 assert abs(poisson_bracket(Lmu(a), Rmu(b), om, x0)) <= 1e-5
 
     def test_sphere_splitting(self):
-        from ads3s3.symplectic import _SphereChartAxes
         lsv = UnitSphereVector(0.9, 0.4)
         rsv = UnitSphereVector(1.9, 2.2)
-        axes_l = _SphereChartAxes.for_vector(lsv.coeffs)
-        axes_r = _SphereChartAxes.for_vector(rsv.coeffs)
+        axes_l = _DirectionChart.for_sphere(lsv.coeffs)
+        axes_r = _DirectionChart.for_sphere(rsv.coeffs)
 
         def hmat(z):
-            lh = UnitSphereVector.from_coeffs(axes_l.from_coords(z[0], z[1]))
-            rh = UnitSphereVector.from_coeffs(axes_r.from_coords(z[2], z[3]))
+            lh = UnitSphereVector.from_coeffs(axes_l.direction(z[0], z[1]))
+            rh = UnitSphereVector.from_coeffs(axes_r.direction(z[2], z[3]))
             return g_from_LR(lh, rh, z[5]).matrix
 
         def rmat(z):
-            return z[4] * UnitSphereVector.from_coeffs(axes_r.from_coords(z[2], z[3])).matrix
+            return z[4] * UnitSphereVector.from_coeffs(axes_r.direction(z[2], z[3])).matrix
 
-        x0 = np.array(list(axes_l.to_coords(lsv.coeffs))
-                      + list(axes_r.to_coords(rsv.coeffs)) + [0.8, 0.5])
+        x0 = np.array(list(axes_l.coords(lsv.coeffs))
+                      + list(axes_r.coords(rsv.coeffs)) + [0.8, 0.5])
         om = identity_form(hmat, rmat, -1.0, x0, ("lsu", "lsv", "rsu", "rsv", "ms", "phis"))
         ms = x0[4]
-        wl = axes_l.w(x0[0], x0[1])
-        wr = axes_r.w(x0[2], x0[3])
+        wl = axes_l.direction(x0[0], x0[1])[axes_l.axis]
+        wr = axes_r.direction(x0[2], x0[3])[axes_r.axis]
         assert abs(entry(om, "lsu", "lsv") - ms / (2 * wl)) <= 1e-6
         assert abs(entry(om, "rsu", "rsv") + ms / (2 * wr)) <= 1e-6
         assert abs(entry(om, "ms", "phis") - 1.0) <= 1e-6
@@ -457,9 +457,15 @@ class TestParticleSymplectic:
         assert abs(point.chi - (0.4 - 1.2 / 0.9)) <= 1e-15
 
     def test_invalid_points_rejected(self):
-        with pytest.raises(ValidationError):
-            ParticleChartPoint(UnitTimelikeVector(), UnitTimelikeVector(),
-                               UnitSphereVector(), UnitSphereVector(), m_s=-0.1, M=1.0)
+        # each non-finite scalar is named at construction, before any form is built
+        for kwargs, match in ((dict(m_s=-0.1), "m_s must be positive"),
+                              (dict(m_s=math.nan), "m_s = nan"), (dict(m_s=math.inf), "m_s = inf"),
+                              (dict(M=math.nan), "M = nan"), (dict(phi=math.nan), "phi = nan"),
+                              (dict(phi_s=-math.inf), "phi_s = -inf")):
+            with pytest.raises(ValidationError, match=match):
+                ParticleChartPoint(UnitTimelikeVector(), UnitTimelikeVector(),
+                                   UnitSphereVector(), UnitSphereVector(),
+                                   **{"m_s": 0.8, "M": 1.0, **kwargs})
 
 
 class TestStringChart:
@@ -497,6 +503,11 @@ class TestStringChart:
             StringChartPoint(v, UnitTimelikeVector(0.9, 2.0),
                              UnitSphereVector(0.4, 0.2), UnitSphereVector(1.0, 1.0),
                              f=3.0, b=1.1)
+        for name in ("f", "b", "phi1", "phi2"):
+            with pytest.raises(ValidationError, match=f"{name} = nan is not finite"):
+                StringChartPoint(v, UnitTimelikeVector(0.9, 2.0),
+                                 UnitSphereVector(0.4, 0.2), UnitSphereVector(1.0, 1.0),
+                                 **{"f": F0, "b": B0, name: math.nan})
 
 
 class TestStringPresymplectic:
@@ -670,11 +681,29 @@ class TestStringSymplectic:
 
     @pytest.mark.parametrize("f", [f_max(1.2), 1.2])
     def test_form_on_an_admissible_edge_rejected(self, f):
+        # the band edges are admissible but have no form: the chart point rejects them
         point = random_string_point(np.random.default_rng(97))
-        point = StringChartPoint(point.lhat, point.rhat, point.lhat_s, point.rhat_s,
-                                 f=f, b=1.2)
-        with pytest.raises(DegenerateConfigurationError, match="band edges"):
-            StringChart(point).form()
+        with pytest.raises(ValidationError, match="chart needs b > 1, f > b"):
+            StringChartPoint(point.lhat, point.rhat, point.lhat_s, point.rhat_s, f=f, b=1.2)
+
+    @pytest.mark.parametrize("b", [1.0, np.nextafter(1.0, 2.0), 1.2])
+    def test_chart_points_are_where_the_tangents_are_finite(self, b):
+        # at each band edge and one ulp inside it, a chart point exists exactly where
+        # bridge.family_tangent is finite, and there it has a finite form
+        point = random_string_point(np.random.default_rng(97))
+        for f in (b, np.nextafter(b, 3.0), f_max(b), np.nextafter(f_max(b), 0.0)):
+            try:
+                finite = bool(np.all(np.isfinite(family_tangent(family_relations(f, b, 1)))))
+            except DegenerateConfigurationError:
+                finite = False
+            try:
+                edge = StringChartPoint(point.lhat, point.rhat, point.lhat_s, point.rhat_s,
+                                        f=float(f), b=float(b))
+            except ValidationError:
+                assert not finite, (f, b)
+                continue
+            assert finite, (f, b)
+            assert np.all(np.isfinite(StringChart(edge).form().matrix)), (f, b)
 
     def test_form_builds_one_raw_solution(self, monkeypatch):
         point = random_string_point(np.random.default_rng(98))
@@ -682,9 +711,9 @@ class TestStringSymplectic:
         x = chart.coords(point)
         calls = []
 
-        def counted(z, build=chart._raw_solution, **kwargs):
+        def counted(z, build=chart._raw_solution):
             calls.append(z)
-            return build(z, **kwargs)
+            return build(z)
 
         monkeypatch.setattr(chart, "_raw_solution", counted)
         chart.form(x)
