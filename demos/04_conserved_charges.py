@@ -18,7 +18,7 @@ ads, sph = currents(sol, 0.0, 0.0)
 print("  L_tau coefficients:", ads.L_tau.coeffs)
 print("  R_tau coefficients:", ads.R_tau.coeffs)
 
-print("\n== charges: quadrature (N = 256) vs closed form ==")
+print("\n== charges: quadrature (sigma = 0, pi/|w| per winding) vs closed form ==")
 num = charges_numeric(sol)
 ana = charges_analytic(sol)
 for name, a, b in (("L  ", num.L, ana.L), ("R  ", num.R, ana.R),
@@ -38,7 +38,7 @@ print("  max drift:", max(np.max(np.abs(a.coeffs - b.coeffs)) for a, b in
                           ((later.L, num.L), (later.R, num.R),
                            (later.L_s, num.L_s), (later.R_s, num.R_s))))
 
-print("\n== quadrature at any winding (256 nodes, or the next count dividing no winding) ==")
+print("\n== quadrature at any winding (two nodes per distinct winding, exact) ==")
 for n in (1, 64, 10 ** 6):
     wound = family_solution(5 / 3, 5 / 4, n)
     exact = charges_analytic(wound)

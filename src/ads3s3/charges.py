@@ -2,8 +2,8 @@
 
 Left/right currents L_a = (d_a g) g^{-1}, R_a = g^{-1} d_a g and their
 sigma-averages L, R (the conserved charges), in closed form and by
-quadrature.  For generic windings the averages collapse onto the solution
-directions,
+quadrature, exact on 2^k sigma-nodes for k distinct windings (charges_numeric).  For
+generic windings the averages collapse onto the solution directions,
 
     L = (lam + rho cosh 2theta) l,      R = (lam cosh 2theta + rho) r,
 
@@ -95,12 +95,12 @@ def charge_gap(a, b):
 
 
 def charges_numeric(sol, tau=0.0):
-    """Charges by trapezoidal quadrature of the tau-currents over sigma.
+    """Charges as tau-current means over the sigma-nodes of _periodic_sigmas.
 
-    The nodes of _periodic_sigmas from 256 up make it exact at any winding.  The averages skip
-    from_matrix, whose absolute trace check rejects entries of size n or of a boosted frame.
+    Each current carries only e^0 and the e^{+-i w sigma} of its factor's winding w, which the
+    nodes cancel; the means skip from_matrix, whose trace check rejects n-sized entries.
     """
-    sigmas = _periodic_sigmas(256, sol.m, sol.n, sol.m_s, sol.n_s)
+    sigmas = _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s)
     out = []
     for cls, cur in zip(SECTOR_ALGEBRAS, current_matrices(sol, float(tau), sigmas)):
         out += [cls(cls._project(c.mean(axis=0)).real) for c in (cur.L_tau, cur.R_tau)]

@@ -142,15 +142,16 @@ def _phase_product(c_l, s_l, c_r, s_r, left_mat, g0_mat, right_mat):
     return c_l * c_r * g0_mat + c_l * s_r * gr + s_l * c_r * lg + s_l * s_r * lgr
 
 
-def _periodic_sigmas(count, *windings):
-    """Periodic trapezoid nodes on [0, 2pi): count of them, or the next count dividing no winding.
+def _periodic_sigmas(*windings):
+    """Every sum of distinct pi/|w| over the nonzero windings w: sigma-nodes with exact means.
 
-    N nodes average e^{ik sigma} exactly unless N divides k, and the library's
-    sigma-averages (charges, string form) carry only 0 and the windings as frequencies.
+    The mean of F(sigma) and F(sigma + pi/|w|) cancels e^{+-i w sigma}, and the library's
+    sigma-averages (charges, string form) carry no frequency but 0 and their windings.
     """
-    while any(w % count == 0 for w in windings if w):
-        count += 1
-    return np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    sigmas = np.zeros(1)
+    for k in sorted({abs(w) for w in windings if w}):
+        sigmas = np.concatenate([sigmas, sigmas + math.pi / k])
+    return sigmas
 
 
 def evaluate_matrices(sol, tau, sigma):

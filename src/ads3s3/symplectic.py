@@ -36,7 +36,9 @@ orbit blocks reproduce the charge coefficients, the remainder being the
 Validation happens at the boundary: chart points and StringChart.solution
 are validated types.  StringChart._raw_solution builds one solution and its
 tangents as raw 2x2 arrays, with the chart conditions checked on them; the
-form pushes them through the sigma-nodes by the phase product of solutions.
+form pushes them through the sigma-nodes 0, pi/n of solutions._periodic_sigmas by the
+phase product of solutions.  With m = -n, theta_j and omega_ij carry only e^0 and
+e^{+-i n sigma}, which the two nodes cancel (<X_i, V_j>'s e^{+-2i n sigma} is symmetric).
 
 Poisson brackets use {F, G} = -grad(F)^T omega^{-1} grad(G).  Each chart's
 charges(x) is the vector Q of the twelve CHARGE_NAMES and orbit_coefficients(x)
@@ -74,7 +76,6 @@ from .algebra import (
 )
 from .solutions import SolutionParams, _phase_orders, _phase_product, _periodic_sigmas
 
-SIGMA_POINTS = 64  # base count of the string 1-form's sigma nodes, see _periodic_sigmas
 DEFAULT_GRAD_STEP = 1e-6  # of gradient, the difference utility for generic chart functions
 
 # the components of chart.charges(x): L_mu, R_mu (AdS, lower index), Ls_m, Rs_m
@@ -222,18 +223,15 @@ class _OrbitChart:
         return np.array([c for chart, d in zip(self.axes, dirs) for c in chart.coords(d.coeffs)]
                         + list(self._extra_coords(point)))
 
-    def _direction(self, k, x):
-        """Coefficients of direction k = 0..3 (l, r, l_s, r_s) at chart vector x."""
-        return self.axes[k].direction(x[2 * k], x[2 * k + 1])
+    def _directions(self, x):
+        """Coefficients of the four directions (l, r, l_s, r_s) at chart vector x."""
+        return [chart.direction(x[2 * k], x[2 * k + 1]) for k, chart in enumerate(self.axes)]
 
-    def _direction_tangents(self, k, x):
-        """Tangents of direction k along the chart directions, (x.size, 3), zero off rows 2k, 2k+1.
-
-        As w^2 = 1 + q (u^2 + v^2), dw/du = q u / w.
-        """
+    def _direction_tangents(self, k, x, direction):
+        """Tangents (x.size, 3) of direction k, `direction` at x, nonzero on rows 2k, 2k+1 only."""
         chart, out, uv = self.axes[k], np.zeros((x.size, 3)), slice(2 * k, 2 * k + 2)
         out[2 * k, chart.uv[0]] = out[2 * k + 1, chart.uv[1]] = 1.0
-        out[uv, chart.axis] = chart.q * x[uv] / self._direction(k, x)[chart.axis]
+        out[uv, chart.axis] = chart.q * x[uv] / direction[chart.axis]  # dw/du = q u / w
         return out
 
     def _block_normalisers(self, x):
@@ -242,7 +240,7 @@ class _OrbitChart:
         AdS blocks m dl2^dl1/(2 l0) and m dr1^dr2/(2 r0); the sphere blocks
         carry the mirrored orientation of the su(2) structure constants.
         """
-        w = [self._direction(k, x)[chart.axis] for k, chart in enumerate(self.axes)]
+        w = [d[chart.axis] for d, chart in zip(self._directions(x), self.axes)]
         if min(map(abs, w)) < 1e-8:
             raise DegenerateConfigurationError(
                 "sphere chart at its coordinate singularity; rebuild the chart")
@@ -259,16 +257,16 @@ class _OrbitChart:
 
         Each is its orbit coefficient times its direction, the AdS ones lowered by eta.
         """
-        dirs = np.array([self._direction(k, x) for k in range(4)])
+        dirs = np.array(self._directions(x))
         dirs[:2] = dirs[:2] @ ETA
         return (self.orbit_coefficients(x)[:, None] * dirs).ravel()
 
     def charges_jacobian(self, x):
         """Exact Jacobian of charges(x), (12, x.size): d(m_k d_k) = dm_k d_k + m_k dd_k."""
         x = np.asarray(x, dtype=float)
-        coeffs, d_coeffs = self.orbit_coefficients(x), self.orbit_coefficients_jacobian(x)
-        out = np.concatenate([np.outer(self._direction(k, x), d_coeffs[k])
-                              + coeffs[k] * self._direction_tangents(k, x).T for k in range(4)])
+        m, dm = self.orbit_coefficients(x), self.orbit_coefficients_jacobian(x)
+        out = np.concatenate([np.outer(d, dm[k]) + m[k] * self._direction_tangents(k, x, d).T
+                              for k, d in enumerate(self._directions(x))])
         out[[0, 3]] *= -1.0  # L_0 and R_0 lowered by eta
         return out
 
@@ -449,7 +447,7 @@ class StringChart(_OrbitChart):
     def __init__(self, point, tau=0.0):
         self.n = int(point.n)
         self.tau = float(tau)
-        self.sigma = _periodic_sigmas(SIGMA_POINTS, self.n)
+        self.sigma = _periodic_sigmas(self.n)
         super().__init__(point)
 
     def _extra_coords(self, point):
@@ -479,12 +477,12 @@ class StringChart(_OrbitChart):
         """
         if not np.all(np.isfinite(x)):
             raise ValidationError("non-finite chart vector")
-        l, r, ls, rs = (self._direction(k, x) for k in range(4))
+        l, r, ls, rs = dirs = self._directions(x)
         f, b, phi1, phi2 = (float(v) for v in x[8:])
         _check_string_point(f, b, l, r, ls, rs)
         rel = family_relations(f, b, self.n)
         theta, theta_s = family_angles(rel.cosh2theta, rel.cos2theta_s)
-        dl, dr, dls, drs = (self._direction_tangents(k, x) for k in range(4))
+        dl, dr, dls, drs = (self._direction_tangents(k, x, d) for k, d in enumerate(dirs))
         dlam, drho, dlam_s, drho_s, _, _, dtheta, dtheta_s = _family_tangents(rel)
         dphi1, dphi2 = np.eye(12)[10:]
         ads, sph, sgn = AdsAlgebraElement, SphereAlgebraElement, self.sphere_gauge_sign
@@ -506,11 +504,11 @@ class StringChart(_OrbitChart):
         """
         x = np.asarray(x, dtype=float)
         sectors, _ = self._raw_solution(x)
-        fields = []
+        dirs, fields = self._directions(x), []
         for k, (*freqs, _, _, x0), unit in zip((0, 2), sectors,
                                                 (UnitTimelikeVector, UnitSphereVector)):
-            fields += [*freqs, unit.from_coeffs(self._direction(k, x)),
-                       unit.from_coeffs(self._direction(k + 1, x)), unit._algebra._group(x0)]
+            fields += [*freqs, unit.from_coeffs(dirs[k]), unit.from_coeffs(dirs[k + 1]),
+                       unit._algebra._group(x0)]
         return SolutionParams(*fields)
 
     def _chart_fields(self, x):

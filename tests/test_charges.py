@@ -182,13 +182,14 @@ class TestEdgeCases:
         assert np.max(np.abs(ana.L.coeffs - 0.7 * sol.lhat.coeffs)) <= 1e-14
         assert np.max(np.abs(num.R.coeffs - ana.R.coeffs)) <= 1e-12
 
-    def test_node_count_steps_past_a_dividing_winding(self):
-        # 256 divides every winding, so 256 nodes would alias each e^{i 256 sigma} onto the mean
+    def test_two_nodes_where_256_divides_every_winding(self):
+        # |w| = 256 throughout: sigma = 0 and pi/256 cancel each e^{+-i 256 sigma}, which 256
+        # equispaced nodes would alias onto the mean
         sol = make_solution(-128.0, 128.0, -256, 256, UnitTimelikeVector(0.4, 1.0),
                             UnitTimelikeVector(0.2, 2.0), exp_algebra(al.ads_basis()[1], 0.3),
                             128.0, 128.0, 256, 256, UnitSphereVector.from_coeffs([0.6, 0.0, 0.8]),
                             UnitSphereVector(), exp_algebra(al.sphere_basis()[1], 0.4))
-        assert _periodic_sigmas(256, sol.m, sol.n, sol.m_s, sol.n_s).size == 257
+        assert _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s).size == 2
         ana = charges_analytic(sol)
         assert charge_gap(charges_numeric(sol), ana) <= 1e-12 * ana.m_L
 

@@ -110,6 +110,17 @@ class TestVerifyCommand:
         assert err == ""
         assert strict_loads(out)["charge_gap"] <= 1e-10
 
+    def test_charge_gap_at_a_winding_of_511(self, capsys, tmp_path):
+        # at (2.5, 2) n = 511 the exact solution verifies and a 1e-4 break of lam fails
+        code, _, _ = run(capsys, "verify", "--f", "2.5", "--b", "2", "--n", "511")
+        assert code == 0
+        data = params_to_dict(family_solution(2.5, 2.0, 511))
+        data["lam"] *= 1.0 + 1e-4
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
+        code, _, _ = run(capsys, "verify", "--params", str(path))
+        assert code == 2
+
     def test_tol_override(self, capsys, tmp_path):
         data = params_to_dict(family_solution(5.0 / 3.0, 5.0 / 4.0, 1))
         data["lam"] += 1e-3

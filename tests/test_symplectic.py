@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ads3s3 import algebra as al
 from ads3s3.algebra import (
@@ -22,7 +22,7 @@ from ads3s3.charges import (
     current_matrices,
 )
 from ads3s3.geometry import eom_residual
-from ads3s3.solutions import evaluate_matrices, theta_invariants
+from ads3s3.solutions import apply_isometry, evaluate_matrices, make_solution, theta_invariants
 from ads3s3.symplectic import (
     BRACKET_STRUCTURE,
     CHARGE_NAMES,
@@ -37,7 +37,7 @@ from ads3s3.symplectic import (
     poisson_bracket,
 )
 
-from test_solutions import g_from_LR
+from test_solutions import g_from_LR, random_isometry, random_solution
 
 T0, T1, T2 = al.ads_basis()
 ADS_CHART = _DirectionChart(0, 1.0, 1.0)
@@ -552,7 +552,6 @@ class TestStringPresymplectic:
 
 class TestStringSymplectic:
     def test_orbit_blocks_carry_charge_coefficients(self):
-        # 64 sigma nodes would alias the e^{i n sigma} terms at n = 64 and 128
         for n in (1, 64, 128):
             point = random_string_point(np.random.default_rng(85), n=n)
             chart = StringChart(point)
@@ -812,6 +811,51 @@ class TestExactJacobians:
                 want = gradient(fn, x, 1e-6)
                 assert exact(x).shape == want.shape
                 assert np.max(np.abs(exact(x) - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+# 997 is prime, so it divides none of the frequencies below (0 up to 2 n = 2000)
+DENSE_SIGMAS = np.linspace(0.0, 2.0 * math.pi, 997, endpoint=False)
+
+
+def dense_charges(sol, tau):
+    """The (L, R, L_s, R_s) coefficients, (4, 3), as tau-current means over DENSE_SIGMAS."""
+    sectors = zip(al.SECTOR_ALGEBRAS, current_matrices(sol, tau, DENSE_SIGMAS))
+    return np.array([cls._project(c.mean(axis=0)).real
+                     for cls, cur in sectors for c in (cur.L_tau, cur.R_tau)])
+
+
+# (m, n, m_s, n_s) = (-3, 5, 4, 2), 16 sigma-nodes; and n = m_s = n_s = 0, 2 of them
+DISTINCT_WINDINGS = make_solution(
+    2.5, -1.5, -3, 5, UnitTimelikeVector(0.4, 1.0), UnitTimelikeVector(0.2, 2.0),
+    exp_algebra(al.ads_basis()[1], 0.3), 1.6, 1.25, 4, 2,
+    UnitSphereVector.from_coeffs([0.6, 0.0, 0.8]), UnitSphereVector(),
+    exp_algebra(al.sphere_basis()[1], 0.4))
+ZERO_WINDINGS = make_solution(
+    0.7, 0.0, 2, 0, UnitTimelikeVector(0.4, 1.0), UnitTimelikeVector(0.2, 2.0),
+    exp_algebra(al.ads_basis()[1], 0.3), 0.0, 0.0, 0, 0, UnitSphereVector(),
+    UnitSphereVector(), al.SphereGroupElement.identity())
+
+
+class TestSigmaNodes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256, 1000])
+    @settings(max_examples=5)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_two_nodes_per_winding_match_a_dense_reference(self, n, seed):
+        # the nodes of _periodic_sigmas against 997 equispaced ones, at windings 64 and 256 divide
+        rng = np.random.default_rng(seed)
+        point = random_string_point(rng, n=n)
+        chart, dense = StringChart(point), StringChart(point)
+        dense.sigma = DENSE_SIGMAS
+        for got, want in ((chart.form().matrix, dense.form().matrix),
+                          (chart.presymplectic(), dense.presymplectic())):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        tau = rng.uniform(-2.0, 2.0)
+        for sol in (random_solution(rng, n=n),
+                    apply_isometry(DISTINCT_WINDINGS, *random_isometry(rng)),
+                    apply_isometry(ZERO_WINDINGS, *random_isometry(rng))):
+            got = np.array([q.coeffs for q in charges_numeric(sol, tau).vectors])
+            want = dense_charges(sol, tau)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestChargeNames:
