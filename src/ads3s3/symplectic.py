@@ -252,18 +252,19 @@ class _OrbitChart:
         return tuple(scale * float(form.matrix[2 * k, 2 * k + 1])
                      for k, scale in enumerate(self._block_normalisers(self._x0)))
 
-    def charges(self, x):
-        """The twelve charge components at chart vector x, in CHARGE_NAMES order.
-
-        Each is its orbit coefficient times its direction, the AdS ones lowered by eta.
+    def charges(self, x=None):
+        """The twelve charge components at chart vector x (the base point by default), in
+        CHARGE_NAMES order.  Each is its orbit coefficient times its direction, the AdS ones
+        lowered by eta.
         """
+        x = self._x0 if x is None else x
         dirs = np.array(self._directions(x))
         dirs[:2] = dirs[:2] @ ETA
         return (self.orbit_coefficients(x)[:, None] * dirs).ravel()
 
-    def charges_jacobian(self, x):
+    def charges_jacobian(self, x=None):
         """Exact Jacobian of charges(x), (12, x.size): d(m_k d_k) = dm_k d_k + m_k dd_k."""
-        x = np.asarray(x, dtype=float)
+        x = self._x0 if x is None else np.asarray(x, dtype=float)
         m, dm = self.orbit_coefficients(x), self.orbit_coefficients_jacobian(x)
         out = np.concatenate([np.outer(d, dm[k]) + m[k] * self._direction_tangents(k, x, d).T
                               for k, d in enumerate(self._directions(x))])

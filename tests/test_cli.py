@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from ads3s3 import cli
 from ads3s3.algebra import ads_basis, exp_algebra
-from ads3s3.cli import _table, main
+from ads3s3.cli import _json, _table, main
 from ads3s3.solutions import apply_isometry, family_solution, params_to_dict
 
 from test_cli_golden import BYTE_EXACT, DATA, NUMERIC
@@ -301,6 +301,47 @@ class TestTableWriter:
         assert _table(columns, "csv") == csv_oracle(rows, list(columns))
 
 
+def nulls(value):
+    """The payload with every non-finite float replaced by None: the rule _json replaced."""
+    if isinstance(value, dict):
+        return {k: nulls(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [nulls(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+_ESCAPED = ['"', "%", "%s", "\u00e9", "\x00", "\n", "\x1f", "a\\b", "\u2028"]
+
+
+def payloads(depth=3):
+    """Dicts, lists and tuples nested up to depth, over every scalar type a payload holds."""
+    texts = st.one_of(st.sampled_from(_ESCAPED), st.text(max_size=4))
+    floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+    np_floats = floats.map(np.float64)
+    scalars = st.one_of(floats, np_floats, st.integers(), st.booleans(), st.none(), texts)
+    if depth == 0:
+        return scalars
+    items = st.one_of(scalars, payloads(depth - 1))
+    return st.one_of(scalars, st.lists(floats, max_size=6), st.lists(np_floats, max_size=6),
+                     st.lists(items, max_size=4),
+                     st.lists(items, max_size=4).map(tuple),
+                     st.dictionaries(texts, items, max_size=4))
+
+
+class TestJsonWriter:
+    """_json against the two-pass writer it replaced: nulls, then json.dumps(indent=2)."""
+
+    @given(payloads())
+    @example({"x": _EDGE_FLOATS, "y": [np.float64(v) for v in _EDGE_FLOATS[3:]], "e": [[], {}, ()],
+              'q"%\u00e9\x01': ({"t": (1, True, None, "s")}, [[0.5, -0.0], [math.nan]])})
+    @example(math.nan)
+    @example([])
+    def test_matches_two_pass_writer(self, payload):
+        assert _json(payload) == json.dumps(nulls(payload), indent=2, allow_nan=False) + "\n"
+
+
 class TestChargesCommand:
     def test_reference_casimirs(self, capsys):
         code, out, _ = run(capsys, "charges", "--f", F_REF, "--b", B_REF, "--n", "1")
@@ -391,16 +432,32 @@ class TestBracketsCommand:
 
 class TestDeterminism:
     def test_repeated_outputs_identical(self, capsys):
-        outs = []
-        for _ in range(2):
-            _, out, _ = run(capsys, "bridge", "--f", F_REF, "--b", B_REF)
-            outs.append(out)
-        assert outs[0] == outs[1]
-        outs = []
-        for _ in range(2):
-            _, out, _ = run(capsys, "brackets", "--mode", "particle", "--seed", "11")
-            outs.append(out)
-        assert outs[0] == outs[1]
+        for argv in (["bridge", "--f", F_REF, "--b", B_REF],
+                     ["brackets", "--mode", "particle", "--seed", "11"],
+                     ["brackets", "--mode", "string", "--seed", "11"]):
+            assert run(capsys, *argv) == run(capsys, *argv)
+
+
+CANONICAL_CASES = [
+    ["bridge", "--f", F_REF, "--b", B_REF, "--n", "1"],
+    ["bridge", "--f", F_REF, "--b", B_REF, "--n", "3"],
+    ["bridge", "--f", "1", "--b", "1", "--n", "1"],
+    *(pytest.param(argv, id=name) for name, (argv, _, _) in NUMERIC.items()
+      if argv[0] in ("verify", "charges")),
+    ["charges", "--f", "1", "--b", "1", "--n", "1"],
+    *(["brackets", "--mode", mode, "--seed", str(seed)]
+      for mode in ("particle", "string") for seed in range(10)),
+]
+
+
+class TestCanonicalJson:
+    """Every JSON output is the bytes json.dumps(indent=2) writes for what it parses to."""
+
+    @pytest.mark.parametrize("argv", CANONICAL_CASES, ids=" ".join)
+    def test_output_is_its_own_canonical_form(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2) and err == ""
+        assert out == json.dumps(strict_loads(out), indent=2, allow_nan=False) + "\n"
 
 
 class TestOneParserPerProcess:
