@@ -228,8 +228,10 @@ class SphereAlgebraElement(_AlgebraElement):
 
     @staticmethod
     def _project(m):
-        # v_m = <s_m v> = -tr(s_m v)/2; anti-hermiticity keeps these real
-        return np.array([-0.5 * np.trace(S_BASIS[i] @ m) for i in range(3)])
+        # v_m = <s_m v> = -tr(s_m v)/2, which anti-hermiticity keeps real; the factors of 1j
+        # inside the brackets give the same sign of zero in the real part as the trace
+        return -0.5 * np.array([1j * (m[1, 0] + m[0, 1]), m[1, 0] - m[0, 1],
+                                1j * (m[0, 0] - m[1, 1])])
 
     @classmethod
     def from_matrix(cls, m):

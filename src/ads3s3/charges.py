@@ -94,17 +94,22 @@ def charge_gap(a, b):
     return max(float(np.max(np.abs(u.coeffs - v.coeffs))) for u, v in zip(a.vectors, b.vectors))
 
 
-def charges_numeric(sol, tau=0.0):
-    """Charges as tau-current means over the sigma-nodes of _periodic_sigmas.
+def _sigma_mean_charges(sectors):
+    """One charge set per tau row of current_matrices over tau x the _periodic_sigmas nodes.
 
     Each current carries only e^0 and the e^{+-i w sigma} of its factor's winding w, which the
     nodes cancel; the means skip from_matrix, whose trace check rejects n-sized entries.
     """
+    means = [(cls, c.mean(axis=-3)) for cls, cur in zip(SECTOR_ALGEBRAS, sectors)
+             for c in (cur.L_tau, cur.R_tau)]
+    return [_charge_set(*(cls(cls._project(m[t]).real) for cls, m in means))
+            for t in range(len(sectors[0].L_tau))]
+
+
+def charges_numeric(sol, tau=0.0):
+    """Charges as tau-current means over the sigma-nodes: _sigma_mean_charges at one tau."""
     sigmas = _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s)
-    out = []
-    for cls, cur in zip(SECTOR_ALGEBRAS, current_matrices(sol, float(tau), sigmas)):
-        out += [cls(cls._project(c.mean(axis=0)).real) for c in (cur.L_tau, cur.R_tau)]
-    return _charge_set(*out)
+    return _sigma_mean_charges(current_matrices(sol, [[float(tau)]], sigmas))[0]
 
 
 def charges_analytic(sol):

@@ -138,6 +138,8 @@ def _load_params(args, strict):
                 data = json.load(fh)
             except UnicodeDecodeError as exc:
                 raise ValidationError(f"parameter file is not UTF-8 text: {exc}") from exc
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"parameter file is not JSON: {exc}") from exc
         return params_from_dict(data, strict=strict)
     if args.f is None or args.b is None:
         raise ValidationError("provide --params or the family point --f, --b [--n]")
@@ -287,7 +289,9 @@ _OPTIONS = {
 
 
 def _build_parser():
-    parser = _Parser(prog="ads3s3", description=__doc__)
+    parser = _Parser(prog="ads3s3", description="Constant-metric strings on AdS3 x S3: bridge, "
+                     "verify, sample, scan, charges, brackets.  Exit codes: 0 success, "
+                     "1 validation or usage error, 2 numeric verification failure.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, helptext, options, output=None, required=()):
@@ -329,7 +333,7 @@ def main(argv=None):
         with np.errstate(over="raise"):
             return globals()[f"cmd_{args.command}"](args)
     except (ValidationError, RegionError, DegenerateConfigurationError, OSError,
-            json.JSONDecodeError, FloatingPointError, OverflowError, MemoryError) as exc:
+            FloatingPointError, OverflowError, MemoryError) as exc:
         print(f"ads3s3 {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

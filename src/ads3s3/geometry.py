@@ -22,8 +22,8 @@ from .algebra import (
     ValidationError,
     ads_dot,
 )
-from .charges import charge_gap, charges_analytic, charges_numeric, current_matrices
-from .solutions import _derivatives, evaluate_matrices
+from .charges import _sigma_mean_charges, charge_gap, charges_analytic, current_matrices
+from .solutions import _derivatives, _periodic_sigmas, evaluate_matrices
 
 
 def _trace_half(a, b):
@@ -219,10 +219,12 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     points, closure under sigma -> sigma + 2pi and the embedding constraints
     over the grid, constancy of the induced metric at seven points and its
     agreement with the closed-form current metric, and quadrature vs analytic
-    charges.  One evaluate_matrices call gives the grid fields and one
-    _derivatives call every derivative, exactly; metric_gap compares the
-    latter with the closed-form conjugation of current_matrices, two
-    independent computations.  Thresholds can be overridden per key of
+    charges.  One evaluate_matrices call gives the grid fields, one
+    _derivatives call every derivative, exactly, and one current_matrices call
+    the metric reference at (0, 0) and the charge quadratures at tau = 0, 1.7.
+    Each gap compares independent computations: the derivatives against the
+    closed-form conjugations of current_matrices, and the quadratures against
+    charges_analytic.  Thresholds can be overridden per key of
     DEFAULT_THRESHOLDS, each finite and positive.
     """
     tol = dict(DEFAULT_THRESHOLDS)
@@ -260,15 +262,17 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     gauge_c = float(np.max(np.abs(chi_g + chi_h)))
     gauge_a = float(np.max(np.abs(bar_g + bar_h)))
 
-    # metric constancy and numeric-vs-analytic agreement
-    ref = induced_metric_currents(sol)
+    # metric constancy and agreement with the currents at (0, 0), the first sigma-node
+    cur = current_matrices(sol, [[0.0], [1.7]], _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s))
+    ref_ads, ref_sph = (_metric(c.R_tau[0, 0], c.R_sig[0, 0], sign)
+                        for sign, c in zip(SECTOR_SIGNS, cur))
     ads, sph = _metric_numeric(derivs)
-    gap = max(float(np.max(np.abs(ads - ref.ads))), float(np.max(np.abs(sph - ref.sphere))))
+    gap = max(float(np.max(np.abs(ads - ref_ads))), float(np.max(np.abs(sph - ref_sph))))
     spread = max(float(np.ptp(ads, axis=0).max()), float(np.ptp(sph, axis=0).max()))
 
-    # charge quadrature vs closed form, and tau-independence
+    # charge quadratures at both taus vs closed form, and tau-independence
     an = charges_analytic(sol)
-    quadrature = max(charge_gap(charges_numeric(sol, tau=t), an) for t in (0.0, 1.7))
+    quadrature = max(charge_gap(q, an) for q in _sigma_mean_charges(cur))
 
     values = {
         "eom": eom, "gauge_chiral": gauge_c, "gauge_antichiral": gauge_a,

@@ -3,6 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ads3s3 import algebra as al
 
@@ -355,3 +356,31 @@ class TestSharedImplementations:
             square = v.matrix @ v.matrix
             assert abs(al.inner(v, v) - cls.sign * 0.5 * np.trace(square).real) <= 1e-12
             assert np.max(np.abs(square - cls.sign * al.inner(v, v) * np.eye(2))) <= 1e-12
+
+
+def trace_projection(m):
+    """The su(2) coefficients by the trace rule v_k = -tr(s_k m)/2."""
+    return np.array([-0.5 * np.trace(al.S_BASIS[k] @ m) for k in range(3)])
+
+
+# bounded so that no sum of two entries overflows; signed zeros are drawn on their own
+_FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+_COMPLEX = st.builds(complex, _FINITE, _FINITE)
+_COEFF = st.one_of(st.sampled_from([0.0, -0.0]), _FINITE)
+
+
+class TestSphereProjection:
+    """SphereAlgebraElement._project in closed form against the trace rule."""
+
+    @given(st.lists(_COMPLEX, min_size=4, max_size=4))
+    def test_equals_trace_rule_in_value(self, entries):
+        m = np.array(entries).reshape(2, 2)
+        assert np.array_equal(al.SphereAlgebraElement._project(m), trace_projection(m))
+
+    @given(st.lists(_COEFF, min_size=3, max_size=3))
+    def test_equals_trace_rule_bit_for_bit_on_su2(self, coeffs):
+        # the real part carries the coefficients, and charges print the sign of their zeros
+        m = al.SphereAlgebraElement._matrix(np.array(coeffs))
+        got, want = al.SphereAlgebraElement._project(m), trace_projection(m)
+        assert got.real.tobytes() == want.real.tobytes()
+        assert np.array_equal(got.imag, want.imag)

@@ -511,6 +511,14 @@ class TestEntryPoint:
         assert code == 0 and err == ""
         assert out.encode() == self.run_module(*argv).stdout
 
+    def test_help_names_exit_codes_not_developer_notes(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        out = " ".join(out.split())  # argparse wraps the description to the terminal width
+        assert code == 0
+        assert "0 success" in out and "1 validation or usage error" in out
+        assert "2 numeric verification failure" in out
+        assert "parser is built" not in out
+
     def test_bridge_prints_golden(self):
         proc = self.run_module("bridge", "--f", F_REF, "--b", B_REF, "--n", "1")
         assert proc.returncode == 0 and proc.stderr == b""
@@ -597,6 +605,14 @@ class TestParameterFileMisuse:
         path = tmp_path / "params.json"
         path.write_bytes(bytes(range(256)))
         assert_one_line_error(*run(capsys, "verify", "--params", str(path)), "UTF-8")
+
+    @pytest.mark.parametrize("command", ["verify", "charges"])
+    @pytest.mark.parametrize("text", ["", "{"])
+    def test_non_json_file_exits_one(self, capsys, tmp_path, command, text):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        assert_one_line_error(*run(capsys, command, "--params", str(path)),
+                              "parameter file is not JSON: ")
 
     def test_directory_as_params_exits_one(self, capsys, tmp_path):
         assert_one_line_error(*run(capsys, "charges", "--params", str(tmp_path)),

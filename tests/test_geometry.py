@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from ads3s3 import algebra, geometry, solutions
+from ads3s3 import algebra, charges, geometry, solutions
 from ads3s3.algebra import (
     AdsAlgebraElement,
     DegenerateConfigurationError,
@@ -16,7 +16,7 @@ from ads3s3.algebra import (
     exp_algebra,
 )
 from ads3s3.bridge import admissible, bridge, f_max
-from ads3s3.charges import current_matrices
+from ads3s3.charges import charge_gap, charges_analytic, charges_numeric, current_matrices
 from ads3s3.geometry import (
     chirality_residual,
     eom_residual,
@@ -27,7 +27,14 @@ from ads3s3.geometry import (
     mean_curvatures,
     verify_solution,
 )
-from ads3s3.solutions import apply_isometry, evaluate_matrices, family_solution
+from ads3s3.solutions import (
+    _periodic_sigmas,
+    apply_isometry,
+    evaluate_matrices,
+    family_solution,
+    params_from_dict,
+    params_to_dict,
+)
 
 from test_solutions import random_isometry, random_solution
 
@@ -249,9 +256,15 @@ class TestVerifySolution:
         monkeypatch.setattr(geometry, "evaluate_matrices", counted)
         monkeypatch.setattr(geometry, "_derivatives",
                             lambda *args: kernel.append(args) or derivatives(*args))
+        currents = []
+        for module in (charges, geometry):
+            monkeypatch.setattr(module, "current_matrices",
+                                lambda *args: currents.append(args) or current_matrices(*args))
         verify_solution(random_solution(np.random.default_rng(57), n=3))
         assert len(calls) == 1
         assert len(kernel) == 1
+        # one current evaluation serves the metric reference and both charge quadratures
+        assert len(currents) == 1
 
     def test_raw_sectors_built_once(self, monkeypatch):
         # every layer reads SolutionParams.matrices: one matrix per direction, no group element
@@ -271,19 +284,18 @@ class TestVerifySolution:
             map(id, (sol.lhat, sol.rhat, sol.lhat_s, sol.rhat_s)))
 
 
-class TestBatteryAgreesWithPointFunctions:
-    """verify_solution's batched derivatives equal the public per-point functions."""
+def relaxed_distinct_windings():
+    """A strict=False parameter set with windings (m, n, m_s, n_s) = (-3, 5, 4, 2)."""
+    data = params_to_dict(reference_solution())
+    data.update(m=-3, n=5, m_s=4, n_s=2)
+    return params_from_dict(data, strict=False)
 
-    def test_report_matches_pointwise_residuals(self):
-        sol = perturbed_solution(2e-4)
-        report = verify_solution(sol)
-        probe_rng = np.random.default_rng(0)
-        probes = list(zip(probe_rng.uniform(0.0, 1.5, 4),
-                          probe_rng.uniform(0.0, 2.0 * math.pi, 4))) + [(0.0, 0.0)]
-        eom = max(max(eom_residual(sol, t, s)) for t, s in probes)
-        chir = max(max(chirality_residual(sol, t, s)) for t, s in probes)
-        gauge = max(abs(gauge_residual(sol, t, s).chiral) for t, s in probes)
-        assert (report.eom, report.chirality, report.gauge_chiral) == (eom, chir, gauge)
+
+class TestBatteryAgreesWithPointFunctions:
+    """verify_solution's batched evaluations equal the public per-point functions, bit for bit."""
+
+    @staticmethod
+    def assert_gaps_match(sol, report, probes):
         ref = induced_metric_currents(sol)
         gap = 0.0
         for t, s in probes + [(1.1, 2.2), (0.3, 5.0)]:
@@ -291,6 +303,38 @@ class TestBatteryAgreesWithPointFunctions:
             gap = max(gap, float(np.max(np.abs(im.ads - ref.ads))),
                       float(np.max(np.abs(im.sphere - ref.sphere))))
         assert report.metric_gap == gap
+        an = charges_analytic(sol)
+        assert report.charge_gap == max(charge_gap(charges_numeric(sol, tau=t), an)
+                                        for t in (0.0, 1.7))
+
+    @staticmethod
+    def probes():
+        probe_rng = np.random.default_rng(0)
+        return list(zip(probe_rng.uniform(0.0, 1.5, 4),
+                        probe_rng.uniform(0.0, 2.0 * math.pi, 4))) + [(0.0, 0.0)]
+
+    def test_report_matches_pointwise_residuals(self):
+        sol = perturbed_solution(2e-4)
+        report = verify_solution(sol)
+        probes = self.probes()
+        eom = max(max(eom_residual(sol, t, s)) for t, s in probes)
+        chir = max(max(chirality_residual(sol, t, s)) for t, s in probes)
+        gauge = max(abs(gauge_residual(sol, t, s).chiral) for t, s in probes)
+        assert (report.eom, report.chirality, report.gauge_chiral) == (eom, chir, gauge)
+        self.assert_gaps_match(sol, report, probes)
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_gaps_match_in_random_frames(self, n):
+        sol = random_solution(np.random.default_rng(70 + n), n=n)
+        self.assert_gaps_match(sol, verify_solution(sol), self.probes())
+
+    def test_gaps_match_on_sixteen_sigma_nodes(self):
+        # four distinct windings: the merged evaluation spans 2 taus x 16 sigma-nodes
+        sol = relaxed_distinct_windings()
+        assert len(_periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s)) == 16
+        report = verify_solution(sol)
+        assert not report.ok
+        self.assert_gaps_match(sol, report, self.probes())
 
 
 _ADS_FRAME = st.lists(st.floats(-0.8, 0.8), min_size=3, max_size=3)
