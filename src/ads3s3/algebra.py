@@ -191,6 +191,10 @@ class _AlgebraElement:
     def matrix(self):
         return self._matrix(self.coeffs)
 
+    @classmethod
+    def from_matrix(cls, m):
+        return cls(cls._coeffs_from_matrix(m))
+
     def __rmul__(self, scalar):
         return type(self)(float(scalar) * self.coeffs)
 
@@ -210,11 +214,11 @@ class AdsAlgebraElement(_AlgebraElement):
         return 0.5 * np.array([m[0, 1] - m[1, 0], m[0, 1] + m[1, 0], m[0, 0] - m[1, 1]])
 
     @classmethod
-    def from_matrix(cls, m):
+    def _coeffs_from_matrix(cls, m):
         m = np.asarray(m, dtype=float)
         if abs(m[0, 0] + m[1, 1]) > VALIDATION_TOL:
             raise ValidationError("sl(2,R) element must be traceless")
-        return cls(cls._project(m))
+        return cls._project(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +238,11 @@ class SphereAlgebraElement(_AlgebraElement):
                                 1j * (m[0, 0] - m[1, 1])])
 
     @classmethod
-    def from_matrix(cls, m):
+    def _coeffs_from_matrix(cls, m):
         coeffs = cls._project(np.asarray(m, dtype=complex))
         if np.max(np.abs(coeffs.imag)) > VALIDATION_TOL:
             raise ValidationError("matrix is not in su(2)")
-        return cls(coeffs.real)
+        return coeffs.real
 
 
 # the sectors in the order (AdS, sphere) used by every per-sector tuple, and

@@ -9,7 +9,8 @@ generic windings the averages collapse onto the solution directions,
 
 and similarly with cos 2theta_s on the sphere; the coefficients are the
 left/right Casimir magnitudes.  The closed-form currents read the phases
-and the field product of solutions, not its derivative kernel.
+and the field product of solutions, not its derivative kernel.  Both charges are
+checked raw coefficient rows: verify_solution compares them, charges_* wrap them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SECTOR_ALGEBRAS, AdsAlgebraElement, SphereAlgebraElement, _adjugate, inner
+from .algebra import (SECTOR_ALGEBRAS, AdsAlgebraElement, SphereAlgebraElement, _adjugate,
+                      _check_finite, inner)
 from .solutions import _periodic_sigmas, _phase_product, _phases, theta_invariants
 
 
@@ -84,8 +86,10 @@ class ChargeSet:
         return self.L, self.R, self.L_s, self.R_s
 
 
-def _charge_set(*vectors):
-    """ChargeSet of (L, R, L_s, R_s); each Casimir is m^2 = -tr(q q)/2 = -sign <q q>."""
+def _charge_set(coeffs):
+    """ChargeSet of the rows (L, R, L_s, R_s); each Casimir is m^2 = -tr(q q)/2 = -sign <q q>."""
+    vectors = [cls(row) for cls, row in zip(
+        (AdsAlgebraElement, AdsAlgebraElement, SphereAlgebraElement, SphereAlgebraElement), coeffs)]
     return ChargeSet(*vectors, *(math.sqrt(max(0.0, -q.sign * inner(q, q))) for q in vectors))
 
 
@@ -94,45 +98,51 @@ def charge_gap(a, b):
     return max(float(np.max(np.abs(u.coeffs - v.coeffs))) for u, v in zip(a.vectors, b.vectors))
 
 
-def _sigma_mean_charges(sectors):
-    """One charge set per tau row of current_matrices over tau x the _periodic_sigmas nodes.
+def _sigma_mean_coeffs(sectors):
+    """Charge rows (L, R, L_s, R_s) per tau row of current_matrices over tau x the sigma-nodes.
 
     Each current carries only e^0 and the e^{+-i w sigma} of its factor's winding w, which the
     nodes cancel; the means skip from_matrix, whose trace check rejects n-sized entries.
     """
     means = [(cls, c.mean(axis=-3)) for cls, cur in zip(SECTOR_ALGEBRAS, sectors)
              for c in (cur.L_tau, cur.R_tau)]
-    return [_charge_set(*(cls(cls._project(m[t]).real) for cls, m in means))
-            for t in range(len(sectors[0].L_tau))]
+    out = np.array([[cls._project(m[t]).real for cls, m in means]
+                    for t in range(len(sectors[0].L_tau))])
+    _check_finite(out, "algebra coefficients")
+    return out
 
 
 def charges_numeric(sol, tau=0.0):
-    """Charges as tau-current means over the sigma-nodes: _sigma_mean_charges at one tau."""
+    """Charges as tau-current means over the sigma-nodes: _sigma_mean_coeffs at one tau."""
     sigmas = _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s)
-    return _sigma_mean_charges(current_matrices(sol, [[float(tau)]], sigmas))[0]
+    return _charge_set(_sigma_mean_coeffs(current_matrices(sol, [[float(tau)]], sigmas))[0])
 
 
-def charges_analytic(sol):
-    """Charges in closed form.
+def _analytic_coeffs(sol):
+    """Closed-form charge rows (L, R, L_s, R_s), as from_matrix would store them.
 
     For m != 0 the sigma-average projects the left integrand onto l with
     weight cosh 2theta (and likewise for n and r); a vanishing winding makes
     the integrand constant, in which case the exact constant matrix is used
     instead.  Both branches agree with the quadrature for valid solutions.
     """
-    def charge(freq_own, freq_other, winding, own_mat, conj_mat, invariant, wrap):
-        # own contribution + averaged (or constant) conjugated partner
-        if winding != 0:
-            return wrap(freq_own * own_mat + freq_other * invariant * own_mat)
-        return wrap(freq_own * own_mat + freq_other * conj_mat)
-
-    out = []
+    rows = []
     for cls, (lam, rho, m, n, l, r, x), c2 in zip(SECTOR_ALGEBRAS, sol.matrices,
                                                   theta_invariants(sol)):
-        xinv, wrap = _adjugate(x), cls.from_matrix
-        out += [charge(lam, rho, m, l, x @ r @ xinv, c2, wrap),
-                charge(rho, lam, n, r, xinv @ l @ x, c2, wrap)]
-    return _charge_set(*out)
+        xinv = _adjugate(x)
+        # own contribution + averaged (or constant) conjugated partner
+        for own, other, winding, mat, conj in ((lam, rho, m, l, x @ r @ xinv),
+                                               (rho, lam, n, r, xinv @ l @ x)):
+            partner = other * c2 * mat if winding != 0 else other * conj
+            rows.append(cls._coeffs_from_matrix(own * mat + partner))
+    out = np.array(rows)
+    _check_finite(out, "algebra coefficients")
+    return out
+
+
+def charges_analytic(sol):
+    """Charges in closed form: the ChargeSet of _analytic_coeffs."""
+    return _charge_set(_analytic_coeffs(sol))
 
 
 def charge_coefficients(charge_set, sol):

@@ -3,13 +3,15 @@
 Induced metrics f_ab = <(g^{-1} d_a g)(g^{-1} d_b g)> per sector, conformal
 gauge residuals, equation-of-motion residuals and mean curvatures.
 
-All derivatives are exact, from the one kernel solutions._derivatives; the
-residuals read its arrays directly, with no step size.
+All derivatives are exact, from the one kernel solutions._derivatives, with no
+step size.  One residual kernel per sector reads its arrays for the battery and
+the point functions alike, and _metric is the one induced-metric relation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +24,15 @@ from .algebra import (
     ValidationError,
     ads_dot,
 )
-from .charges import _sigma_mean_charges, charge_gap, charges_analytic, current_matrices
+from .charges import _analytic_coeffs, _sigma_mean_coeffs, current_matrices
 from .solutions import _derivatives, _periodic_sigmas, evaluate_matrices
+
+# verify_solution's probes: the draws of default_rng(0).uniform(0, 1.5, 4) in tau and
+# .uniform(0, 2pi, 4) in sigma, the origin, then (1.1, 2.2) and (0.3, 5.0) for the metric
+_PROBE_TAUS = np.array([0.9554425309821815, 0.40468007064580547, 0.061460285904292034,
+                        0.02479145329279364, 0.0, 1.1, 0.3])
+_PROBE_SIGMAS = np.array([5.109927617709579, 5.735012432197602, 3.811604993109835,
+                          4.583562073612696, 0.0, 2.2, 5.0])
 
 
 def _trace_half(a, b):
@@ -32,42 +41,43 @@ def _trace_half(a, b):
 
 
 def _metric(rt, rs, sign):
-    """<R_a R_b> over a, b in (tau, sigma), stacked in the last two axes."""
-    return sign * np.stack([np.stack([_trace_half(rt, rt), _trace_half(rt, rs)], axis=-1),
-                            np.stack([_trace_half(rs, rt), _trace_half(rs, rs)], axis=-1)],
-                           axis=-2).real
+    """f_ab = <R_a R_b> over a, b in (tau, sigma), in the last two axes: one contraction.
 
-
-def _eom(inv, gt, gs, gtt, gss):
-    """Max-norm of d_tau(g^{-1} g_tau) - d_sig(g^{-1} g_sig) = g^{-1}(g_tt - g_ss) - R_t^2 + R_s^2."""
-    rt, rs = inv @ gt, inv @ gs
-    return np.max(np.abs(inv @ (gtt - gss) - rt @ rt + rs @ rs), axis=(-2, -1))
-
-
-def _chirality(inv, gt, gs, gtt, gss):
-    """|d-bar <J J>| = |2 <J, d-bar J>| per point, J = g^{-1} d g, d = (d_tau + d_sig)/2.
-
-    d-bar J = g^{-1}(g_tt - g_ss)/4 - (g^{-1} d-bar g) J needs no mixed derivative.
+    Contiguous stacked pairs keep every bit of four separate traces; a broadcast einsum does not.
     """
+    pairs = np.stack([rt, rt, rs, rs], axis=-3), np.stack([rt, rs, rt, rs], axis=-3)
+    return sign * _trace_half(*pairs).reshape(rt.shape[:-2] + (2, 2)).real
+
+
+_SectorResiduals = namedtuple("_SectorResiduals", "eom chirality chi bar metric")
+
+
+def _sector_residuals(sign, inv, gt, gs, gtt, gss):
+    """Per-point residuals and induced metric of one _derivatives sector.
+
+    R_a = g^{-1} d_a g and W = g^{-1}(g_tt - g_ss) are formed once, and with
+    d = (d_tau + d_sig)/2, J = g^{-1} d g and Jbar = g^{-1} d-bar g:
+      eom        max-norm of d_tau R_t - d_sig R_s = W - R_t^2 + R_s^2
+      chirality  |d-bar <J J>| = |2 <J, d-bar J>|, d-bar J = W/4 - Jbar J (no mixed derivative)
+      chi, bar   the gauge invariants sign <J J> and sign <Jbar Jbar>, J = (R_t + R_s)/2
+      metric     f_ab = <R_a R_b>
+    The two forms of J round apart, and at windings of thousands that reaches the thresholds.
+    """
+    rt, rs, w = inv @ gt, inv @ gs, inv @ (gtt - gss)
     j, jbar = inv @ (0.5 * (gt + gs)), inv @ (0.5 * (gt - gs))
-    dbar = 2.0 * _trace_half(j, 0.25 * (inv @ (gtt - gss)) - jbar @ j)
-    return np.hypot(dbar.real, dbar.imag)
+    dbar = 2.0 * _trace_half(j, 0.25 * w - jbar @ j)
+    chi, bar = 0.5 * (rt + rs), 0.5 * (rt - rs)
+    return _SectorResiduals(
+        eom=np.max(np.abs(w - rt @ rt + rs @ rs), axis=(-2, -1)),
+        chirality=np.hypot(dbar.real, dbar.imag),
+        chi=sign * _trace_half(chi, chi).real, bar=sign * _trace_half(bar, bar).real,
+        metric=_metric(rt, rs, sign))
 
 
-def _chiral_invariants(derivs):
-    """(chi, bar) per sector at each point: <(g^{-1} d g)^2> and its d-bar twin."""
-    out = []
-    for sign, (inv, gt, gs, *_) in zip(SECTOR_SIGNS, derivs):
-        rt, rs = inv @ gt, inv @ gs
-        chi, bar = 0.5 * (rt + rs), 0.5 * (rt - rs)
-        out += [sign * _trace_half(chi, chi).real, sign * _trace_half(bar, bar).real]
-    return out
-
-
-def _metric_numeric(derivs):
-    """[ads, sphere] induced metrics at each point."""
-    return [_metric(inv @ gt, inv @ gs, sign)
-            for sign, (inv, gt, gs, *_) in zip(SECTOR_SIGNS, derivs)]
+def _residuals(sol, taus, sigmas):
+    """(ads, sphere) _sector_residuals at the points (taus, sigmas), from one _derivatives call."""
+    return [_sector_residuals(sign, *s)
+            for sign, s in zip(SECTOR_SIGNS, _derivatives(sol.matrices, taus, sigmas))]
 
 
 @dataclass(frozen=True)
@@ -80,8 +90,8 @@ class InducedMetric:
 
 def induced_metric_numeric(sol, tau, sigma):
     """Induced metric at one point from the field derivatives of _derivatives."""
-    ads, sph = _metric_numeric(_derivatives(sol.matrices, [tau], [sigma]))
-    return InducedMetric(ads=ads[0], sphere=sph[0])
+    ads, sph = (r.metric[0] for r in _residuals(sol, [tau], [sigma]))
+    return InducedMetric(ads=ads, sphere=sph)
 
 
 def induced_metric_analytic(inv):
@@ -98,13 +108,6 @@ def induced_metric_analytic(inv):
                     [off, 2.0 * mm * inv.coshalpha - s]])
     sph = np.array([[s + 2.0 * mm * inv.cosbeta, -off],
                     [-off, s - 2.0 * mm * inv.cosbeta]])
-    return InducedMetric(ads=ads, sphere=sph)
-
-
-def induced_metric_currents(sol, tau=0.0, sigma=0.0):
-    """Exact induced metric from the closed-form currents f_ab = <R_a R_b>."""
-    ads, sph = (_metric(cur.R_tau, cur.R_sig, sign) for sign, cur in
-                zip(SECTOR_SIGNS, current_matrices(sol, float(tau), float(sigma))))
     return InducedMetric(ads=ads, sphere=sph)
 
 
@@ -127,8 +130,8 @@ def gauge_residual(sol, tau, sigma):
     and the d-bar analogue; both vanish on gauge-consistent solutions.  The
     per-sector values give mu^2 and mubar^2 read off each projection.
     """
-    chi_g, bar_g, chi_h, bar_h = (
-        float(v[0]) for v in _chiral_invariants(_derivatives(sol.matrices, [tau], [sigma])))
+    (chi_g, bar_g), (chi_h, bar_h) = (
+        (float(r.chi[0]), float(r.bar[0])) for r in _residuals(sol, [tau], [sigma]))
     return GaugeResidual(
         chiral=chi_g + chi_h, antichiral=bar_g + bar_h,
         mu2_ads=-chi_g, mu2_sphere=chi_h, mubar2_ads=-bar_g, mubar2_sphere=bar_h,
@@ -141,12 +144,12 @@ def eom_residual(sol, tau, sigma):
     Exact derivatives, so exact solutions leave roundoff only.  Returns
     (ads, sphere) residuals.
     """
-    return tuple(float(_eom(*s)[0]) for s in _derivatives(sol.matrices, [tau], [sigma]))
+    return tuple(float(r.eom[0]) for r in _residuals(sol, [tau], [sigma]))
 
 
 def chirality_residual(sol, tau, sigma):
     """Residual of the chirality conditions: |d-bar <(g^{-1} d g)^2>| per sector."""
-    return tuple(float(_chirality(*s)[0]) for s in _derivatives(sol.matrices, [tau], [sigma]))
+    return tuple(float(r.chirality[0]) for r in _residuals(sol, [tau], [sigma]))
 
 
 def mean_curvatures(inv):
@@ -220,12 +223,13 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     over the grid, constancy of the induced metric at seven points and its
     agreement with the closed-form current metric, and quadrature vs analytic
     charges.  One evaluate_matrices call gives the grid fields, one
-    _derivatives call every derivative, exactly, and one current_matrices call
-    the metric reference at (0, 0) and the charge quadratures at tau = 0, 1.7.
-    Each gap compares independent computations: the derivatives against the
-    closed-form conjugations of current_matrices, and the quadratures against
-    charges_analytic.  Thresholds can be overridden per key of
-    DEFAULT_THRESHOLDS, each finite and positive.
+    _derivatives call every derivative, exactly, for one residual kernel per
+    sector, and one current_matrices call the metric reference at (0, 0) and
+    the charge quadratures at tau = 0, 1.7.  Each gap compares independent
+    computations on raw arrays: the metric of the derivatives against that of
+    the closed-form conjugations of current_matrices, and the sigma-mean charge
+    coefficients against the closed form of charges_analytic.  Thresholds can
+    be overridden per key of DEFAULT_THRESHOLDS, each finite and positive.
     """
     tol = dict(DEFAULT_THRESHOLDS)
     for key, value in (thresholds or {}).items():
@@ -249,30 +253,21 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     embedding = max(float(np.max(np.abs(ads_dot(y, y) + 1.0))),
                     float(np.max(np.abs(np.einsum("...i,...i->...", x, x) - 1.0))))
 
-    # four random probes and the origin, then two more points for the metric
-    rng = np.random.default_rng(0)
-    pt_tau = np.concatenate([rng.uniform(0.0, 1.5, 4), [0.0, 1.1, 0.3]])
-    pt_sig = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 4), [0.0, 2.2, 5.0]])
-    derivs = _derivatives(sol.matrices, pt_tau, pt_sig)
-
-    probes = [tuple(a[:5] for a in sector) for sector in derivs]
-    eom = max(float(np.max(_eom(*sector))) for sector in probes)
-    chir = max(float(np.max(_chirality(*sector))) for sector in probes)
-    chi_g, bar_g, chi_h, bar_h = _chiral_invariants(probes)
-    gauge_c = float(np.max(np.abs(chi_g + chi_h)))
-    gauge_a = float(np.max(np.abs(bar_g + bar_h)))
+    # residuals at the five probes; the metric also at the two points after them
+    ads, sph = _residuals(sol, _PROBE_TAUS, _PROBE_SIGMAS)
+    eom = max(float(np.max(r.eom[:5])) for r in (ads, sph))
+    chir = max(float(np.max(r.chirality[:5])) for r in (ads, sph))
+    gauge_c = float(np.max(np.abs(ads.chi[:5] + sph.chi[:5])))
+    gauge_a = float(np.max(np.abs(ads.bar[:5] + sph.bar[:5])))
 
     # metric constancy and agreement with the currents at (0, 0), the first sigma-node
     cur = current_matrices(sol, [[0.0], [1.7]], _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s))
-    ref_ads, ref_sph = (_metric(c.R_tau[0, 0], c.R_sig[0, 0], sign)
-                        for sign, c in zip(SECTOR_SIGNS, cur))
-    ads, sph = _metric_numeric(derivs)
-    gap = max(float(np.max(np.abs(ads - ref_ads))), float(np.max(np.abs(sph - ref_sph))))
-    spread = max(float(np.ptp(ads, axis=0).max()), float(np.ptp(sph, axis=0).max()))
+    gap = max(float(np.max(np.abs(r.metric - _metric(c.R_tau[0, 0], c.R_sig[0, 0], sign))))
+              for r, c, sign in zip((ads, sph), cur, SECTOR_SIGNS))
+    spread = max(float(np.ptp(r.metric, axis=0).max()) for r in (ads, sph))
 
     # charge quadratures at both taus vs closed form, and tau-independence
-    an = charges_analytic(sol)
-    quadrature = max(charge_gap(q, an) for q in _sigma_mean_charges(cur))
+    quadrature = float(np.max(np.abs(_sigma_mean_coeffs(cur) - _analytic_coeffs(sol))))
 
     values = {
         "eom": eom, "gauge_chiral": gauge_c, "gauge_antichiral": gauge_a,

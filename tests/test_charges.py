@@ -4,13 +4,17 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given
 
 from ads3s3 import algebra as al
+from ads3s3 import charges
 from ads3s3.algebra import (
     AdsGroupElement,
     SphereGroupElement,
     UnitSphereVector,
     UnitTimelikeVector,
+    ValidationError,
     adjoint,
     exp_algebra,
     inner,
@@ -23,15 +27,18 @@ from ads3s3.charges import (
     current_matrices,
     currents,
 )
-from ads3s3.geometry import induced_metric_currents
 from ads3s3.solutions import (
     _periodic_sigmas,
     apply_isometry,
     evaluate_matrices,
     family_solution,
     make_solution,
+    params_from_dict,
+    params_to_dict,
 )
 
+from conftest import induced_metric_currents
+from test_geometry import exact_solutions
 from test_solutions import random_isometry, random_solution
 
 F0, B0 = 5.0 / 3.0, 5.0 / 4.0
@@ -215,6 +222,41 @@ class TestChargeGap:
             (ana.L, num.L), (ana.R, num.R), (ana.L_s, num.L_s), (ana.R_s, num.R_s)))
         assert charge_gap(ana, num) == by_hand == charge_gap(num, ana)
         assert charge_gap(ana, ana) == 0.0
+
+
+def assert_raw_charges_match_wrapped(sol):
+    """The raw coefficient rows the battery compares are the ChargeSet coefficients, bit for bit."""
+    taus = (0.0, 1.7)
+    analytic = charges._analytic_coeffs(sol)
+    means = charges._sigma_mean_coeffs(current_matrices(
+        sol, [[t] for t in taus], _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s)))
+    wrapped_an = charges_analytic(sol)
+    wrapped = [charges_numeric(sol, tau=t) for t in taus]
+    assert analytic.tobytes() == np.array([q.coeffs for q in wrapped_an.vectors]).tobytes()
+    for row, cs in zip(means, wrapped):
+        assert row.tobytes() == np.array([q.coeffs for q in cs.vectors]).tobytes()
+    raw_gap = float(np.max(np.abs(means - analytic)))
+    assert raw_gap == max(charge_gap(cs, wrapped_an) for cs in wrapped)
+
+
+class TestRawCharges:
+    @given(exact_solutions())
+    def test_raw_equal_wrapped_over_the_band(self, sol):
+        assert_raw_charges_match_wrapped(sol)
+
+    def test_raw_equal_wrapped_at_zero_windings(self):
+        # m = m_s = 0: the constant-matrix branch of charges_analytic in both sectors
+        data = params_to_dict(reference_solution())
+        data.update(m=0, m_s=0)
+        sol = params_from_dict(data, strict=False)
+        assert_raw_charges_match_wrapped(sol)
+
+    def test_sigma_means_keep_the_finite_check(self):
+        # the raw rows skip the constructors, not their rejection of non-finite coefficients
+        ads, sph = current_matrices(reference_solution(), [[0.0]], [0.0, math.pi])
+        broken = replace(ads, R_tau=np.full_like(ads.R_tau, math.nan))
+        with pytest.raises(ValidationError, match="non-finite"):
+            charges._sigma_mean_coeffs((broken, sph))
 
 
 class TestIsometryBehaviour:

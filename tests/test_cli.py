@@ -493,11 +493,14 @@ class TestEntryPoint:
 
     SRC = Path(__file__).resolve().parents[1] / "src"
 
-    def run_module(self, *argv):
+    def run_python(self, *args):
         path = os.pathsep.join(filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-W", "error", "-m", "ads3s3.cli", *argv],
+        return subprocess.run([sys.executable, "-W", "error", *args],
                               capture_output=True, env={**os.environ, "PYTHONPATH": path},
                               timeout=120)
+
+    def run_module(self, *argv):
+        return self.run_python("-m", "ads3s3.cli", *argv)
 
     def test_help_exits_zero(self):
         proc = self.run_module("--help")
@@ -518,6 +521,15 @@ class TestEntryPoint:
         assert "0 success" in out and "1 validation or usage error" in out
         assert "2 numeric verification failure" in out
         assert "parser is built" not in out
+
+    def test_verify_does_not_import_numpy_random(self):
+        # the probe points are constants: a verify call pays no numpy.random import
+        proc = self.run_python("-c", (
+            "import sys; from ads3s3.cli import main; "
+            f"code = main(['verify', '--f', '{F_REF}', '--b', '{B_REF}']); "
+            "print(code, 'numpy.random' in sys.modules)"))
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout.endswith(b"\n0 False\n")
 
     def test_bridge_prints_golden(self):
         proc = self.run_module("bridge", "--f", F_REF, "--b", B_REF, "--n", "1")

@@ -22,7 +22,6 @@ from ads3s3.geometry import (
     eom_residual,
     gauge_residual,
     induced_metric_analytic,
-    induced_metric_currents,
     induced_metric_numeric,
     mean_curvatures,
     verify_solution,
@@ -36,6 +35,7 @@ from ads3s3.solutions import (
     params_to_dict,
 )
 
+from conftest import induced_metric_currents
 from test_solutions import random_isometry, random_solution
 
 F0, B0 = 5.0 / 3.0, 5.0 / 4.0
@@ -119,6 +119,21 @@ class TestInducedMetricNumeric:
         im = induced_metric_numeric(sol, 0.4, 0.9)
         assert np.max(np.abs(im.ads)) <= 1e-14
         assert np.max(np.abs(im.sphere)) <= 1e-14
+
+
+class TestMetricContraction:
+    @pytest.mark.parametrize("n", [1, 64, 4096])
+    def test_equals_four_traces_bit_for_bit(self, n):
+        # the stacked contraction keeps the rounding of the separate traces, so the battery's
+        # verdicts at windings where roundoff nears the thresholds do not move
+        sol = random_solution(np.random.default_rng(80 + n), n=n)
+        taus, sigmas = np.linspace(0.0, 1.5, 7), np.linspace(0.0, 6.0, 7)
+        for sign, (inv, gt, gs, *_) in zip((1.0, -1.0),
+                                          solutions._derivatives(sol.matrices, taus, sigmas)):
+            for rt, rs in ((inv @ gt, inv @ gs), ((inv @ gt)[:1], (inv @ gs)[:1])):
+                traces = [[geometry._trace_half(a, b) for b in (rt, rs)] for a in (rt, rs)]
+                expected = sign * np.stack([np.stack(row, axis=-1) for row in traces], axis=-2).real
+                assert geometry._metric(rt, rs, sign).tobytes() == expected.tobytes()
 
 
 class TestGaugeResidual:
@@ -265,6 +280,30 @@ class TestVerifySolution:
         assert len(kernel) == 1
         # one current evaluation serves the metric reference and both charge quadratures
         assert len(currents) == 1
+
+    def test_builds_no_validated_element(self, monkeypatch):
+        # the battery and its charge gap run on raw arrays. The concrete classes bind _validate
+        # as __post_init__ when they are defined, so the count wraps each __post_init__
+        sol = random_solution(np.random.default_rng(59), n=3)
+        built = []
+        for cls in (algebra.AdsAlgebraElement, algebra.SphereAlgebraElement,
+                    algebra.AdsGroupElement, algebra.SphereGroupElement):
+            def counted(obj, post_init=cls.__post_init__):
+                built.append(type(obj))
+                post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        verify_solution(sol)
+        assert built == []
+        charges_analytic(sol)  # the count sees the wrapped charges
+        assert built == [algebra.AdsAlgebraElement] * 2 + [algebra.SphereAlgebraElement] * 2
+
+    def test_probe_points_are_the_generator_draws(self):
+        # constants, so that verify never imports numpy.random
+        rng = np.random.default_rng(0)
+        taus = np.concatenate([rng.uniform(0.0, 1.5, 4), [0.0, 1.1, 0.3]])
+        sigmas = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 4), [0.0, 2.2, 5.0]])
+        assert geometry._PROBE_TAUS.tobytes() == taus.tobytes()
+        assert geometry._PROBE_SIGMAS.tobytes() == sigmas.tobytes()
 
     def test_raw_sectors_built_once(self, monkeypatch):
         # every layer reads SolutionParams.matrices: one matrix per direction, no group element
