@@ -25,7 +25,7 @@ from .algebra import (
     UnitTimelikeVector,
     ValidationError,
 )
-from .charges import charge_coefficients, charge_gap, charges_analytic, charges_numeric
+from .charges import _analytic_coeffs, _casimirs, _coefficients, _numeric_coeffs
 from .geometry import DEFAULT_THRESHOLDS, verify_solution
 from .solutions import embedding_surface, family_solution, params_from_dict
 from .symplectic import (
@@ -209,21 +209,15 @@ def cmd_charges(args):
     if not math.isfinite(scale):
         raise ValidationError(f"--scale must be finite, got {scale}")
     sol = _load_params(args, strict=True)
-    analytic = charges_analytic(sol)
-    gap = charge_gap(analytic, charges_numeric(sol))
-    c_L, c_R, c_Ls, c_Rs = charge_coefficients(analytic, sol)
+    rows = _analytic_coeffs(sol)  # raw charge rows (L, R, L_s, R_s), as the checks leave them
+    m_L, m_R, *_ = casimirs = _casimirs(rows)
+    gap = float(np.max(np.abs(rows - _numeric_coeffs(sol))))
+    names = ("L", "R", "L_s", "R_s")
     payload = {
-        "scale": scale,
-        "L": [scale * v for v in analytic.L.coeffs.tolist()],
-        "R": [scale * v for v in analytic.R.coeffs.tolist()],
-        "L_s": [scale * v for v in analytic.L_s.coeffs.tolist()],
-        "R_s": [scale * v for v in analytic.R_s.coeffs.tolist()],
-        "coefficients": {"L": scale * c_L, "R": scale * c_R,
-                         "L_s": scale * c_Ls, "R_s": scale * c_Rs},
-        "mL": scale * analytic.m_L, "mR": scale * analytic.m_R,
-        "mL_s": scale * analytic.m_L_s, "mR_s": scale * analytic.m_R_s,
-        "asymmetry_mR_over_mL": analytic.m_R / analytic.m_L if analytic.m_L else math.nan,
-        "quadrature_gap": gap,
+        "scale": scale, **{k: [scale * v for v in row] for k, row in zip(names, rows.tolist())},
+        "coefficients": {k: scale * c for k, c in zip(names, _coefficients(rows, sol))},
+        **{"m" + k: scale * m for k, m in zip(names, casimirs)},
+        "asymmetry_mR_over_mL": m_R / m_L if m_L else math.nan, "quadrature_gap": gap,
     }
     _emit(_json(payload), args.out)
     return 0

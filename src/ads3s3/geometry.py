@@ -4,7 +4,7 @@ Induced metrics f_ab = <(g^{-1} d_a g)(g^{-1} d_b g)> per sector, conformal
 gauge residuals, equation-of-motion residuals and mean curvatures.
 
 All derivatives are exact, from the one kernel solutions._derivatives, with no
-step size.  One residual kernel per sector reads its arrays for the battery and
+step size.  One residual kernel, run once on both stacked sectors, serves the battery and
 the point functions alike, and _metric is the one induced-metric relation.
 """
 
@@ -24,7 +24,7 @@ from .algebra import (
     ValidationError,
     ads_dot,
 )
-from .charges import _analytic_coeffs, _sigma_mean_coeffs, current_matrices
+from .charges import _analytic_coeffs, _currents, _sigma_mean_coeffs
 from .solutions import _derivatives, _periodic_sigmas, evaluate_matrices
 
 # verify_solution's probes: the draws of default_rng(0).uniform(0, 1.5, 4) in tau and
@@ -33,6 +33,7 @@ _PROBE_TAUS = np.array([0.9554425309821815, 0.40468007064580547, 0.0614602859042
                         0.02479145329279364, 0.0, 1.1, 0.3])
 _PROBE_SIGMAS = np.array([5.109927617709579, 5.735012432197602, 3.811604993109835,
                           4.583562073612696, 0.0, 2.2, 5.0])
+_SIGNS = np.array(SECTOR_SIGNS)  # to broadcast over the stacked sectors
 
 
 def _trace_half(a, b):
@@ -45,7 +46,8 @@ def _metric(rt, rs, sign):
 
     Contiguous stacked pairs keep every bit of four separate traces; a broadcast einsum does not.
     """
-    pairs = np.stack([rt, rt, rs, rs], axis=-3), np.stack([rt, rs, rt, rs], axis=-3)
+    pairs = (np.concatenate([a[..., None, :, :] for a in order], axis=-3)
+             for order in ((rt, rt, rs, rs), (rt, rs, rt, rs)))
     return sign * _trace_half(*pairs).reshape(rt.shape[:-2] + (2, 2)).real
 
 
@@ -53,7 +55,7 @@ _SectorResiduals = namedtuple("_SectorResiduals", "eom chirality chi bar metric"
 
 
 def _sector_residuals(sign, inv, gt, gs, gtt, gss):
-    """Per-point residuals and induced metric of one _derivatives sector.
+    """Per-point residuals and induced metric of both _derivatives sectors, sector axis first.
 
     R_a = g^{-1} d_a g and W = g^{-1}(g_tt - g_ss) are formed once, and with
     d = (d_tau + d_sig)/2, J = g^{-1} d g and Jbar = g^{-1} d-bar g:
@@ -71,13 +73,13 @@ def _sector_residuals(sign, inv, gt, gs, gtt, gss):
         eom=np.max(np.abs(w - rt @ rt + rs @ rs), axis=(-2, -1)),
         chirality=np.hypot(dbar.real, dbar.imag),
         chi=sign * _trace_half(chi, chi).real, bar=sign * _trace_half(bar, bar).real,
-        metric=_metric(rt, rs, sign))
+        metric=_metric(rt, rs, sign[..., None, None]))
 
 
 def _residuals(sol, taus, sigmas):
-    """(ads, sphere) _sector_residuals at the points (taus, sigmas), from one _derivatives call."""
-    return [_sector_residuals(sign, *s)
-            for sign, s in zip(SECTOR_SIGNS, _derivatives(sol.matrices, taus, sigmas))]
+    """_sector_residuals at the points (taus, sigmas), from one _derivatives call."""
+    derivs = _derivatives(sol.matrices, taus, sigmas)
+    return _sector_residuals(_SIGNS.reshape((2,) + (1,) * (derivs[0].ndim - 3)), *derivs)
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,7 @@ class InducedMetric:
 
 def induced_metric_numeric(sol, tau, sigma):
     """Induced metric at one point from the field derivatives of _derivatives."""
-    ads, sph = (r.metric[0] for r in _residuals(sol, [tau], [sigma]))
-    return InducedMetric(ads=ads, sphere=sph)
+    return InducedMetric(*_residuals(sol, [tau], [sigma]).metric[:, 0])
 
 
 def induced_metric_analytic(inv):
@@ -130,8 +131,8 @@ def gauge_residual(sol, tau, sigma):
     and the d-bar analogue; both vanish on gauge-consistent solutions.  The
     per-sector values give mu^2 and mubar^2 read off each projection.
     """
-    (chi_g, bar_g), (chi_h, bar_h) = (
-        (float(r.chi[0]), float(r.bar[0])) for r in _residuals(sol, [tau], [sigma]))
+    res = _residuals(sol, [tau], [sigma])
+    (chi_g, chi_h), (bar_g, bar_h) = res.chi[:, 0].tolist(), res.bar[:, 0].tolist()
     return GaugeResidual(
         chiral=chi_g + chi_h, antichiral=bar_g + bar_h,
         mu2_ads=-chi_g, mu2_sphere=chi_h, mubar2_ads=-bar_g, mubar2_sphere=bar_h,
@@ -144,12 +145,12 @@ def eom_residual(sol, tau, sigma):
     Exact derivatives, so exact solutions leave roundoff only.  Returns
     (ads, sphere) residuals.
     """
-    return tuple(float(r.eom[0]) for r in _residuals(sol, [tau], [sigma]))
+    return tuple(_residuals(sol, [tau], [sigma]).eom[:, 0].tolist())
 
 
 def chirality_residual(sol, tau, sigma):
     """Residual of the chirality conditions: |d-bar <(g^{-1} d g)^2>| per sector."""
-    return tuple(float(r.chirality[0]) for r in _residuals(sol, [tau], [sigma]))
+    return tuple(_residuals(sol, [tau], [sigma]).chirality[:, 0].tolist())
 
 
 def mean_curvatures(inv):
@@ -186,20 +187,8 @@ class VerificationReport:
         return not self.failures
 
     def as_dict(self):
-        return {
-            "eom": self.eom,
-            "gauge_chiral": self.gauge_chiral,
-            "gauge_antichiral": self.gauge_antichiral,
-            "chirality": self.chirality,
-            "periodicity": self.periodicity,
-            "embedding": self.embedding,
-            "metric_spread": self.metric_spread,
-            "metric_gap": self.metric_gap,
-            "charge_gap": self.charge_gap,
-            "thresholds": dict(self.thresholds),
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
+        return {**vars(self), "thresholds": dict(self.thresholds),
+                "failures": list(self.failures), "ok": self.ok}
 
 
 DEFAULT_THRESHOLDS = {
@@ -222,14 +211,12 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     points, closure under sigma -> sigma + 2pi and the embedding constraints
     over the grid, constancy of the induced metric at seven points and its
     agreement with the closed-form current metric, and quadrature vs analytic
-    charges.  One evaluate_matrices call gives the grid fields, one
-    _derivatives call every derivative, exactly, for one residual kernel per
-    sector, and one current_matrices call the metric reference at (0, 0) and
-    the charge quadratures at tau = 0, 1.7.  Each gap compares independent
-    computations on raw arrays: the metric of the derivatives against that of
-    the closed-form conjugations of current_matrices, and the sigma-mean charge
-    coefficients against the closed form of charges_analytic.  Thresholds can
-    be overridden per key of DEFAULT_THRESHOLDS, each finite and positive.
+    charges.  One evaluate_matrices, one _derivatives (exact) and one charges._currents call
+    give every field, for both sectors at once.  Each gap compares independent computations
+    on raw arrays: the metric of the derivatives against that of the closed-form currents at
+    (0, 0), and their sigma-mean charge coefficients at tau = 0, 1.7 against the closed form
+    of charges_analytic.  Thresholds can be overridden per key of DEFAULT_THRESHOLDS, each
+    finite and positive.
     """
     tol = dict(DEFAULT_THRESHOLDS)
     for key, value in (thresholds or {}).items():
@@ -245,29 +232,28 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     sigmas = np.linspace(0.0, 2.0 * math.pi, n_sig, endpoint=False)
 
     # periodicity and embedding constraints over the full grid, from one evaluation
-    g, h = evaluate_matrices(sol, taus[:, None, None],
-                             np.stack([sigmas, sigmas + 2.0 * math.pi]))
-    periodicity = max(float(np.max(np.abs(g[:, 0] - g[:, 1]))),
-                      float(np.max(np.abs(h[:, 0] - h[:, 1]))))
+    g, h = evaluate_matrices(sol, taus[:, None, None], np.array([sigmas, sigmas + 2.0 * math.pi]))
+    periodicity = max(float(np.abs(g[:, 0] - g[:, 1]).max()),
+                      float(np.abs(h[:, 0] - h[:, 1]).max()))
     y, x = AdsGroupElement.embed(g[:, 0]), SphereGroupElement.embed(h[:, 0])
-    embedding = max(float(np.max(np.abs(ads_dot(y, y) + 1.0))),
-                    float(np.max(np.abs(np.einsum("...i,...i->...", x, x) - 1.0))))
+    embedding = max(float(np.abs(ads_dot(y, y) + 1.0).max()),
+                    float(np.abs(np.einsum("...i,...i->...", x, x) - 1.0).max()))
 
     # residuals at the five probes; the metric also at the two points after them
-    ads, sph = _residuals(sol, _PROBE_TAUS, _PROBE_SIGMAS)
-    eom = max(float(np.max(r.eom[:5])) for r in (ads, sph))
-    chir = max(float(np.max(r.chirality[:5])) for r in (ads, sph))
-    gauge_c = float(np.max(np.abs(ads.chi[:5] + sph.chi[:5])))
-    gauge_a = float(np.max(np.abs(ads.bar[:5] + sph.bar[:5])))
+    res = _residuals(sol, _PROBE_TAUS, _PROBE_SIGMAS)
+    eom = float(res.eom[:, :5].max())
+    chir = float(res.chirality[:, :5].max())
+    gauge_c = float(np.abs(res.chi[0, :5] + res.chi[1, :5]).max())
+    gauge_a = float(np.abs(res.bar[0, :5] + res.bar[1, :5]).max())
 
     # metric constancy and agreement with the currents at (0, 0), the first sigma-node
-    cur = current_matrices(sol, [[0.0], [1.7]], _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s))
-    gap = max(float(np.max(np.abs(r.metric - _metric(c.R_tau[0, 0], c.R_sig[0, 0], sign))))
-              for r, c, sign in zip((ads, sph), cur, SECTOR_SIGNS))
-    spread = max(float(np.ptp(r.metric, axis=0).max()) for r in (ads, sph))
+    cur = _currents(sol.matrices, [[0.0], [1.7]], _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s))
+    reference = _metric(cur.R_tau[:, 0, :1], cur.R_sig[:, 0, :1], _SIGNS[:, None, None, None])
+    gap = float(np.abs(res.metric - reference).max())
+    spread = float(np.ptp(res.metric, axis=1).max())
 
     # charge quadratures at both taus vs closed form, and tau-independence
-    quadrature = float(np.max(np.abs(_sigma_mean_coeffs(cur) - _analytic_coeffs(sol))))
+    quadrature = float(np.abs(_sigma_mean_coeffs(cur) - _analytic_coeffs(sol)).max())
 
     values = {
         "eom": eom, "gauge_chiral": gauge_c, "gauge_antichiral": gauge_a,

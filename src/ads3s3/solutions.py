@@ -10,7 +10,9 @@ frequencies tied to the integer windings by 4 lam rho = m n,
 4 lam_s rho_s = m_s n_s.  Same parity of m and n (and of m_s, n_s) closes
 the string: sigma -> sigma + 2pi multiplies the factors by (-1)^m (-1)^n.
 The field kernels on raw sectors live here: _phases, _phase_orders, _phase_product,
-the exact derivatives of _derivatives and the sigma-nodes of _periodic_sigmas.
+the exact derivatives of _derivatives and the sigma-nodes of _periodic_sigmas, each run once
+on both sectors stacked in one complex array (SolutionParams.matrices): the real AdS entries
+carry a zero imaginary part, so their products and sums keep the values of real arithmetic.
 """
 
 from __future__ import annotations
@@ -89,16 +91,15 @@ class SolutionParams:
 
     @cached_property
     def matrices(self):
-        """The sectors with l, r and x0 as raw 2x2 arrays, as the field kernels take them.
+        """lam, rho, m, n as (2,) arrays and l, r, x0 as (2, 2, 2) complex ones: (AdS, sphere).
 
-        Derived once per instance (the fields are frozen) and shared by every
-        reader, so the arrays are read-only.
+        Derived once per instance (the fields are frozen) and shared, so read-only.
         """
-        out = tuple((lam, rho, m, n, l.matrix, r.matrix, x0.matrix)
-                    for lam, rho, m, n, l, r, x0 in self.sectors)
-        for *_, l, r, _ in out:
-            l.flags.writeable = r.flags.writeable = False
-        return out
+        pairs = list(zip(*self.sectors))  # (AdS, sphere) of each of lam, rho, m, n, l, r, x0
+        scalars = np.array(pairs[:4], dtype=float)
+        mats = np.concatenate([v.matrix for pair in pairs[4:] for v in pair]).reshape(3, 2, 2, 2)
+        scalars.flags.writeable = mats.flags.writeable = False
+        return (*scalars, *mats)
 
 
 def make_solution(lam, rho, m, n, lhat, rhat, g0,
@@ -129,8 +130,8 @@ def _phase_orders(lam, rho, m, n, tau, sigma):
     orders i, j <= 1, as a phase derivative maps (c, s) to (-s, c).
     """
     c_l, s_l, c_r, s_r = _phases(lam, rho, m, n, tau, sigma)
-    return (np.stack([c_l, -s_l, c_l, -s_l]), np.stack([s_l, c_l, s_l, c_l]),
-            np.stack([c_r, c_r, -s_r, -s_r]), np.stack([s_r, s_r, c_r, c_r]))
+    return (np.array([c_l, -s_l, c_l, -s_l]), np.array([s_l, c_l, s_l, c_l]),
+            np.array([c_r, c_r, -s_r, -s_r]), np.array([s_r, s_r, c_r, c_r]))
 
 
 def _phase_product(c_l, s_l, c_r, s_r, left_mat, g0_mat, right_mat):
@@ -140,6 +141,18 @@ def _phase_product(c_l, s_l, c_r, s_r, left_mat, g0_mat, right_mat):
     lgr = left_mat @ gr
     c_l, s_l, c_r, s_r = (np.asarray(a)[..., None, None] for a in (c_l, s_l, c_r, s_r))
     return c_l * c_r * g0_mat + c_l * s_r * gr + s_l * c_r * lg + s_l * s_r * lgr
+
+
+def _on_points(matrices, tau, sigma):
+    """tau, sigma as float arrays and SolutionParams.matrices with a unit axis per point axis."""
+    tau, sigma = np.asarray(tau, dtype=float), np.asarray(sigma, dtype=float)
+    lift = (slice(None),) + (None,) * max(tau.ndim, sigma.ndim)
+    return (tau, sigma, *(a[lift] for a in matrices))
+
+
+def _unstack(a):
+    """(AdS, sphere) of a sector-stacked array; the AdS sector leaves through .real."""
+    return a[0].real, a[1]
 
 
 def _periodic_sigmas(*windings):
@@ -161,31 +174,25 @@ def evaluate_matrices(sol, tau, sigma):
     exponentials reduce to cos/sin pairs and the product is assembled from
     four constant matrices.
     """
-    tau = np.asarray(tau, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    return tuple(_phase_product(*_phases(lam, rho, m, n, tau, sigma), lmat, x0, rmat)
-                 for lam, rho, m, n, lmat, rmat, x0 in sol.matrices)
+    tau, sigma, lam, rho, m, n, lmat, rmat, x0 = _on_points(sol.matrices, tau, sigma)
+    return _unstack(_phase_product(*_phases(lam, rho, m, n, tau, sigma), lmat, x0, rmat))
 
 
 def _derivatives(sectors, taus, sigmas):
-    """Per raw sector (as in SolutionParams.matrices) g^{-1}, g_tau, g_sig, g_tautau, g_sigsig.
+    """g^{-1}, g_tau, g_sig, g_tautau, g_sigsig of stacked sectors (SolutionParams.matrices).
 
-    With A = c_l I + s_l L and B = c_r I + s_r R, the terms A^(i) g0 B^(j) of
-    phase-derivative orders i, j <= 1 come from one _phase_product call on the
-    stacks of _phase_orders; A'' = -A and B'' = -B close Leibniz.  The order-0
-    term is evaluate_matrices' g bit for bit.
+    Each has the sector axis first, then the points.  With A = c_l I + s_l L and
+    B = c_r I + s_r R, the terms A^(i) g0 B^(j) of phase-derivative orders i, j <= 1
+    come from one _phase_product call on the stacks of _phase_orders; A'' = -A and
+    B'' = -B close Leibniz.  The order-0 term is evaluate_matrices' g bit for bit.
     """
-    tau = np.asarray(taus, dtype=float)
-    sigma = np.asarray(sigmas, dtype=float)
-    out = []
-    for lam, rho, m, n, lmat, rmat, x0 in sectors:
-        g, g_l, g_r, g_lr = _phase_product(*_phase_orders(lam, rho, m, n, tau, sigma),
-                                           lmat, x0, rmat)
-        u, v = 0.5 * m, 0.5 * n  # d th_l / d sigma, d th_r / d sigma
-        out.append((_adjugate(g), lam * g_l + rho * g_r, u * g_l + v * g_r,
-                    2.0 * lam * rho * g_lr - (lam * lam + rho * rho) * g,
-                    2.0 * u * v * g_lr - (u * u + v * v) * g))
-    return out
+    tau, sigma, lam, rho, m, n, lmat, rmat, x0 = _on_points(sectors, taus, sigmas)
+    g, g_l, g_r, g_lr = _phase_product(*_phase_orders(lam, rho, m, n, tau, sigma),
+                                       lmat, x0, rmat)
+    lam, rho, u, v = (a[..., None, None] for a in (lam, rho, 0.5 * m, 0.5 * n))  # u, v: d th/d sig
+    return (_adjugate(g), lam * g_l + rho * g_r, u * g_l + v * g_r,
+            2.0 * lam * rho * g_lr - (lam * lam + rho * rho) * g,
+            2.0 * u * v * g_lr - (u * u + v * v) * g)
 
 
 def evaluate(sol, tau, sigma):
@@ -222,8 +229,8 @@ def apply_isometry(sol, g_left=None, g_right=None, h_left=None, h_right=None):
 
 def theta_invariants(sol):
     """(cosh 2theta, cos 2theta_s) from the isometry-invariant traces."""
-    return tuple(float((-0.5 * np.trace(l @ x0 @ r @ _adjugate(x0))).real)
-                 for *_, l, r, x0 in sol.matrices)
+    *_, l, r, x0 = sol.matrices
+    return tuple((-0.5 * np.trace(l @ x0 @ r @ _adjugate(x0), axis1=-2, axis2=-1)).real.tolist())
 
 
 @dataclass(frozen=True)

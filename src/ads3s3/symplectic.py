@@ -29,9 +29,9 @@ sector by sector as
     omega_ij = <d_i R_tau, V_j> - <d_j R_tau, V_i> - <R_tau, [V_i, V_j]>,
 
 with no step: one solution at the chart point and the exact tangents of its
-inputs along the twelve chart directions give d_j g and d_j R_tau.  Its
-orbit blocks reproduce the charge coefficients, the remainder being the
-(f, b, phi1, phi2) sector that has no closed form here.
+inputs along the twelve chart directions give d_j g and d_j R_tau.  Its orbit
+blocks reproduce the charge coefficients and its phase rows d(m_L - m_R), d(m_R^s - m_L^s);
+only the 16 (f, b) x direction entries have no closed form here.
 
 Validation happens at the boundary: chart points and StringChart.solution
 are validated types.  StringChart._raw_solution builds one solution and its

@@ -3,6 +3,10 @@
 Property tests draw their examples deterministically (derandomize) and keep
 no example database, so every run of the suite checks the same cases.
 
+The *_per_sector helpers are the field kernels written one sector at a time, on
+real AdS and complex sphere 2x2 arrays: the references that the sector-stacked
+kernels of solutions, charges and geometry must equal entry for entry.
+
 A failing property makes hypothesis import hypothesis.extra._patching, whose
 import chain raises a DeprecationWarning (mypy_extensions); under the
 suite's filterwarnings = error that aborted the session, so the module is
@@ -13,9 +17,12 @@ import warnings
 
 from hypothesis import settings
 
-from ads3s3.algebra import SECTOR_SIGNS
-from ads3s3.charges import current_matrices
-from ads3s3.geometry import InducedMetric, _metric
+import numpy as np
+
+from ads3s3.algebra import SECTOR_SIGNS, _adjugate
+from ads3s3.charges import SectorCurrents, current_matrices
+from ads3s3.geometry import InducedMetric, _SectorResiduals, _metric, _trace_half
+from ads3s3.solutions import _phase_orders, _phase_product, _phases
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
@@ -34,3 +41,67 @@ def induced_metric_currents(sol, tau=0.0, sigma=0.0):
     ads, sph = (_metric(cur.R_tau, cur.R_sig, sign) for sign, cur in
                 zip(SECTOR_SIGNS, current_matrices(sol, float(tau), float(sigma))))
     return InducedMetric(ads=ads, sphere=sph)
+
+
+def raw_sectors(sol):
+    """Per sector (lam, rho, m, n, l, r, x0), the directions and x0 as their own 2x2 arrays."""
+    return [(lam, rho, m, n, l.matrix, r.matrix, x0.matrix)
+            for lam, rho, m, n, l, r, x0 in sol.sectors]
+
+
+def evaluate_matrices_per_sector(sol, tau, sigma):
+    """(g, h) of solutions.evaluate_matrices, one sector at a time."""
+    tau = np.asarray(tau, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    return tuple(_phase_product(*_phases(lam, rho, m, n, tau, sigma), lmat, x0, rmat)
+                 for lam, rho, m, n, lmat, rmat, x0 in raw_sectors(sol))
+
+
+def derivatives_per_sector(sol, taus, sigmas):
+    """Per sector (g^{-1}, g_tau, g_sig, g_tautau, g_sigsig) of solutions._derivatives."""
+    tau = np.asarray(taus, dtype=float)
+    sigma = np.asarray(sigmas, dtype=float)
+    out = []
+    for lam, rho, m, n, lmat, rmat, x0 in raw_sectors(sol):
+        g, g_l, g_r, g_lr = _phase_product(*_phase_orders(lam, rho, m, n, tau, sigma),
+                                           lmat, x0, rmat)
+        u, v = 0.5 * m, 0.5 * n
+        out.append((_adjugate(g), lam * g_l + rho * g_r, u * g_l + v * g_r,
+                    2.0 * lam * rho * g_lr - (lam * lam + rho * rho) * g,
+                    2.0 * u * v * g_lr - (u * u + v * v) * g))
+    return out
+
+
+def current_matrices_per_sector(sol, tau, sigma):
+    """(ads, sphere) SectorCurrents of charges.current_matrices, one sector at a time."""
+    tau = np.asarray(tau, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    out = []
+    for lam, rho, m, n, lmat, rmat, g0 in raw_sectors(sol):
+        g0inv = _adjugate(g0)
+        c_l, s_l, c_r, s_r = _phases(lam, rho, m, n, tau, sigma)
+        conj_l = _phase_product(c_l, s_l, c_l, -s_l, lmat, g0 @ rmat @ g0inv, lmat)
+        conj_r = _phase_product(c_r, -s_r, c_r, s_r, rmat, g0inv @ lmat @ g0, rmat)
+        out.append(SectorCurrents(
+            L_tau=lam * lmat + rho * conj_l,
+            L_sig=0.5 * m * lmat + 0.5 * n * conj_l,
+            R_tau=lam * conj_r + rho * rmat,
+            R_sig=0.5 * m * conj_r + 0.5 * n * rmat,
+        ))
+    return tuple(out)
+
+
+def residuals_per_sector(sol, taus, sigmas):
+    """(ads, sphere) residuals of geometry._sector_residuals, one sector at a time."""
+    out, sectors = [], derivatives_per_sector(sol, taus, sigmas)
+    for sign, (inv, gt, gs, gtt, gss) in zip(SECTOR_SIGNS, sectors):
+        rt, rs, w = inv @ gt, inv @ gs, inv @ (gtt - gss)
+        j, jbar = inv @ (0.5 * (gt + gs)), inv @ (0.5 * (gt - gs))
+        dbar = 2.0 * _trace_half(j, 0.25 * w - jbar @ j)
+        chi, bar = 0.5 * (rt + rs), 0.5 * (rt - rs)
+        out.append(_SectorResiduals(
+            eom=np.max(np.abs(w - rt @ rt + rs @ rs), axis=(-2, -1)),
+            chirality=np.hypot(dbar.real, dbar.imag),
+            chi=sign * _trace_half(chi, chi).real, bar=sign * _trace_half(bar, bar).real,
+            metric=_metric(rt, rs, sign)))
+    return out

@@ -27,6 +27,7 @@ from ads3s3.charges import (
     current_matrices,
     currents,
 )
+from ads3s3.cli import main
 from ads3s3.solutions import (
     _periodic_sigmas,
     apply_isometry,
@@ -228,8 +229,8 @@ def assert_raw_charges_match_wrapped(sol):
     """The raw coefficient rows the battery compares are the ChargeSet coefficients, bit for bit."""
     taus = (0.0, 1.7)
     analytic = charges._analytic_coeffs(sol)
-    means = charges._sigma_mean_coeffs(current_matrices(
-        sol, [[t] for t in taus], _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s)))
+    means = charges._sigma_mean_coeffs(charges._currents(
+        sol.matrices, [[t] for t in taus], _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s)))
     wrapped_an = charges_analytic(sol)
     wrapped = [charges_numeric(sol, tau=t) for t in taus]
     assert analytic.tobytes() == np.array([q.coeffs for q in wrapped_an.vectors]).tobytes()
@@ -253,10 +254,27 @@ class TestRawCharges:
 
     def test_sigma_means_keep_the_finite_check(self):
         # the raw rows skip the constructors, not their rejection of non-finite coefficients
-        ads, sph = current_matrices(reference_solution(), [[0.0]], [0.0, math.pi])
-        broken = replace(ads, R_tau=np.full_like(ads.R_tau, math.nan))
+        cur = charges._currents(reference_solution().matrices, [[0.0]], [0.0, math.pi])
+        r_tau = cur.R_tau.copy()
+        r_tau[0] = math.nan  # the AdS sector
         with pytest.raises(ValidationError, match="non-finite"):
-            charges._sigma_mean_coeffs((broken, sph))
+            charges._sigma_mean_coeffs(replace(cur, R_tau=r_tau))
+
+
+    def test_charges_command_builds_only_the_solution(self, monkeypatch, capsys):
+        # Casimirs, signed coefficients and the quadrature gap come off raw rows, so the only
+        # validated objects are the solution's own: four directions, g0 and h0
+        built = []
+        for cls in (al.AdsGroupElement, al.SphereGroupElement, al.AdsAlgebraElement,
+                    al.SphereAlgebraElement, al.UnitTimelikeVector, al.UnitSphereVector):
+            def counted(obj, post_init=cls.__post_init__):
+                built.append(type(obj).__name__)
+                post_init(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert main(["charges", "--f", "1.6", "--b", "1.2"]) == 0
+        capsys.readouterr()
+        assert sorted(built) == sorted(["AdsGroupElement", "SphereGroupElement"]
+                                       + ["UnitTimelikeVector", "UnitSphereVector"] * 2)
 
 
 class TestIsometryBehaviour:

@@ -16,6 +16,7 @@ from ads3s3.algebra import (
     exp_algebra,
 )
 from ads3s3.bridge import admissible, bridge, f_max
+from ads3s3.cli import main
 from ads3s3.charges import charge_gap, charges_analytic, charges_numeric, current_matrices
 from ads3s3.geometry import (
     chirality_residual,
@@ -35,7 +36,13 @@ from ads3s3.solutions import (
     params_to_dict,
 )
 
-from conftest import induced_metric_currents
+from conftest import (
+    current_matrices_per_sector,
+    derivatives_per_sector,
+    evaluate_matrices_per_sector,
+    induced_metric_currents,
+    residuals_per_sector,
+)
 from test_solutions import random_isometry, random_solution
 
 F0, B0 = 5.0 / 3.0, 5.0 / 4.0
@@ -128,8 +135,8 @@ class TestMetricContraction:
         # verdicts at windings where roundoff nears the thresholds do not move
         sol = random_solution(np.random.default_rng(80 + n), n=n)
         taus, sigmas = np.linspace(0.0, 1.5, 7), np.linspace(0.0, 6.0, 7)
-        for sign, (inv, gt, gs, *_) in zip((1.0, -1.0),
-                                          solutions._derivatives(sol.matrices, taus, sigmas)):
+        for sign, (inv, gt, gs, *_) in zip((1.0, -1.0), zip(
+                *solutions._derivatives(sol.matrices, taus, sigmas))):
             for rt, rs in ((inv @ gt, inv @ gs), ((inv @ gt)[:1], (inv @ gs)[:1])):
                 traces = [[geometry._trace_half(a, b) for b in (rt, rs)] for a in (rt, rs)]
                 expected = sign * np.stack([np.stack(row, axis=-1) for row in traces], axis=-2).real
@@ -258,7 +265,7 @@ class TestVerifySolution:
         params = list(inspect.signature(verify_solution).parameters)
         assert params == ["sol", "grid", "thresholds"]
 
-    def test_field_evaluations_are_batched(self, monkeypatch):
+    def test_field_evaluations_are_batched(self, monkeypatch, capsys):
         # one field evaluation serves periodicity and embedding; one kernel call every derivative
         calls, kernel = [], []
         original, derivatives = solutions.evaluate_matrices, solutions._derivatives
@@ -271,15 +278,30 @@ class TestVerifySolution:
         monkeypatch.setattr(geometry, "evaluate_matrices", counted)
         monkeypatch.setattr(geometry, "_derivatives",
                             lambda *args: kernel.append(args) or derivatives(*args))
-        currents = []
+        currents, stacked_currents = [], charges._currents
         for module in (charges, geometry):
-            monkeypatch.setattr(module, "current_matrices",
-                                lambda *args: currents.append(args) or current_matrices(*args))
+            monkeypatch.setattr(module, "_currents",
+                                lambda *args: currents.append(args) or stacked_currents(*args))
+        # every field kernel runs once for both sectors
+        products, residuals = [], []
+        phase_product, sector_residuals = solutions._phase_product, geometry._sector_residuals
+        for module in (solutions, charges):
+            monkeypatch.setattr(module, "_phase_product",
+                                lambda *args: products.append(args) or phase_product(*args))
+        monkeypatch.setattr(geometry, "_sector_residuals",
+                            lambda *args: residuals.append(args) or sector_residuals(*args))
         verify_solution(random_solution(np.random.default_rng(57), n=3))
         assert len(calls) == 1
         assert len(kernel) == 1
         # one current evaluation serves the metric reference and both charge quadratures
         assert len(currents) == 1
+        # evaluate_matrices 1, _derivatives 1, the currents 2 (one per conjugated factor)
+        assert len(products) == 4
+        assert len(residuals) == 1
+        products.clear()
+        assert main(["charges", "--f", "1.6", "--b", "1.2"]) == 0
+        capsys.readouterr()
+        assert len(products) == 2
 
     def test_builds_no_validated_element(self, monkeypatch):
         # the battery and its charge gap run on raw arrays. The concrete classes bind _validate
@@ -381,7 +403,7 @@ _SPHERE_FRAME = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
 
 
 @st.composite
-def exact_solutions(draw, f_min=1.0):
+def exact_solutions(draw, f_min=1.0, windings=st.integers(1, 50)):
     """b in [1, 3], f >= f_min in the band (edges included), n in 1..50, in a random frame."""
     b = draw(st.floats(1.0, 3.0))
     lo, hi = max(b, f_min), f_max(b)
@@ -390,7 +412,68 @@ def exact_solutions(draw, f_min=1.0):
     frame = [exp_algebra(cls(draw(coeffs)), 1.0) for cls, coeffs in (
         (AdsAlgebraElement, _ADS_FRAME), (AdsAlgebraElement, _ADS_FRAME),
         (SphereAlgebraElement, _SPHERE_FRAME), (SphereAlgebraElement, _SPHERE_FRAME))]
-    return apply_isometry(family_solution(f, b, draw(st.integers(1, 50))), *frame)
+    return apply_isometry(family_solution(f, b, draw(windings)), *frame)
+
+
+@st.composite
+def kernel_solutions(draw):
+    """Exact solutions at n in {1, 3, 64, 4096} in frames boosted up to 0.8, the same with one
+    frequency broken, and the strict=False set with windings (-3, 5, 4, 2)."""
+    kind = draw(st.sampled_from(["exact", "perturbed", "relaxed"]))
+    if kind == "relaxed":
+        return relaxed_distinct_windings()
+    sol = draw(exact_solutions(windings=st.sampled_from([1, 3, 64, 4096])))
+    if kind == "perturbed":
+        field = draw(st.sampled_from(["lam", "rho", "lam_s", "rho_s"]))
+        sol = replace(sol, **{field: getattr(sol, field) * draw(st.sampled_from([1.001, 0.9999]))})
+    return sol
+
+
+def kernel_points(sol):
+    """(tau, sigma) shapes the kernels see: the battery's probes, tau rows x the sigma-nodes,
+    the periodicity grid and one point."""
+    nodes = _periodic_sigmas(sol.m, sol.n, sol.m_s, sol.n_s)
+    sigmas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    return ((geometry._PROBE_TAUS, geometry._PROBE_SIGMAS), (np.array([[0.0], [1.7]]), nodes),
+            (np.linspace(0.0, 1.5, 4)[:, None, None], np.stack([sigmas, sigmas + 2.0 * math.pi])),
+            (np.float64(0.3), np.float64(1.2)))
+
+
+def assert_same_values(got, want):
+    """Equal dtype and shape, and every entry equal.
+
+    np.array_equal does not tell -0.0 from 0.0, and the complex AdS products may flip the
+    sign of an exact zero: each adds a +-0.0 cross term of the imaginary parts to the real one.
+    """
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def assert_stack_holds(stacked, ads, sph):
+    """A sector-stacked array holds the per-sector arrays, AdS with zero imaginary part."""
+    assert not np.any(stacked[0].imag)
+    for got, want in zip(solutions._unstack(stacked), (ads, sph)):
+        assert_same_values(got, want)
+
+
+class TestStackedKernels:
+    """The sector-stacked kernels reproduce the one-sector-at-a-time references of conftest."""
+
+    @given(kernel_solutions())
+    def test_equal_to_per_sector_loops_entry_for_entry(self, sol):
+        for taus, sigmas in kernel_points(sol):
+            for got, want in zip(evaluate_matrices(sol, taus, sigmas),
+                                 evaluate_matrices_per_sector(sol, taus, sigmas)):
+                assert_same_values(got, want)
+            ads, sph = derivatives_per_sector(sol, taus, sigmas)
+            for stacked, *pair in zip(solutions._derivatives(sol.matrices, taus, sigmas), ads, sph):
+                assert_stack_holds(stacked, *pair)
+            for got, want in zip(current_matrices(sol, taus, sigmas),
+                                 current_matrices_per_sector(sol, taus, sigmas)):
+                for field in ("L_tau", "L_sig", "R_tau", "R_sig"):
+                    assert_same_values(getattr(got, field), getattr(want, field))
+            ads, sph = residuals_per_sector(sol, taus, sigmas)
+            for stacked, *pair in zip(geometry._residuals(sol, taus, sigmas), ads, sph):
+                assert_stack_holds(stacked, *pair)
 
 
 class TestDerivativeKernel:
@@ -403,10 +486,10 @@ class TestDerivativeKernel:
         sol = random_solution(rng, n=n)
         taus, sigmas = rng.uniform(0.0, 1.5, 5), rng.uniform(0.0, 2.0 * math.pi, 5)
         derivs = solutions._derivatives(sol.matrices, taus, sigmas)
-        for k, (lam, rho, m, n_, *_) in enumerate(sol.matrices):
+        for k, (lam, rho, m, n_) in enumerate(zip(*sol.matrices[:4])):
             h = 1e-3 / max(abs(lam), abs(rho), 0.5 * abs(m), 0.5 * abs(n_))
             g = evaluate_matrices(sol, taus, sigmas)[k]
-            _, gt, gs, gtt, gss = derivs[k]
+            _, gt, gs, gtt, gss = (d[k] for d in derivs)
             for first, second, dt, ds in ((gt, gtt, h, 0.0), (gs, gss, 0.0, h)):
                 up = evaluate_matrices(sol, taus + dt, sigmas + ds)[k]
                 down = evaluate_matrices(sol, taus - dt, sigmas - ds)[k]
@@ -419,8 +502,8 @@ class TestDerivativeKernel:
         rng = np.random.default_rng(63)
         sol = random_solution(rng, n=5)
         taus, sigmas = rng.uniform(0.0, 1.5, 7), rng.uniform(0.0, 2.0 * math.pi, 7)
-        for (inv, *_), g in zip(solutions._derivatives(sol.matrices, taus, sigmas),
-                                evaluate_matrices(sol, taus, sigmas)):
+        for inv, g in zip(solutions._derivatives(sol.matrices, taus, sigmas)[0],
+                          evaluate_matrices(sol, taus, sigmas)):
             assert np.array_equal(inv, algebra._adjugate(g))
 
     @given(exact_solutions())
@@ -429,8 +512,8 @@ class TestDerivativeKernel:
         # Both cancel terms of size omega |g|^2, so roundoff scales with that, not with
         # the currents, which vanish at the (1, 1) corner.
         taus, sigmas = np.linspace(0.0, 1.5, 5), np.linspace(0.0, 2.0 * math.pi, 5)
-        for (lam, rho, m, n, *_), (inv, gt, gs, *_), cur in zip(
-                sol.matrices, solutions._derivatives(sol.matrices, taus, sigmas),
+        for (lam, rho, m, n), (inv, gt, gs, *_), cur in zip(
+                zip(*sol.matrices[:4]), zip(*solutions._derivatives(sol.matrices, taus, sigmas)),
                 current_matrices(sol, taus, sigmas)):
             scale = max(abs(lam), abs(rho), 0.5 * abs(m), 0.5 * abs(n)) * np.max(np.abs(inv)) ** 2
             for kernel, exact in zip((gt @ inv, gs @ inv, inv @ gt, inv @ gs),

@@ -196,16 +196,16 @@ class TestRawSectors:
         sol = reference_solution()
         assert sol.matrices is sol.matrices
         with pytest.raises(ValueError, match="read-only"):
-            sol.matrices[0][4][0, 0] = 0.0
+            sol.matrices[4][0, 0, 0] = 0.0
 
     def test_isometry_gets_its_own_sectors(self):
         sol = reference_solution()
         before = sol.matrices
         g_l, g_r, h_l, h_r = random_isometry(np.random.default_rng(34))
         moved = apply_isometry(sol, g_l, g_r, h_l, h_r)
-        for old, new in zip(before, moved.matrices):
-            for k in (4, 5, 6):  # l, r, x0
-                assert np.max(np.abs(new[k] - old[k])) > 1e-3
+        for k in (4, 5, 6):  # l, r, x0
+            for old, new in zip(before[k], moved.matrices[k]):  # AdS, sphere
+                assert np.max(np.abs(new - old)) > 1e-3
         for tau, sig in ((0.0, 0.0), (0.8, 2.5)):
             g, h = evaluate_matrices(sol, tau, sig)
             gm, hm = evaluate_matrices(moved, tau, sig)

@@ -560,6 +560,21 @@ class TestStringSymplectic:
             for g, e in zip(chart.orbit_block_coefficients(), expect):
                 assert abs(g - e) <= 1e-8 * abs(e)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 16, 64, 1000]))
+    def test_phase_rows_are_exact_oracles(self, seed, n):
+        # each phase translates one orbit pair: omega[phi1, .] = d(m_L - m_R) and
+        # omega[phi2, .] = d(m_R_s - m_L_s); the 1-form has no (f, b) component
+        point = random_string_point(np.random.default_rng(seed), n=n)
+        chart = StringChart(point)
+        x = chart.coords(point)
+        omega = chart.form(x).matrix
+        dm = chart.orbit_coefficients_jacobian(x)
+        theta = chart.presymplectic(x)
+        tol = 1e-12 * max(1.0, np.max(np.abs(omega)))
+        assert np.max(np.abs(omega[10] - (dm[0] - dm[1]))) <= tol
+        assert np.max(np.abs(omega[11] - (dm[3] - dm[2]))) <= tol
+        assert max(abs(theta[8]), abs(theta[9])) <= tol
+
     def test_reference_point_blocks(self):
         rng = np.random.default_rng(86)
         point = random_string_point(rng)
