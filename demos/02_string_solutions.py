@@ -54,7 +54,6 @@ print("recovered (theta, theta_s):", (angles.theta, angles.theta_s))
 
 print("\n== full verification battery ==")
 report = verify_solution(sol)
-for key, value in report.as_dict().items():
-    if key not in ("thresholds", "failures", "ok"):
-        print(f"  {key:16s} {value:.3e}")
+for key, value in report.values.items():
+    print(f"  {key:16s} {value:.3e}")
 print("all checks passed:", report.ok)

@@ -26,7 +26,7 @@ from .algebra import (
     ValidationError,
 )
 from .charges import _analytic_coeffs, _casimirs, _coefficients, _numeric_coeffs
-from .geometry import DEFAULT_THRESHOLDS, verify_solution
+from .geometry import verify_solution
 from .solutions import embedding_surface, family_solution, params_from_dict
 from .symplectic import (
     BRACKET_STRUCTURE,
@@ -159,9 +159,6 @@ def cmd_bridge(args):
 
 def cmd_verify(args):
     sol = _load_params(args, strict=False)
-    thresholds = None
-    if args.tol is not None:
-        thresholds = {k: args.tol for k in DEFAULT_THRESHOLDS}
     grid = (4, 8)
     if args.grid:
         try:
@@ -169,7 +166,7 @@ def cmd_verify(args):
             grid = (int(t), int(s))
         except ValueError as exc:
             raise ValidationError(f"bad --grid {args.grid!r}; expected TxS") from exc
-    report = verify_solution(sol, grid=grid, thresholds=thresholds)
+    report = verify_solution(sol, grid=grid, tol=args.tol)
     _emit(_json(report.as_dict()), args.out)
     return 0 if report.ok else 2
 

@@ -6,6 +6,9 @@ gauge residuals, equation-of-motion residuals and mean curvatures.
 All derivatives are exact, from the one kernel solutions._derivatives, with no
 step size.  One residual kernel, run once on both stacked sectors, serves the battery and
 the point functions alike, and _metric is the one induced-metric relation.
+
+DEFAULT_THRESHOLDS is the one table of the battery's checks and their pass thresholds;
+verify_solution reports check -> value in its order, and one tol replaces every threshold.
 """
 
 from __future__ import annotations
@@ -168,26 +171,21 @@ def mean_curvatures(inv):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Residual battery for one parameter set, with pass thresholds."""
+    """Residual battery: check -> value and check -> threshold, both in DEFAULT_THRESHOLDS order."""
 
-    eom: float
-    gauge_chiral: float
-    gauge_antichiral: float
-    chirality: float
-    periodicity: float
-    embedding: float
-    metric_spread: float
-    metric_gap: float
-    charge_gap: float
+    values: dict
     thresholds: dict
-    failures: tuple
+
+    @property
+    def failures(self):
+        return tuple(k for k, v in self.values.items() if v > self.thresholds[k])
 
     @property
     def ok(self):
         return not self.failures
 
     def as_dict(self):
-        return {**vars(self), "thresholds": dict(self.thresholds),
+        return {**self.values, "thresholds": dict(self.thresholds),
                 "failures": list(self.failures), "ok": self.ok}
 
 
@@ -204,7 +202,7 @@ DEFAULT_THRESHOLDS = {
 }
 
 
-def verify_solution(sol, grid=(4, 8), thresholds=None):
+def verify_solution(sol, grid=(4, 8), tol=None):
     """Run the full residual battery over a worldsheet probe grid.
 
     Checks equations of motion, gauge conditions and chirality at five probe
@@ -215,16 +213,15 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
     give every field, for both sectors at once.  Each gap compares independent computations
     on raw arrays: the metric of the derivatives against that of the closed-form currents at
     (0, 0), and their sigma-mean charge coefficients at tau = 0, 1.7 against the closed form
-    of charges_analytic.  Thresholds can be overridden per key of DEFAULT_THRESHOLDS, each
-    finite and positive.
+    of charges_analytic.  Each check passes at or below its threshold in DEFAULT_THRESHOLDS;
+    a finite, positive tol replaces every threshold.
     """
-    tol = dict(DEFAULT_THRESHOLDS)
-    for key, value in (thresholds or {}).items():
-        if key not in tol:
-            raise ValidationError(f"unknown threshold {key!r}")
-        if not 0.0 < value < math.inf:
-            raise ValidationError(f"threshold {key} = {value} must be finite and positive")
-        tol[key] = value
+    if tol is None:
+        thresholds = dict(DEFAULT_THRESHOLDS)
+    elif 0.0 < tol < math.inf:
+        thresholds = dict.fromkeys(DEFAULT_THRESHOLDS, tol)
+    else:
+        raise ValidationError(f"tol = {tol} must be finite and positive")
     n_tau, n_sig = int(grid[0]), int(grid[1])
     if n_tau < 1 or n_sig < 1:
         raise ValidationError("verification grid must be at least 1x1")
@@ -260,5 +257,4 @@ def verify_solution(sol, grid=(4, 8), thresholds=None):
         "chirality": chir, "periodicity": periodicity, "embedding": embedding,
         "metric_spread": spread, "metric_gap": gap, "charge_gap": quadrature,
     }
-    failures = tuple(k for k, v in values.items() if v > tol[k])
-    return VerificationReport(thresholds=tol, failures=failures, **values)
+    return VerificationReport(values, thresholds)

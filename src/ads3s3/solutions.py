@@ -108,11 +108,10 @@ def make_solution(lam, rho, m, n, lhat, rhat, g0,
     m, n, m_s, n_s = check_windings(m, n, m_s, n_s)
     sol = SolutionParams(lam, rho, m, n, lhat, rhat, g0,
                          lam_s, rho_s, m_s, n_s, lhat_s, rhat_s, h0)
-    if abs(4.0 * lam * rho - m * n) > RELATION_TOL * max(1.0, abs(m * n)):
-        raise ValidationError(f"4 lam rho = {4.0 * lam * rho} differs from m n = {m * n}")
-    if abs(4.0 * lam_s * rho_s - m_s * n_s) > RELATION_TOL * max(1.0, abs(m_s * n_s)):
-        raise ValidationError(
-            f"4 lam_s rho_s = {4.0 * lam_s * rho_s} differs from m_s n_s = {m_s * n_s}")
+    for suffix, (lam, rho, m, n, *_) in zip(("", "_s"), sol.sectors):
+        if abs(4.0 * lam * rho - m * n) > RELATION_TOL * max(1.0, abs(m * n)):
+            raise ValidationError(f"4 lam{suffix} rho{suffix} = {4.0 * lam * rho} differs "
+                                  f"from m{suffix} n{suffix} = {m * n}")
     return sol
 
 
@@ -288,6 +287,18 @@ def canonicalizing_isometry(sol):
     return g_left, g_right, h_left, h_right, theta, theta_s
 
 
+def _canonical_frame(theta, theta_s):
+    """The frame fields l = r = t0, l_s = r_s = s3, g0 = exp(theta t1), h0 = exp(theta_s s2)."""
+    return dict(
+        lhat=UnitTimelikeVector(),
+        rhat=UnitTimelikeVector(),
+        g0=exp_algebra(_T1, theta),
+        lhat_s=UnitSphereVector(),
+        rhat_s=UnitSphereVector(),
+        h0=exp_algebra(_S2, theta_s),
+    )
+
+
 def canonical_form(sol):
     """Isometry-equivalent solution in the canonical frame.
 
@@ -296,15 +307,7 @@ def canonical_form(sol):
     is fixed by zeroing the leftover rotation phases.
     """
     *_, theta, theta_s = canonicalizing_isometry(sol)
-    canon = replace(
-        sol,
-        lhat=UnitTimelikeVector(),
-        rhat=UnitTimelikeVector(),
-        g0=exp_algebra(_T1, theta),
-        lhat_s=UnitSphereVector(),
-        rhat_s=UnitSphereVector(),
-        h0=exp_algebra(_S2, theta_s),
-    )
+    canon = replace(sol, **_canonical_frame(theta, theta_s))
     angles = CanonicalAngles(theta, theta_s, sol.lam, sol.rho, sol.m, sol.n,
                              sol.lam_s, sol.rho_s, sol.m_s, sol.n_s)
     return canon, angles
@@ -339,11 +342,8 @@ def family_solution(f, b, n=1, theta=None, theta_s=None):
         theta, theta_s = family_angles(pt.cosh2theta, pt.cos2theta_s)
     return make_solution(
         lam=pt.lam, rho=pt.rho, m=pt.m, n=pt.n,
-        lhat=UnitTimelikeVector(), rhat=UnitTimelikeVector(),
-        g0=exp_algebra(_T1, theta),
         lam_s=pt.lam_s, rho_s=pt.rho_s, m_s=pt.m_s, n_s=pt.n_s,
-        lhat_s=UnitSphereVector(), rhat_s=UnitSphereVector(),
-        h0=exp_algebra(_S2, theta_s),
+        **_canonical_frame(theta, theta_s),
     )
 
 

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -19,6 +20,7 @@ from ads3s3.bridge import admissible, bridge, f_max
 from ads3s3.cli import main
 from ads3s3.charges import charge_gap, charges_analytic, charges_numeric, current_matrices
 from ads3s3.geometry import (
+    DEFAULT_THRESHOLDS,
     chirality_residual,
     eom_residual,
     gauge_residual,
@@ -219,10 +221,10 @@ class TestVerifySolution:
     def test_valid_point_passes(self):
         report = verify_solution(reference_solution())
         assert report.ok, report.failures
-        assert report.eom <= 1e-6
-        assert report.periodicity <= 1e-10
-        assert report.embedding <= 1e-12
-        assert report.metric_spread <= 1e-8
+        assert report.values["eom"] <= 1e-6
+        assert report.values["periodicity"] <= 1e-10
+        assert report.values["embedding"] <= 1e-12
+        assert report.values["metric_spread"] <= 1e-8
 
     def test_transformed_point_passes(self):
         rng = np.random.default_rng(56)
@@ -235,9 +237,7 @@ class TestVerifySolution:
         assert "eom" in report.failures
 
     def test_threshold_override(self):
-        report = verify_solution(perturbed_solution(1e-3),
-                                 thresholds={k: 1e6 for k in
-                                             verify_solution(reference_solution()).thresholds})
+        report = verify_solution(perturbed_solution(1e-3), tol=1e6)
         assert report.ok
 
     def test_high_winding_charges_follow_bandwidth_bound(self):
@@ -245,25 +245,35 @@ class TestVerifySolution:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = verify_solution(family_solution(F0, B0, 40))
-        assert report.charge_gap <= 1e-10
+        assert report.values["charge_gap"] <= 1e-10
 
     def test_empty_grid_is_validation_error(self):
         with pytest.raises(ValidationError, match="at least 1x1"):
             verify_solution(reference_solution(), grid=(0, 4))
 
-    def test_unknown_threshold_key_rejected(self):
-        with pytest.raises(ValidationError, match="unknown threshold 'eomm'"):
-            verify_solution(reference_solution(), thresholds={"eomm": 1.0})
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, value):
         # a NaN threshold made every check pass, since v > nan is false
-        with pytest.raises(ValidationError, match="finite and positive"):
-            verify_solution(perturbed_solution(1e-3), thresholds={"eom": value})
+        with pytest.raises(ValidationError, match="tol = .* must be finite and positive"):
+            verify_solution(perturbed_solution(1e-3), tol=value)
 
     def test_only_grid_and_thresholds_are_settable(self):
         params = list(inspect.signature(verify_solution).parameters)
-        assert params == ["sol", "grid", "thresholds"]
+        assert params == ["sol", "grid", "tol"]
+
+    def test_report_is_one_table_in_threshold_order(self, capsys):
+        for sol in (reference_solution(), perturbed_solution(1e-3)):
+            report = verify_solution(sol)
+            assert list(report.values) == list(DEFAULT_THRESHOLDS)
+            assert report.thresholds == DEFAULT_THRESHOLDS
+            assert report.failures == tuple(k for k, t in DEFAULT_THRESHOLDS.items()
+                                            if report.values[k] > t)
+        assert "eom" in report.failures
+        # one tol replaces every threshold, in the API and through --tol
+        expected = [(k, 1e-5) for k in DEFAULT_THRESHOLDS]
+        assert list(verify_solution(sol, tol=1e-5).thresholds.items()) == expected
+        assert main(["verify", "--f", "1.6", "--b", "1.2", "--tol", "1e-5"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["thresholds"].items()) == expected
 
     def test_field_evaluations_are_batched(self, monkeypatch, capsys):
         # one field evaluation serves periodicity and embedding; one kernel call every derivative
@@ -363,9 +373,9 @@ class TestBatteryAgreesWithPointFunctions:
             im = induced_metric_numeric(sol, t, s)
             gap = max(gap, float(np.max(np.abs(im.ads - ref.ads))),
                       float(np.max(np.abs(im.sphere - ref.sphere))))
-        assert report.metric_gap == gap
+        assert report.values["metric_gap"] == gap
         an = charges_analytic(sol)
-        assert report.charge_gap == max(charge_gap(charges_numeric(sol, tau=t), an)
+        assert report.values["charge_gap"] == max(charge_gap(charges_numeric(sol, tau=t), an)
                                         for t in (0.0, 1.7))
 
     @staticmethod
@@ -381,7 +391,8 @@ class TestBatteryAgreesWithPointFunctions:
         eom = max(max(eom_residual(sol, t, s)) for t, s in probes)
         chir = max(max(chirality_residual(sol, t, s)) for t, s in probes)
         gauge = max(abs(gauge_residual(sol, t, s).chiral) for t, s in probes)
-        assert (report.eom, report.chirality, report.gauge_chiral) == (eom, chir, gauge)
+        values = report.values
+        assert (values["eom"], values["chirality"], values["gauge_chiral"]) == (eom, chir, gauge)
         self.assert_gaps_match(sol, report, probes)
 
     @pytest.mark.parametrize("n", [1, 3, 40])

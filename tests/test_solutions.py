@@ -96,15 +96,20 @@ class TestMakeSolution:
                 lhat_s=UnitSphereVector(), rhat_s=UnitSphereVector(),
                 h0=SphereGroupElement.identity())
 
-    def test_relation_violation(self):
-        with pytest.raises(ValidationError, match="lam rho"):
-            make_solution(
-                lam=1.0, rho=1.0, m=-1, n=1,
-                lhat=UnitTimelikeVector(), rhat=UnitTimelikeVector(),
-                g0=AdsGroupElement.identity(),
-                lam_s=0.0, rho_s=0.0, m_s=0, n_s=0,
-                lhat_s=UnitSphereVector(), rhat_s=UnitSphereVector(),
-                h0=SphereGroupElement.identity())
+    @pytest.mark.parametrize("broken, message", [
+        (dict(lam=1.0, rho=1.0), "4 lam rho = 4.0 differs from m n = -1"),
+        (dict(lam_s=1.0, rho_s=1.0), "4 lam_s rho_s = 4.0 differs from m_s n_s = 1"),
+    ], ids=["ads", "sphere"])
+    def test_relation_violation(self, broken, message):
+        kwargs = dict(lam=1.5, rho=-1.0 / 6.0, m=-1, n=1,
+                      lhat=UnitTimelikeVector(), rhat=UnitTimelikeVector(),
+                      g0=AdsGroupElement.identity(),
+                      lam_s=1.0, rho_s=0.25, m_s=1, n_s=1,
+                      lhat_s=UnitSphereVector(), rhat_s=UnitSphereVector(),
+                      h0=SphereGroupElement.identity())
+        with pytest.raises(ValidationError) as info:
+            make_solution(**{**kwargs, **broken})
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lam", "rho", "lam_s", "rho_s"])
