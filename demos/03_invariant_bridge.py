@@ -43,5 +43,9 @@ print("\n== feasibility probe for other winding sectors ==")
 res = feasibility_general(-1, 1, 1, 1, blk.lam, blk.rho, blk.lam_s, blk.rho_s,
                           blk.cosh2theta, blk.cos2theta_s)
 print("  one-winding sector:", res.feasible, " residual", res.residual)
+edge = bridge(1.3, 1.0, 1)
+res = feasibility_general(-1, 1, 1, 1, edge.lam, edge.rho, edge.lam_s, edge.rho_s,
+                          edge.cosh2theta, edge.cos2theta_s)
+print("  b = 1 edge (1.3, 1), mu mubar = 0:", res.feasible, " cosh alpha", res.coshalpha)
 res = feasibility_general(0, 0, 2, 2, 1.3, 0.0, 1.1, 1 / 1.1, 1.4, -0.2)
 print("  (0,0,2,2) generic frequencies:", res.feasible, " residual", f"{res.residual:.3f}")

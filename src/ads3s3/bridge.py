@@ -3,18 +3,17 @@
 The one-winding family is labelled by rescaled frequency pairs (e, f) and
 (a, b) with f^2 - e^2 = 1 = b^2 - a^2.  Matching the worldsheet gauge
 invariants (mu^2, mubar^2, cosh alpha, cos beta) computed on either sector
-leaves (f, b) as independent coordinates on the two-dimensional space of
-isometry invariants:
+leaves (f, b) as coordinates on the isometry invariants cosh 2theta = b f - b^2 + 1
+and cos 2theta_s = f^2 - b f - 1.  Each sector writes the invariants in one form,
+with sign s = +1, (x, r, c) = (f, e, cosh 2theta) on AdS and s = -1,
+(x, r, c) = (b, a, cos 2theta_s) on the sphere:
 
-    cosh 2theta   = b f - b^2 + 1
-    cos 2theta_s  = f^2 - b f - 1
-    mu^2    = (n^2/4)(f - 1)(f + cosh 2theta)  = (n^2/4)(b + 1)(b + cos 2theta_s)
-    mubar^2 = (n^2/4)(f + 1)(f - cosh 2theta)  = (n^2/4)(b - 1)(b - cos 2theta_s)
-    cosh alpha = e / sqrt(e^2 - sinh^2 2theta)
-    cos beta   = a / sqrt(a^2 + sin^2 2theta_s)
+    mu^2 = (n^2/4)(x - s)(x + c),   mubar^2 = (n^2/4)(x + s)(x - c),
+    cosh alpha (AdS) and cos beta (sphere) = r / sqrt(r^2 + 1 - c^2).
 
-together with the cross identities 4 mu mubar cosh alpha = E^2 and
-4 mu mubar cos beta = A^2 (E = n e, A = n a).
+The cross identities 4 mu mubar cosh alpha = E^2 and 4 mu mubar cos beta = A^2
+(E = n e, A = n a) let the induced metric and feasibility_general's current matching
+work in products, finite on the b = 1 edge where mu mubar = 0 and the ratios are not.
 The relations, the two sides and the band inequality take floats (through
 math) or arrays (scan_region, once per grid), bit for bit alike.
 """
@@ -83,7 +82,7 @@ def check_winding(n):
 def check_windings(m, n, m_s, n_s):
     """The four windings as ints; ValidationError unless integral with even m - n, m_s - n_s."""
     for w, w_name in ((m, "m"), (n, "n"), (m_s, "m_s"), (n_s, "n_s")):
-        if int(w) != w:
+        if not -math.inf < w < math.inf or int(w) != w:
             raise ValidationError(f"winding {w_name} must be an integer")
     m, n, m_s, n_s = int(m), int(n), int(m_s), int(n_s)
     if (m - n) % 2:
@@ -151,37 +150,19 @@ def family_tangent(rel):
                      np.divide(d_c2t, 2.0 * sinh2t), np.divide(d_c2ts, -2.0 * sin2ts)])
 
 
-def invariants_from_ads(f, b, n):
-    """(mu^2, mubar^2, cosh alpha) from the AdS-sector current equations."""
-    return _ads_invariants(family_relations(f, b, n))
+def _sector_invariants(rel):
+    """(mu^2, mubar^2, cosh alpha) of the AdS and (mu^2, mubar^2, cos beta) of the sphere sector.
 
-
-def invariants_from_sphere(f, b, n):
-    """(mu^2, mubar^2, cos beta) from the sphere-sector current equations.
-
-    Uses the branch cos beta = a / sqrt(a^2 + sin^2 2theta_s), the one
-    consistent with 4 mu mubar cos beta = A^2.
+    The one form of the module docstring; the ratio is nan where r = 0 or r^2 + 1 - c^2 <= 0.
     """
-    return _sphere_invariants(family_relations(f, b, n))
-
-
-def _ads_invariants(rel):
-    f, n, c2t, e2 = rel.f, rel.n, rel.cosh2theta, rel.e2
-    mu2 = 0.25 * n * n * (f - 1.0) * (f + c2t)
-    mubar2 = 0.25 * n * n * (f + 1.0) * (f - c2t)
-    sinh2_2t = c2t * c2t - 1.0
-    denom = e2 - sinh2_2t
-    coshalpha = rel.e / _root(denom, (denom > 0.0) & (e2 > 0.0))
-    return mu2, mubar2, coshalpha
-
-
-def _sphere_invariants(rel):
-    b, n, c2ts, a2 = rel.b, rel.n, rel.cos2theta_s, rel.a2
-    mu2 = 0.25 * n * n * (b + 1.0) * (b + c2ts)
-    mubar2 = 0.25 * n * n * (b - 1.0) * (b - c2ts)
-    denom = a2 + (1.0 - c2ts * c2ts)
-    cosbeta = rel.a / _root(denom, (denom > 0.0) & (a2 > 0.0))
-    return mu2, mubar2, cosbeta
+    out = []
+    for s, x, r, r2, c in ((1.0, rel.f, rel.e, rel.e2, rel.cosh2theta),
+                           (-1.0, rel.b, rel.a, rel.a2, rel.cos2theta_s)):
+        denom = r2 + (1.0 - c * c)
+        out.append((0.25 * rel.n * rel.n * (x - s) * (x + c),
+                    0.25 * rel.n * rel.n * (x + s) * (x - c),
+                    r / _root(denom, (denom > 0.0) & (r2 > 0.0))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,8 +214,7 @@ def bridge(f, b, n=1):
     rel = family_relations(f, b, n)
     c2ts = rel.cos2theta_s
     theta, theta_s = family_angles(rel.cosh2theta, c2ts)
-    mu2_a, mubar2_a, coshalpha = _ads_invariants(rel)
-    mu2_s, mubar2_s, cosbeta = _sphere_invariants(rel)
+    (mu2_a, mubar2_a, coshalpha), (mu2_s, mubar2_s, cosbeta) = _sector_invariants(rel)
     gap = max(abs(mu2_a - mu2_s), abs(mubar2_a - mubar2_s))
     scale = max(1.0, abs(mu2_a), abs(mubar2_a))
     if gap > 1e-12 * scale:
@@ -278,8 +258,7 @@ def scan_region(f_range, b_range, n=1):
     b = np.tile(b_vals, f_vals.size)
     with np.errstate(over="ignore", invalid="ignore"):  # math overflows to inf silently too
         rel = family_relations(f, b, n)
-        mu2, mubar2, coshalpha = _ads_invariants(rel)
-        cosbeta = _sphere_invariants(rel)[2]
+        (mu2, mubar2, coshalpha), (*_, cosbeta) = _sector_invariants(rel)
         ok = (f >= 1.0) & (b >= 1.0) & (f >= b) & ~_above_band(f, b)
     return {"f": f, "b": b, "admissible": ok,
             "cosh2theta": rel.cosh2theta, "cos2theta_s": rel.cos2theta_s,
@@ -313,48 +292,57 @@ class FeasibilityResult:
         return self.feasible
 
 
+# The constant design of _matching's equations, for (mu^2, mubar^2, p, q), and its pseudo-inverse
+_MATCHING = np.array([row for p in np.eye(2) for row in
+                      ((1.0, 1.0, *p), (1.0, 1.0, *-p), (1.0, -1.0, 0.0, 0.0))])
+_MATCHING_PINV = np.linalg.pinv(_MATCHING)
+_ROOT_MAX = math.sqrt(sys.float_info.max)
+
+
+def _matching(lam, rho, m, n, c):
+    """Least-squares (mu^2, mubar^2, p, q) of the six current-matching equations, and residuals.
+
+    lam, rho, m, n and c are (AdS, sphere) arrays, as SolutionParams.matrices[:4] and
+    solutions.theta_invariants give them.  With u, v = m/2, n/2 and P = p = 2 mu mubar cosh alpha
+    on AdS, P = q = 2 mu mubar cos beta on the sphere, each sector reads
+        lam^2 + rho^2 + 2 lam rho c        = mu^2 + mubar^2 + P
+        u^2 + v^2 + 2 u v c                = mu^2 + mubar^2 - P
+        lam u + rho v + (lam v + rho u) c  = mu^2 - mubar^2
+    """
+    u, v = 0.5 * m, 0.5 * n
+    lhs = np.stack([lam * lam + rho * rho + 2.0 * lam * rho * c,
+                    u * u + v * v + 2.0 * u * v * c,
+                    lam * u + rho * v + (lam * v + rho * u) * c], axis=-1).ravel()
+    x = _MATCHING_PINV @ lhs
+    return x, _MATCHING @ x - lhs
+
+
 def feasibility_general(m, n, m_s, n_s, lam, rho, lam_s, rho_s,
                         cosh2theta, cos2theta_s, tol=1e-8):
     """Check whether a general winding sector admits consistent invariants.
 
-    Given windings and frequencies plus the angle invariants, the six
-    current-matching equations are linear in (mu^2, mubar^2,
-    2 mu mubar cosh alpha, 2 mu mubar cos beta).  Solves them in least
-    squares and reports the residual together with the range constraints
-    mu^2, mubar^2 >= 0, cosh alpha >= 1, |cos beta| <= 1.  The residual is a
-    diagnostic, not a classification of the sector.
+    Solves the current matching of _matching for (mu^2, mubar^2, p, q).  Feasible means that
+    the residual, mu^2, mubar^2 >= 0 and the products p >= 2 sqrt(mu^2 mubar^2) >= |q| hold
+    to tol max(1, lam^2 + rho^2, lam_s^2 + rho_s^2); cosh alpha = p / (2 mu mubar) and cos beta
+    = q / (2 mu mubar) are nan where 2 mu mubar is within that slack.  The residual is a
+    diagnostic, not a classification.  Every input must be finite with a finite square.
     """
-    check_windings(m, n, m_s, n_s)
-
-    lhs = np.array([
-        lam ** 2 + rho ** 2 + 2.0 * lam * rho * cosh2theta,
-        0.25 * (m ** 2 + n ** 2 + 2.0 * m * n * cosh2theta),
-        0.5 * (lam * m + rho * n + (lam * n + rho * m) * cosh2theta),
-        lam_s ** 2 + rho_s ** 2 + 2.0 * lam_s * rho_s * cos2theta_s,
-        0.25 * (m_s ** 2 + n_s ** 2 + 2.0 * m_s * n_s * cos2theta_s),
-        0.5 * (lam_s * m_s + rho_s * n_s + (lam_s * n_s + rho_s * m_s) * cos2theta_s),
-    ])
-    # unknowns x = (mu^2, mubar^2, 2 mu mubar cosh alpha, 2 mu mubar cos beta)
-    design = np.array([
-        [1.0, 1.0, 1.0, 0.0],
-        [1.0, 1.0, -1.0, 0.0],
-        [1.0, -1.0, 0.0, 0.0],
-        [1.0, 1.0, 0.0, 1.0],
-        [1.0, 1.0, 0.0, -1.0],
-        [1.0, -1.0, 0.0, 0.0],
-    ])
-    x, *_ = np.linalg.lstsq(design, lhs, rcond=None)
-    residual = float(np.max(np.abs(design @ x - lhs)))
-    mu2, mubar2, p, q = (float(v) for v in x)
-
-    prod = 2.0 * math.sqrt(max(mu2, 0.0) * max(mubar2, 0.0))
-    if prod <= tol:
-        coshalpha = math.nan
-        cosbeta = math.nan
-        in_range = abs(p) <= tol and abs(q) <= tol
-    else:
-        coshalpha = p / prod
-        cosbeta = q / prod
-        in_range = coshalpha >= 1.0 - tol and abs(cosbeta) <= 1.0 + tol
-    feasible = residual <= tol and mu2 >= -tol and mubar2 >= -tol and in_range
-    return FeasibilityResult(feasible, residual, mu2, mubar2, coshalpha, cosbeta)
+    m, n, m_s, n_s = check_windings(m, n, m_s, n_s)
+    args = dict(m=m, n=n, m_s=m_s, n_s=n_s, lam=lam, rho=rho, lam_s=lam_s, rho_s=rho_s,
+                cosh2theta=cosh2theta, cos2theta_s=cos2theta_s)
+    for name, value in args.items():
+        if not abs(value) <= _ROOT_MAX:
+            raise ValidationError(f"{name} must be finite, with a square below 1.8e308")
+    slack = tol * max(1.0, lam * lam + rho * rho, lam_s * lam_s + rho_s * rho_s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, residuals = _matching(*np.array([(lam, lam_s), (rho, rho_s), (m, m_s), (n, n_s),
+                                             (cosh2theta, cos2theta_s)], dtype=float))
+    residual = float(np.max(np.abs(residuals)))
+    if not residual < math.inf:
+        raise ValidationError("the current-matching equations overflow")
+    mu2, mubar2, p, q = x.tolist()
+    prod = 2.0 * math.sqrt(max(mu2, 0.0)) * math.sqrt(max(mubar2, 0.0))
+    feasible = (residual <= slack and min(mu2, mubar2) >= -slack
+                and p >= prod - slack and prod >= abs(q) - slack)
+    ratios = (p / prod, q / prod) if prod > slack else (math.nan, math.nan)
+    return FeasibilityResult(feasible, residual, mu2, mubar2, *ratios)

@@ -99,20 +99,17 @@ def induced_metric_numeric(sol, tau, sigma):
 
 
 def induced_metric_analytic(inv):
-    """Induced metric from an InvariantBlock.
+    """Induced metric from an InvariantBlock, one sector form times the sector sign:
 
-        f_tt = -2 mu mubar cosh(a) - mu^2 - mubar^2   f_ts = mubar^2 - mu^2
-        f_ss =  2 mu mubar cosh(a) - mu^2 - mubar^2
-    and the sphere analogue with cos(b) and flipped signs.
+        sign [[-P - S, D], [D, P - S]],   S = mu^2 + mubar^2,   D = mubar^2 - mu^2,
+    with P = E^2/2 = 2 mu mubar cosh(alpha) on AdS and A^2/2 = 2 mu mubar cos(beta) on the
+    sphere by the cross identities, so it stays finite on the b = 1 edge where mu mubar = 0.
     """
-    mm = inv.mu * inv.mubar
     s = inv.mu2 + inv.mubar2
     off = inv.mubar2 - inv.mu2
-    ads = np.array([[-2.0 * mm * inv.coshalpha - s, off],
-                    [off, 2.0 * mm * inv.coshalpha - s]])
-    sph = np.array([[s + 2.0 * mm * inv.cosbeta, -off],
-                    [-off, s - 2.0 * mm * inv.cosbeta]])
-    return InducedMetric(ads=ads, sphere=sph)
+    forms = (sign * np.array([[-p - s, off], [off, p - s]])
+             for sign, p in zip(SECTOR_SIGNS, (0.5 * inv.E * inv.E, 0.5 * inv.A * inv.A)))
+    return InducedMetric(*forms)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ no example database, so every run of the suite checks the same cases.
 The *_per_sector helpers are the field kernels written one sector at a time, on
 real AdS and complex sphere 2x2 arrays: the references that the sector-stacked
 kernels of solutions, charges and geometry must equal entry for entry.
+invariants_per_sector writes out each sector's own invariant formulas, the reference
+for the one signed form of bridge._sector_invariants.
 
 A failing property makes hypothesis import hypothesis.extra._patching, whose
 import chain raises a DeprecationWarning (mypy_extensions); under the
@@ -20,6 +22,7 @@ from hypothesis import settings
 import numpy as np
 
 from ads3s3.algebra import SECTOR_SIGNS, _adjugate
+from ads3s3.bridge import _root
 from ads3s3.charges import SectorCurrents, current_matrices
 from ads3s3.geometry import InducedMetric, _SectorResiduals, _metric, _trace_half
 from ads3s3.solutions import _phase_orders, _phase_product, _phases
@@ -105,3 +108,16 @@ def residuals_per_sector(sol, taus, sigmas):
             chi=sign * _trace_half(chi, chi).real, bar=sign * _trace_half(bar, bar).real,
             metric=_metric(rt, rs, sign)))
     return out
+
+
+def invariants_per_sector(rel):
+    """(AdS, sphere) of bridge._sector_invariants: (mu^2, mubar^2, cosh alpha), (.., cos beta)."""
+    f, b, n, c2t, c2ts = rel.f, rel.b, rel.n, rel.cosh2theta, rel.cos2theta_s
+    sinh2_2t = c2t * c2t - 1.0
+    denom = rel.e2 - sinh2_2t
+    ads = (0.25 * n * n * (f - 1.0) * (f + c2t), 0.25 * n * n * (f + 1.0) * (f - c2t),
+           rel.e / _root(denom, (denom > 0.0) & (rel.e2 > 0.0)))
+    denom = rel.a2 + (1.0 - c2ts * c2ts)
+    sphere = (0.25 * n * n * (b + 1.0) * (b + c2ts), 0.25 * n * n * (b - 1.0) * (b - c2ts),
+              rel.a / _root(denom, (denom > 0.0) & (rel.a2 > 0.0)))
+    return ads, sphere

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from ads3s3 import algebra as al
-from ads3s3.bridge import bridge, f_max, invariants_from_ads, invariants_from_sphere
+from ads3s3.bridge import _sector_invariants, bridge, f_max, family_relations
 from ads3s3.charges import charge_coefficients, charges_analytic, charges_numeric
 from ads3s3.cli import main as cli_main
 from ads3s3.geometry import (
@@ -158,8 +158,7 @@ def test_criterion_3_bridge_reproduction():
            note=" [mu2=0.53125, mubar2=0.0972222, cosh2th=1.5208333,"
                 " cos2th_s=-0.3055556, coshalpha=1.9556235, cosbeta=0.6187715]")
 
-    mu2_a, mubar2_a, _ = invariants_from_ads(F0, B0, 1)
-    mu2_s, mubar2_s, _ = invariants_from_sphere(F0, B0, 1)
+    (mu2_a, mubar2_a, _), (mu2_s, mubar2_s, _) = _sector_invariants(family_relations(F0, B0, 1))
     side_gap = max(abs(mu2_a - mu2_s), abs(mubar2_a - mubar2_s))
     report(3, "dual-side-agreement", side_gap, 1e-12)
 

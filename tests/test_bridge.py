@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ads3s3.algebra import DegenerateConfigurationError
+from ads3s3.algebra import DegenerateConfigurationError, ValidationError
 from ads3s3.bridge import (
     FeasibilityResult,
     RegionError,
-    _ads_invariants,
-    _sphere_invariants,
+    _sector_invariants,
     admissible,
     bridge,
     f_max,
@@ -18,10 +17,12 @@ from ads3s3.bridge import (
     family_relations,
     family_tangent,
     feasibility_general,
-    invariants_from_ads,
-    invariants_from_sphere,
     scan_region,
 )
+from ads3s3.solutions import family_solution, theta_invariants
+
+from conftest import invariants_per_sector
+from test_geometry import exact_solutions
 
 F0, B0 = 5.0 / 3.0, 5.0 / 4.0
 
@@ -75,8 +76,7 @@ class TestReferencePoint:
 
 class TestDualSideOracle:
     def test_sides_agree_at_reference(self):
-        mu2_a, mubar2_a, _ = invariants_from_ads(F0, B0, 1)
-        mu2_s, mubar2_s, _ = invariants_from_sphere(F0, B0, 1)
+        (mu2_a, mubar2_a, _), (mu2_s, mubar2_s, _) = _sector_invariants(family_relations(F0, B0, 1))
         assert abs(mu2_a - mu2_s) <= 1e-12
         assert abs(mubar2_a - mubar2_s) <= 1e-12
 
@@ -85,8 +85,8 @@ class TestDualSideOracle:
         for _ in range(200):
             f, b = random_admissible(rng)
             n = int(rng.integers(1, 4))
-            mu2_a, mubar2_a, _ = invariants_from_ads(f, b, n)
-            mu2_s, mubar2_s, _ = invariants_from_sphere(f, b, n)
+            (mu2_a, mubar2_a, _), (mu2_s, mubar2_s, _) = _sector_invariants(
+                family_relations(f, b, n))
             scale = max(1.0, abs(mu2_a), abs(mubar2_a))
             assert abs(mu2_a - mu2_s) <= 1e-12 * scale
             assert abs(mubar2_a - mubar2_s) <= 1e-12 * scale
@@ -269,7 +269,8 @@ def assert_same_bits(got, want, name):
 
 
 class TestScanAgreesWithScalarPath:
-    """scan_region's columns against the float relations, point by point."""
+    """scan_region's columns against the float relations, point by point, and the one signed
+    invariant form against each sector's own formulas (conftest.invariants_per_sector)."""
 
     @given(grid_axis(), grid_axis(), st.integers(1, 50))
     @example((-1.0, 3.0, 9), (-1.0, 3.0, 9), 1)
@@ -281,11 +282,13 @@ class TestScanAgreesWithScalarPath:
         want = {name: [] for name in cols if name not in ("f", "b")}
         for f, b in zip(cols["f"].tolist(), cols["b"].tolist()):
             rel = family_relations(f, b, n)
-            mu2, mubar2, coshalpha = _ads_invariants(rel)
+            reference = invariants_per_sector(rel)
+            assert_same_bits(_sector_invariants(rel), reference, "invariants")
+            (mu2, mubar2, coshalpha), (*_, cosbeta) = reference
             for name, value in (("admissible", bool(admissible(f, b))),
                                 ("cosh2theta", rel.cosh2theta), ("cos2theta_s", rel.cos2theta_s),
                                 ("mu2", mu2), ("mubar2", mubar2), ("coshalpha", coshalpha),
-                                ("cosbeta", _sphere_invariants(rel)[2])):
+                                ("cosbeta", cosbeta)):
                 want[name].append(value)
         assert cols["admissible"].tolist() == want.pop("admissible")
         for name, values in want.items():
@@ -337,3 +340,40 @@ class TestFeasibility:
     def test_parity_enforced(self):
         with pytest.raises(ValueError):
             feasibility_general(1, 2, 0, 0, 1.0, 0.5, 0.0, 0.0, 1.0, 1.0)
+
+    # the b = 1 points that the ratio form misjudged, and n = 10^6 beyond an absolute tol
+    @given(exact_solutions(windings=st.sampled_from([1, 3, 50, 1000, 10**6])))
+    @example(family_solution(1.001, 1.0, 1))
+    @example(family_solution(1.01, 1.0, 1))
+    @example(family_solution(1.3, 1.0, 1))
+    @example(family_solution(1.5, 1.0, 1))
+    @example(family_solution(F0, B0, 10**6))
+    def test_exact_solutions_feasible(self, sol):
+        res = feasibility_general(sol.m, sol.n, sol.m_s, sol.n_s, sol.lam, sol.rho,
+                                  sol.lam_s, sol.rho_s, *theta_invariants(sol))
+        assert res.feasible, res
+        assert math.isnan(res.coshalpha) or res.coshalpha >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("n", [1, 1000, 10**6])
+    def test_relation_preserving_gauge_break_infeasible(self, n):
+        # 4 lam_s rho_s = m_s n_s still holds, the current matching does not
+        sol = family_solution(F0, B0, n)
+        res = feasibility_general(sol.m, sol.n, sol.m_s, sol.n_s, sol.lam, sol.rho,
+                                  sol.lam_s * (1.0 + 1e-6), sol.rho_s / (1.0 + 1e-6),
+                                  *theta_invariants(sol))
+        assert not res.feasible
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
+    @pytest.mark.parametrize("name", ["lam", "rho", "lam_s", "rho_s", "cosh2theta",
+                                      "cos2theta_s"])
+    def test_non_finite_or_overflowing_input_rejected(self, name, value):
+        args = dict(m=-1, n=1, m_s=1, n_s=1, lam=1.5, rho=-1.0 / 6.0, lam_s=1.0, rho_s=0.25,
+                    cosh2theta=1.5208333333333335, cos2theta_s=-0.30555555555555536)
+        assert feasibility_general(**args).feasible
+        with pytest.raises(ValidationError) as info:
+            feasibility_general(**{**args, name: value})
+        assert str(info.value) == f"{name} must be finite, with a square below 1.8e308"
+
+    def test_overflowing_equations_rejected(self):
+        with pytest.raises(ValidationError, match="overflow"):
+            feasibility_general(0, 0, 0, 0, 1e154, 1e154, 0.0, 0.0, 1.0, 1.0)

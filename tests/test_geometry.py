@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ads3s3 import algebra, charges, geometry, solutions
 from ads3s3.algebra import (
@@ -92,12 +92,18 @@ class TestInducedMetricAnalytic:
 
 
 class TestInducedMetricNumeric:
-    def test_matches_analytic_at_reference(self):
-        blk = bridge(F0, B0, 1)
-        expected = induced_metric_analytic(blk)
-        im = induced_metric_numeric(reference_solution(), 0.7, 1.9)
-        assert np.max(np.abs(im.ads - expected.ads)) <= 1e-6
-        assert np.max(np.abs(im.sphere - expected.sphere)) <= 1e-6
+    # b = 1 has mu mubar = 0, where the ratio form read nan; f spans the band, edges included
+    @given(st.floats(1.0, 3.0), st.floats(0.0, 1.0), st.sampled_from([1, 3, 50]))
+    @example(B0, (F0 - B0) / (f_max(B0) - B0), 1)
+    @example(1.0, 0.3 / (f_max(1.0) - 1.0), 1)
+    @example(1.0, 1.0, 3)
+    def test_matches_analytic_over_the_band(self, b, t, n):
+        f = b + t * (f_max(b) - b)
+        assume(admissible(f, b))
+        expected = induced_metric_analytic(bridge(f, b, n))
+        im = induced_metric_numeric(family_solution(f, b, n), 0.7, 1.9)
+        got, want = np.stack([expected.ads, expected.sphere]), np.stack([im.ads, im.sphere])
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_matches_currents_closed_form(self):
         rng = np.random.default_rng(51)

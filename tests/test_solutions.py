@@ -14,7 +14,7 @@ from ads3s3.algebra import (
     ValidationError,
     exp_algebra,
 )
-from ads3s3.bridge import f_max
+from ads3s3.bridge import f_max, feasibility_general
 from ads3s3.solutions import (
     SimpleFamilyPoint,
     ads_kak,
@@ -110,6 +110,24 @@ class TestMakeSolution:
         with pytest.raises(ValidationError) as info:
             make_solution(**{**kwargs, **broken})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["m", "n", "m_s", "n_s"])
+    def test_non_finite_winding_rejected(self, field, value):
+        # int(inf) raises OverflowError and int(nan) a bare ValueError
+        kwargs = dict(lam=1.5, rho=-1.0 / 6.0, m=-1, n=1,
+                      lhat=UnitTimelikeVector(), rhat=UnitTimelikeVector(),
+                      g0=AdsGroupElement.identity(),
+                      lam_s=1.0, rho_s=0.25, m_s=1, n_s=1,
+                      lhat_s=UnitSphereVector(), rhat_s=UnitSphereVector(),
+                      h0=SphereGroupElement.identity())
+        message = f"^winding {field} must be an integer$"
+        with pytest.raises(ValidationError, match=message):
+            make_solution(**{**kwargs, field: value})
+        windings = {**dict(m=-1, n=1, m_s=1, n_s=1), field: value}
+        with pytest.raises(ValidationError, match=message):
+            feasibility_general(**windings, lam=1.5, rho=-1.0 / 6.0, lam_s=1.0, rho_s=0.25,
+                                cosh2theta=1.5, cos2theta_s=-0.3)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["lam", "rho", "lam_s", "rho_s"])

@@ -563,17 +563,29 @@ class TestStringSymplectic:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 16, 64, 1000]))
     def test_phase_rows_are_exact_oracles(self, seed, n):
         # each phase translates one orbit pair: omega[phi1, .] = d(m_L - m_R) and
-        # omega[phi2, .] = d(m_R_s - m_L_s); the 1-form has no (f, b) component
+        # omega[phi2, .] = d(m_R_s - m_L_s); the 1-form has no (f, b) component, so the
+        # f and b rows are d_f theta and d_b theta; the cross-orbit blocks (l x r, l x l_s, ...),
+        # omega_fb and omega_phi1phi2 vanish
         point = random_string_point(np.random.default_rng(seed), n=n)
         chart = StringChart(point)
         x = chart.coords(point)
         omega = chart.form(x).matrix
         dm = chart.orbit_coefficients_jacobian(x)
         theta = chart.presymplectic(x)
-        tol = 1e-12 * max(1.0, np.max(np.abs(omega)))
+        scale = max(1.0, np.max(np.abs(omega)))
+        tol = 1e-12 * scale
         assert np.max(np.abs(omega[10] - (dm[0] - dm[1]))) <= tol
         assert np.max(np.abs(omega[11] - (dm[3] - dm[2]))) <= tol
         assert max(abs(theta[8]), abs(theta[9])) <= tol
+        for i in range(0, 8, 2):
+            for j in range(i + 2, 8, 2):
+                assert np.max(np.abs(omega[i:i + 2, j:j + 2])) <= tol, (i, j)
+        assert max(abs(omega[8, 9]), abs(omega[10, 11])) <= tol
+        h = 1e-5
+        for k in (8, 9):
+            step = h * np.eye(12)[k]
+            diff = (chart.presymplectic(x + step) - chart.presymplectic(x - step)) / (2.0 * h)
+            assert np.max(np.abs(omega[k] - diff)) <= 1e-7 * scale, chart.labels[k]
 
     def test_reference_point_blocks(self):
         rng = np.random.default_rng(86)
