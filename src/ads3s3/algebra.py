@@ -364,8 +364,7 @@ def boost(alpha, nhat, rhat):
     With (n, gamma) from normalized_commutator(l, r) this interpolates
     r (alpha = 0) through l (alpha = gamma) along the orbit in the l-r plane.
     """
-    e = exp_algebra(nhat, -alpha)
-    return type(rhat).from_matrix(e.matrix @ rhat.matrix @ e.inverse().matrix)
+    return adjoint(exp_algebra(nhat, -alpha), rhat)
 
 
 class _UnitVector:
@@ -376,8 +375,7 @@ class _UnitVector:
     """
 
     def _validate(self):
-        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
-            raise ValidationError("non-finite chart parameters")
+        _check_finite_fields(self, [f.name for f in fields(self)])
         try:
             self.coeffs  # cosh overflows from |rapidity| ~ 710 on
         except OverflowError as exc:

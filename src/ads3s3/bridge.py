@@ -14,13 +14,15 @@ with sign s = +1, (x, r, c) = (f, e, cosh 2theta) on AdS and s = -1,
 The cross identities 4 mu mubar cosh alpha = E^2 and 4 mu mubar cos beta = A^2
 (E = n e, A = n a) let the induced metric and feasibility_general's current matching
 work in products, finite on the b = 1 edge where mu mubar = 0 and the ratios are not.
-The relations, the two sides and the band inequality take floats (through
-math) or arrays (scan_region, once per grid), bit for bit alike.
+The relations, the two sides and the band margins (_band_margins) take floats (through
+math) or arrays (scan_region, once per grid), bit for bit alike.  Each input check is written
+once: _winding is the one winding rule and SimpleFamilyPoint the one validated family point.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -30,7 +32,7 @@ import numpy as np
 from .algebra import DegenerateConfigurationError, ValidationError
 
 
-class RegionError(ValueError):
+class RegionError(ValidationError):
     """(f, b) point lies outside the admissible region."""
 
 
@@ -43,26 +45,26 @@ class Admissibility:
         return self.ok
 
 
+def _band_margins(f, b):
+    """(f - 1, b - 1, f - b, 2 - (f^2 - b f)), on floats or elementwise on arrays.
+
+    The last is 1 - cos 2theta_s, negative above f_max(b) and nan or -inf where f^2 overflows.
+    The closed band 1 <= b <= f <= f_max(b) is where every margin is >= 0, the string chart's
+    open band where the last three are > 0.
+    """
+    return f - 1.0, b - 1.0, f - b, 2.0 - (f * f - b * f)
+
+
 def admissible(f, b):
-    """Check 1 <= b <= f <= (b + sqrt(b^2 + 8)) / 2, naming the first violation."""
+    """Check 1 <= b <= f <= (b + sqrt(b^2 + 8)) / 2, naming the first negative band margin."""
     if not (math.isfinite(f) and math.isfinite(b)):
         return Admissibility(False, "non-finite input")
-    if f < 1.0:
-        return Admissibility(False, "f < 1")
-    if b < 1.0:
-        return Admissibility(False, "b < 1")
-    if f < b:
-        return Admissibility(False, "f < b (cosh2theta < 1)")
-    if _above_band(f, b):
-        return Admissibility(False, "cos2theta_s out of range (f^2 - b f - 2 > 0)"
-                             if math.isfinite(f * f) else "f^2 overflows")
+    reasons = ("f < 1", "b < 1", "f < b (cosh2theta < 1)",
+               "cos2theta_s out of range (f^2 - b f - 2 > 0)")
+    for margin, reason in zip(_band_margins(f, b), reasons):
+        if not margin >= 0.0:  # with f and b finite, only the last margin can overflow
+            return Admissibility(False, reason if math.isfinite(margin) else "f^2 overflows")
     return Admissibility(True)
-
-
-def _above_band(f, b):
-    """f^2 - b f - 2 > 0 (cos 2theta_s > 1) or nan (f^2 overflows); elementwise on arrays."""
-    q = f * f - b * f - 2.0
-    return (q > 0.0) | (q != q)
 
 
 def _root(x, where=True):
@@ -72,19 +74,26 @@ def _root(x, where=True):
     return math.sqrt(max(0.0, x)) if where else math.nan
 
 
+def _winding(w, name, positive=False):
+    """w as an int, under the one winding rule: ValidationError unless w is an integral real
+    number (not a bool or a string; 3.0 counts) of size at most 1.8e308, the largest a float
+    holds, and at least 1 where `positive`."""
+    least = 1 if positive else -sys.float_info.max
+    if (isinstance(w, bool) or not isinstance(w, numbers.Real)
+            or not least <= w <= sys.float_info.max or int(w) != w):
+        raise ValidationError(f"winding {name} must be " + (
+            "a positive integer below 1.8e308" if positive else "an integer"))
+    return int(w)
+
+
 def check_winding(n):
-    """n as an int; ValidationError unless it is a positive integer that a float holds."""
-    if not 1 <= n <= sys.float_info.max or int(n) != n:
-        raise ValidationError("winding n must be a positive integer below 1.8e308")
-    return int(n)
+    """n as an int; ValidationError unless it is a positive winding."""
+    return _winding(n, "n", positive=True)
 
 
 def check_windings(m, n, m_s, n_s):
-    """The four windings as ints; ValidationError unless integral with even m - n, m_s - n_s."""
-    for w, w_name in ((m, "m"), (n, "n"), (m_s, "m_s"), (n_s, "n_s")):
-        if not -math.inf < w < math.inf or int(w) != w:
-            raise ValidationError(f"winding {w_name} must be an integer")
-    m, n, m_s, n_s = int(m), int(n), int(m_s), int(n_s)
+    """The four windings as ints; ValidationError unless windings with even m - n, m_s - n_s."""
+    m, n, m_s, n_s = map(_winding, (m, n, m_s, n_s), ("m", "n", "m_s", "n_s"))
     if (m - n) % 2:
         raise ValidationError(f"m - n = {m - n} is odd (windings must share parity)")
     if (m_s - n_s) % 2:
@@ -124,6 +133,22 @@ def family_relations(f, b, n):
         b * f - b * b + 1.0, f * f - b * f - 1.0, -n, n, n, n)
 
 
+class SimpleFamilyPoint(FamilyRelations):
+    """One-winding sector point, windings m_s = n_s = -m = n > 0: the validated family_relations.
+
+    RegionError ("inadmissible (f, b): <reason>") unless (f, b) is admissible.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, f, b, n=1):
+        n = check_winding(n)
+        ok = admissible(f, b)
+        if not ok:
+            raise RegionError(f"inadmissible (f, b): {ok.reason}")
+        return super().__new__(cls, *family_relations(f, b, n))
+
+
 def family_angles(cosh2theta, cos2theta_s):
     """theta >= 0 and theta_s in [0, pi/2], with the invariants clipped to their ranges."""
     return (0.5 * math.acosh(max(cosh2theta, 1.0)),
@@ -138,9 +163,9 @@ def family_tangent(rel):
     through the edges f = b and f = f_max(b), where they and a = 0 raise.
     """
     f, b = rel.f, rel.b
-    q = f * f - b * f - 2.0  # as in _above_band: -q = 1 - cos 2theta_s >= 0 in the band
-    sinh2t = math.sqrt(max(0.0, b * (f - b) * (rel.cosh2theta + 1.0)))
-    sin2ts = math.sqrt(max(0.0, -q * f * (f - b)))
+    *_, gap, top = _band_margins(f, b)  # f - b and 1 - cos 2theta_s, >= 0 in the band
+    sinh2t = math.sqrt(max(0.0, b * gap * (rel.cosh2theta + 1.0)))
+    sin2ts = math.sqrt(max(0.0, top * f * gap))
     if not (rel.a > 0.0 and sinh2t > 0.0 and sin2ts > 0.0):
         raise DegenerateConfigurationError(
             "chart tangents diverge on the band edges b = 1, f = b and f = f_max(b)")
@@ -206,12 +231,7 @@ def bridge(f, b, n=1):
     requires them to agree to 1e-12; degenerate boundary points are returned
     with flags instead of errors so that scans can traverse them.
     """
-    n = check_winding(n)
-    ok = admissible(f, b)
-    if not ok:
-        raise RegionError(ok.reason)
-
-    rel = family_relations(f, b, n)
+    rel = SimpleFamilyPoint(f, b, n)
     c2ts = rel.cos2theta_s
     theta, theta_s = family_angles(rel.cosh2theta, c2ts)
     (mu2_a, mubar2_a, coshalpha), (mu2_s, mubar2_s, cosbeta) = _sector_invariants(rel)
@@ -234,7 +254,7 @@ def bridge(f, b, n=1):
         flags.append("mu*mubar=0 (alpha/beta undefined)")
 
     return InvariantBlock(
-        n=n, f=f, b=b, e=rel.e, a=rel.a, E=rel.E, F=rel.F, A=rel.A, B=rel.B,
+        n=rel.n, f=f, b=b, e=rel.e, a=rel.a, E=rel.E, F=rel.F, A=rel.A, B=rel.B,
         lam=rel.lam, rho=rel.rho, lam_s=rel.lam_s, rho_s=rel.rho_s,
         cosh2theta=rel.cosh2theta, cos2theta_s=c2ts, theta=theta, theta_s=theta_s,
         mu2=mu2, mubar2=mubar2, mu=math.sqrt(mu2), mubar=math.sqrt(mubar2),
@@ -256,11 +276,14 @@ def scan_region(f_range, b_range, n=1):
     b_vals = _grid_values(b_range, "b")
     f = np.repeat(f_vals, b_vals.size)
     b = np.tile(b_vals, f_vals.size)
+    ok = np.ones((f_vals.size, b_vals.size), dtype=bool)  # f-major, as f and b
     with np.errstate(over="ignore", invalid="ignore"):  # math overflows to inf silently too
+        # on the outer grid, where f - 1 and b - 1 are one column and one row, not full arrays
+        for margin in _band_margins(f_vals[:, None], b_vals):
+            ok &= margin >= 0.0
         rel = family_relations(f, b, n)
         (mu2, mubar2, coshalpha), (*_, cosbeta) = _sector_invariants(rel)
-        ok = (f >= 1.0) & (b >= 1.0) & (f >= b) & ~_above_band(f, b)
-    return {"f": f, "b": b, "admissible": ok,
+    return {"f": f, "b": b, "admissible": ok.ravel(),
             "cosh2theta": rel.cosh2theta, "cos2theta_s": rel.cos2theta_s,
             "mu2": mu2, "mubar2": mubar2, "coshalpha": coshalpha, "cosbeta": cosbeta}
 
@@ -297,6 +320,7 @@ _MATCHING = np.array([row for p in np.eye(2) for row in
                       ((1.0, 1.0, *p), (1.0, 1.0, *-p), (1.0, -1.0, 0.0, 0.0))])
 _MATCHING_PINV = np.linalg.pinv(_MATCHING)
 _ROOT_MAX = math.sqrt(sys.float_info.max)
+_FEASIBILITY_TOL = 1e-8  # feasibility_general's slack, relative to the frequencies
 
 
 def _matching(lam, rho, m, n, c):
@@ -317,15 +341,14 @@ def _matching(lam, rho, m, n, c):
     return x, _MATCHING @ x - lhs
 
 
-def feasibility_general(m, n, m_s, n_s, lam, rho, lam_s, rho_s,
-                        cosh2theta, cos2theta_s, tol=1e-8):
+def feasibility_general(m, n, m_s, n_s, lam, rho, lam_s, rho_s, cosh2theta, cos2theta_s):
     """Check whether a general winding sector admits consistent invariants.
 
     Solves the current matching of _matching for (mu^2, mubar^2, p, q).  Feasible means that
     the residual, mu^2, mubar^2 >= 0 and the products p >= 2 sqrt(mu^2 mubar^2) >= |q| hold
-    to tol max(1, lam^2 + rho^2, lam_s^2 + rho_s^2); cosh alpha = p / (2 mu mubar) and cos beta
-    = q / (2 mu mubar) are nan where 2 mu mubar is within that slack.  The residual is a
-    diagnostic, not a classification.  Every input must be finite with a finite square.
+    to _FEASIBILITY_TOL max(1, lam^2 + rho^2, lam_s^2 + rho_s^2); cosh alpha = p / (2 mu mubar)
+    and cos beta = q / (2 mu mubar) are nan where 2 mu mubar is within that slack.  The residual
+    is a diagnostic, not a classification.  Every input must be finite with a finite square.
     """
     m, n, m_s, n_s = check_windings(m, n, m_s, n_s)
     args = dict(m=m, n=n, m_s=m_s, n_s=n_s, lam=lam, rho=rho, lam_s=lam_s, rho_s=rho_s,
@@ -333,7 +356,7 @@ def feasibility_general(m, n, m_s, n_s, lam, rho, lam_s, rho_s,
     for name, value in args.items():
         if not abs(value) <= _ROOT_MAX:
             raise ValidationError(f"{name} must be finite, with a square below 1.8e308")
-    slack = tol * max(1.0, lam * lam + rho * rho, lam_s * lam_s + rho_s * rho_s)
+    slack = _FEASIBILITY_TOL * max(1.0, lam * lam + rho * rho, lam_s * lam_s + rho_s * rho_s)
     with np.errstate(over="ignore", invalid="ignore"):
         x, residuals = _matching(*np.array([(lam, lam_s), (rho, rho_s), (m, m_s), (n, n_s),
                                              (cosh2theta, cos2theta_s)], dtype=float))

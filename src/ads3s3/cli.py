@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .bridge import RegionError, bridge as bridge_invariants, f_max, scan_region
+from .bridge import bridge as bridge_invariants, f_max, scan_region
 from .algebra import (
     DegenerateConfigurationError,
     UnitSphereVector,
@@ -323,8 +323,8 @@ def main(argv=None):
         # by name at call time, so that a wrapper bound on the module (perfbench tracing) runs
         with np.errstate(over="raise"):
             return globals()[f"cmd_{args.command}"](args)
-    except (ValidationError, RegionError, DegenerateConfigurationError, OSError,
-            FloatingPointError, OverflowError, MemoryError) as exc:
+    except (ValidationError, DegenerateConfigurationError, OSError, FloatingPointError,
+            OverflowError, MemoryError) as exc:
         print(f"ads3s3 {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ The field kernels on raw sectors live here: _phases, _phase_orders, _phase_produ
 the exact derivatives of _derivatives and the sigma-nodes of _periodic_sigmas, each run once
 on both sectors stacked in one complex array (SolutionParams.matrices): the real AdS entries
 carry a zero imaginary part, so their products and sums keep the values of real arithmetic.
+Inputs are checked by bridge: family points by SimpleFamilyPoint, windings by its one rule.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bridge import (
-    FamilyRelations,
-    admissible as _admissible,
-    check_winding,
-    check_windings,
-    family_angles,
-    family_relations,
-)
+from .bridge import SimpleFamilyPoint, _winding, check_windings, family_angles
 from .algebra import (
     AdsGroupElement,
     DegenerateConfigurationError,
@@ -313,37 +307,13 @@ def canonical_form(sol):
     return canon, angles
 
 
-class SimpleFamilyPoint(FamilyRelations):
-    """One-winding sector point: windings m_s = n_s = -m = n > 0.
-
-    The rescaled invariants (f, b) must lie in the admissible band
-    b <= f <= (b + sqrt(b^2 + 8))/2 with f, b >= 1; the fields are those of
-    bridge.family_relations.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, f, b, n=1):
-        check_winding(n)
-        ok = _admissible(f, b)
-        if not ok:
-            raise ValidationError(f"inadmissible (f, b): {ok.reason}")
-        return super().__new__(cls, *family_relations(f, b, n))
-
-
-def family_solution(f, b, n=1, theta=None, theta_s=None):
-    """Canonical-frame solution of the one-winding family at (f, b).
-
-    theta and theta_s default to the bridge values; passing them explicitly
-    skips the bridge (used for degenerate scans).
-    """
+def family_solution(f, b, n=1):
+    """Canonical-frame solution of the one-winding family at (f, b), at the bridge angles."""
     pt = SimpleFamilyPoint(f, b, n)
-    if theta is None or theta_s is None:
-        theta, theta_s = family_angles(pt.cosh2theta, pt.cos2theta_s)
     return make_solution(
         lam=pt.lam, rho=pt.rho, m=pt.m, n=pt.n,
         lam_s=pt.lam_s, rho_s=pt.rho_s, m_s=pt.m_s, n_s=pt.n_s,
-        **_canonical_frame(theta, theta_s),
+        **_canonical_frame(*family_angles(pt.cosh2theta, pt.cos2theta_s)),
     )
 
 
@@ -359,18 +329,16 @@ def embedding_surface(sol, taus, sigmas):
     return AdsGroupElement.embed(g), SphereGroupElement.embed(h)
 
 
-def winding_numbers(sol, tau=0.0, sigma_steps=None):
-    """Winding counts of the sigma-cycle in the (Y1, Y2) and (X3, X4) planes.
+def winding_numbers(sol):
+    """Winding counts of the sigma-cycle at tau = 0 in the (Y1, Y2) and (X3, X4) planes.
 
     Unwraps the polar angle along one sigma period; the step count keeps the
     fastest phase well below the Nyquist limit.  Raises when a projected
     radius collapses and the angle is undefined.
     """
     max_w = max(abs(sol.m), abs(sol.n), abs(sol.m_s), abs(sol.n_s), 1)
-    if sigma_steps is None:
-        sigma_steps = max(64, 16 * max_w)
-    sigmas = np.linspace(0.0, 2.0 * math.pi, int(sigma_steps) + 1)
-    y, x = embedding_surface(sol, [tau], sigmas)
+    sigmas = np.linspace(0.0, 2.0 * math.pi, int(max(64, 16 * max_w)) + 1)
+    y, x = embedding_surface(sol, [0.0], sigmas)
 
     def unwrapped_count(u, v, label):
         radius = np.hypot(u, v)
@@ -406,24 +374,19 @@ def params_from_dict(data, strict=True):
 
     strict=False skips the frequency/parity relations (group validity is
     always enforced) so that verification can probe invalid parameters.
-    Windings must be integral; a fractional or boolean one is rejected, not truncated.
+    Windings follow bridge's one winding rule in both modes; a fractional, non-finite or
+    boolean one is rejected, not truncated.
     """
-    def winding(name):
-        w = data[name]
-        if isinstance(w, bool) or int(w) != float(w):
-            raise ValidationError(f"winding {name} = {w!r} is not an integer")
-        return int(w)
-
     try:
         h0 = np.array([[complex(re, im) for re, im in row] for row in data["h0"]])
         kwargs = dict(
             lam=float(data["lam"]), rho=float(data["rho"]),
-            m=winding("m"), n=winding("n"),
+            m=_winding(data["m"], "m"), n=_winding(data["n"], "n"),
             lhat=UnitTimelikeVector(**{k: float(v) for k, v in data["lhat"].items()}),
             rhat=UnitTimelikeVector(**{k: float(v) for k, v in data["rhat"].items()}),
             g0=AdsGroupElement(np.array(data["g0"], dtype=float)),
             lam_s=float(data["lam_s"]), rho_s=float(data["rho_s"]),
-            m_s=winding("m_s"), n_s=winding("n_s"),
+            m_s=_winding(data["m_s"], "m_s"), n_s=_winding(data["n_s"], "n_s"),
             lhat_s=UnitSphereVector(**{k: float(v) for k, v in data["lhat_s"].items()}),
             rhat_s=UnitSphereVector(**{k: float(v) for k, v in data["rhat_s"].items()}),
             h0=SphereGroupElement(h0),

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import check_winding, family_angles, family_relations, family_tangent
+from .bridge import _band_margins, check_winding, family_angles, family_relations, family_tangent
 from .algebra import (
     EPS,
     EPS_MIXED,
@@ -370,7 +370,7 @@ class StringChartPoint:
 
 def _check_string_point(f, b, l, r, ls, rs):
     """Chart conditions on (f, b) and raw directions; family_tangent diverges on the band edges."""
-    if not (b > 1.0 and f > b and f * f - b * f - 2.0 < 0.0):
+    if not all(margin > 0.0 for margin in _band_margins(f, b)[1:]):
         raise ValidationError(f"chart needs b > 1, f > b and f^2 - b f - 2 < 0 at ({f}, {b})")
     if -_dot(AdsAlgebraElement, l, r) <= 1.0 + 1e-12:
         raise ValidationError("chart needs l != r (boost axis undefined)")

@@ -256,7 +256,7 @@ def test_criterion_7_mesh_export(tmp_path, capsys):
                     abs(x @ x - 1.0))
     report(7, "mesh-row-constraints", worst, 1e-12)
 
-    n_ads, n_sph = winding_numbers(family_solution(F0, B0, 1), sigma_steps=64)
+    n_ads, n_sph = winding_numbers(family_solution(F0, B0, 1))
     winding_gap = float(max(abs(n_ads - 1), abs(n_sph - 1)))
     report(7, "winding-extraction", winding_gap, 0.0,
            note=f" [windings=({n_ads}, {n_sph})]")

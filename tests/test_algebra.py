@@ -253,6 +253,12 @@ class TestBoost:
                 + (math.sinh(2 * a) / s2g) * l.coeffs
             assert np.allclose(al.boost(a, nhat, r).coeffs, expected, atol=1e-12)
 
+    def test_mixed_sectors_rejected(self):
+        nhat, _ = al.normalized_commutator(al.UnitTimelikeVector(0.4, 0.0).element,
+                                           al.UnitTimelikeVector().element)
+        with pytest.raises(al.SectorMismatchError):
+            al.boost(0.3, nhat, al.UnitSphereVector(0.5, 0.2).element)
+
 
 class TestRlrIdentity:
     def test_random_vectors(self):
@@ -291,6 +297,15 @@ class TestUnitVectors:
         # acosh/acos of a coefficient near 1 kept only half the digits (1e-9 came back as 0)
         back = type(vector).from_coeffs(vector.coeffs)
         assert np.allclose(astuple(back), astuple(vector), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("cls, field", [(al.UnitTimelikeVector, "rapidity"),
+                                            (al.UnitTimelikeVector, "angle"),
+                                            (al.UnitSphereVector, "polar"),
+                                            (al.UnitSphereVector, "azimuth")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_chart_parameter_named(self, cls, field, value):
+        with pytest.raises(al.ValidationError, match=f"^{field} = {value!r} is not finite$"):
+            cls(**{field: value})
 
     def test_past_directed_rejected(self):
         with pytest.raises(al.ValidationError):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ads3s3.algebra import DegenerateConfigurationError, ValidationError
+from ads3s3.algebra import (
+    DegenerateConfigurationError,
+    UnitSphereVector,
+    UnitTimelikeVector,
+    ValidationError,
+)
 from ads3s3.bridge import (
     FeasibilityResult,
     RegionError,
@@ -20,6 +25,7 @@ from ads3s3.bridge import (
     scan_region,
 )
 from ads3s3.solutions import family_solution, theta_invariants
+from ads3s3.symplectic import StringChartPoint
 
 from conftest import invariants_per_sector
 from test_geometry import exact_solutions
@@ -154,6 +160,57 @@ class TestAdmissibility:
         with pytest.raises(RegionError, match="f\\^2 overflows"):
             bridge(f, b, 1)
         assert scan_region((f, f, 1), (b, b, 1))["admissible"].tolist() == [False]
+
+
+CHART_DIRECTIONS = dict(lhat=UnitTimelikeVector(0.5, 0.0), rhat=UnitTimelikeVector(),
+                        lhat_s=UnitSphereVector(0.8, 0.0), rhat_s=UnitSphereVector(2.0, 1.0))
+
+
+@st.composite
+def band_points(draw):
+    """(f, b) across the band, on its edges b = 1, f = b and f = f_max(b), or with f^2 overflowing."""
+    b = draw(st.one_of(st.just(1.0), st.floats(0.5, 3.0)))
+    top = f_max(b)
+    f = draw(st.one_of(st.floats(0.5, 4.0), st.sampled_from(
+        [b, math.nextafter(b, 0.0), top, math.nextafter(top, 0.0), math.nextafter(top, 4.0),
+         1e200])))
+    return f, b
+
+
+class TestOneBandTest:
+    """admissible, scan_region's column and the string chart read the band through one set of
+    margins; the band's inequalities, written out here in f^2 - b f - 2, are the oracle."""
+
+    @given(band_points())
+    @example((1.0, 1.0))
+    @example((2.0, 1.0))
+    @example((1e200, 1e200))
+    def test_closed_and_open_band_agree(self, point):
+        f, b = point
+        q = f * f - b * f - 2.0  # inf or nan where f^2 overflows
+        closed = bool(admissible(f, b))
+        assert closed == (f >= 1.0 and b >= 1.0 and f >= b and q <= 0.0)
+        assert scan_region((f, f, 1), (b, b, 1))["admissible"].tolist() == [closed]
+        try:
+            StringChartPoint(f=f, b=b, **CHART_DIRECTIONS)
+            opened = True
+        except ValidationError as exc:
+            assert str(exc).startswith("chart needs b > 1, f > b")
+            opened = False
+        assert opened == (b > 1.0 and f > b and q < 0.0)
+        assert closed or not opened
+
+    @pytest.mark.parametrize("f, b, n, error, message", [
+        *[(f, b, n, RegionError, f"inadmissible (f, b): {admissible(f, b).reason}")
+          for f, b, n in ((0.9, 1.0, 1), (1.5, 0.9, 1), (1.1, 1.4, 1), (3.0, B0, 1),
+                          (1e200, 1e200, 1), (math.nan, B0, 1), (F0, math.inf, 2))],
+        *[(F0, B0, n, ValidationError, "winding n must be a positive integer below 1.8e308")
+          for n in (0, -2, 1.5, True, math.inf, math.nan, 10 ** 400)]])
+    def test_bridge_and_family_solution_raise_the_same_message(self, f, b, n, error, message):
+        for build in (bridge, family_solution):
+            with pytest.raises(ValidationError) as info:
+                build(f, b, n)
+            assert type(info.value) is error and str(info.value) == message
 
 
 class TestBoundaries:

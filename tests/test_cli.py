@@ -67,7 +67,7 @@ class TestBridgeCommand:
     def test_overflowing_point_exits_one(self, capsys):
         code, out, err = run(capsys, "bridge", "--f", "1e200", "--b", "1e200")
         assert code == 1 and out == ""
-        assert err == "ads3s3 bridge: error: f^2 overflows\n"
+        assert err == "ads3s3 bridge: error: inadmissible (f, b): f^2 overflows\n"
 
     @pytest.mark.parametrize("n", ["0", "-2", "1" + "0" * 400])  # a float overflows at 10**309
     def test_nonpositive_winding_exits_one(self, capsys, n):
@@ -587,10 +587,14 @@ class TestParameterFileMisuse:
     @pytest.mark.parametrize("command", ["verify", "charges"])
     @pytest.mark.parametrize("field, value, text", [
         ("lam", '"abc"', "could not convert"),
-        ("n", "1e400", "infinity"),
+        ("n", "1e400", "error: winding n must be an integer\n"),
         ("g0", "[[1, 2], [3]]", "inhomogeneous"),
-        ("n", "1.5", "not an integer"),
-        ("m", "true", "not an integer"),
+        ("n", "1.5", "error: winding n must be an integer\n"),
+        ("m", "true", "error: winding m must be an integer\n"),
+        ("m_s", "NaN", "error: winding m_s must be an integer\n"),
+        ("n_s", "-Infinity", "error: winding n_s must be an integer\n"),
+        # an integer, but beyond the largest a float holds
+        ("n", "1" + "0" * 400, "error: winding n must be an integer\n"),
         ("lhat", "[1.0, 2.0]", "malformed"),
         ("lhat", '{"rapidity": 800.0, "angle": 0.0}', "overflow"),
         # cosh(709) is finite, so only the field arithmetic overflows

@@ -15,6 +15,11 @@ roundoff (1e-16 to 1e-13), far inside the 1e-12 comparison.
 The charges cases cover the canonical point, where l = r = t0, and the same
 random-frame n = 2 solution, where the closed-form charges conjugate off
 the reference axes.  Their parameter files sit next to the outputs.
+
+errors.txt holds one "argv → stderr" line per misuse, for every class of input check (windings,
+inadmissible points, grids, tol, scale, unreadable parameter files); each must exit 1 with that
+one stderr line and no stdout, byte for byte.  In its argv, {not-json} and {not-utf8} name such
+files and {field=value} a copy of params_n2_frame.json with that field's JSON text replaced.
 """
 
 import json
@@ -89,3 +94,33 @@ def test_numbers_match(capsys, name):
     argv, tol, code = NUMERIC[name]
     got = json.loads(output(capsys, argv, code))
     assert_matches(got, json.loads((DATA / name).read_text()), tol)
+
+
+def _error_argument(token, tmp_path):
+    """An errors.txt argv token, with a {...} file placeholder written out under tmp_path."""
+    if not token.startswith("{"):
+        return token
+    path = tmp_path / f"params{len(list(tmp_path.iterdir()))}.json"
+    spec = token[1:-1]
+    if spec == "not-json":
+        path.write_text("{")
+    elif spec == "not-utf8":
+        path.write_bytes(bytes(range(256)))
+    else:
+        field, value = spec.split("=", 1)
+        data = json.loads((DATA / "params_n2_frame.json").read_text())
+        data[field] = "PLACEHOLDER"
+        path.write_text(json.dumps(data).replace('"PLACEHOLDER"', value))
+    return str(path)
+
+
+def test_error_lines(capsys, tmp_path):
+    want = (DATA / "errors.txt").read_text()
+    got = []
+    for line in want.splitlines():
+        args = line.split(" → ")[0]
+        code = main([_error_argument(token, tmp_path) for token in args.split()])
+        out, err = capsys.readouterr()
+        assert (code, out, err.count("\n")) == (1, "", 1), line
+        got.append(f"{args} → {err}")
+    assert "".join(got) == want

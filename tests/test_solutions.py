@@ -17,6 +17,7 @@ from ads3s3.algebra import (
 from ads3s3.bridge import f_max, feasibility_general
 from ads3s3.solutions import (
     SimpleFamilyPoint,
+    _canonical_frame,
     ads_kak,
     apply_isometry,
     canonical_form,
@@ -240,7 +241,7 @@ class TestRawSectors:
 class TestThetaInvariants:
     def test_reads_canonical_angle(self):
         th = 0.37
-        sol = family_solution(F0, B0, 1, theta=th, theta_s=0.4)
+        sol = replace(family_solution(F0, B0, 1), **_canonical_frame(th, 0.4))
         c2t, _ = theta_invariants(sol)
         assert abs(c2t - math.cosh(2 * th)) <= 1e-13
 
@@ -286,7 +287,7 @@ class TestCanonicalForm:
 
     def test_recovers_theta_from_g0(self):
         th_hat = 0.61
-        sol = family_solution(F0, B0, 1, theta=th_hat, theta_s=0.3)
+        sol = replace(family_solution(F0, B0, 1), **_canonical_frame(th_hat, 0.3))
         _, ang = canonical_form(sol)
         assert abs(ang.theta - th_hat) <= 1e-12
 
@@ -464,6 +465,16 @@ class TestParamsSerialization:
             g2, h2 = evaluate_matrices(back, tau, sig)
             assert np.max(np.abs(g1 - g2)) <= 1e-14
             assert np.max(np.abs(h1 - h2)) <= 1e-14
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("n", [1, 3, 2 ** 53 + 1])
+    def test_family_windings_read_back(self, n, strict):
+        # 2**53 + 1 is an integer that no float holds exactly
+        data = params_to_dict(family_solution(F0, B0, n))
+        back = params_from_dict(data, strict=strict)
+        assert [(type(w), w) for w in (back.m, back.n, back.m_s, back.n_s)] == \
+            [(int, -n), (int, n), (int, n), (int, n)]
+        assert params_to_dict(back) == data
 
     def test_relaxed_mode_skips_relations(self):
         data = params_to_dict(reference_solution())
