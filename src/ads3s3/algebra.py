@@ -23,7 +23,8 @@ su(2), and the sphere antipode in aligning_rotation.
 Validation happens at the boundary: the classes check their data, and
 normalized_commutator and the unit-vector charts wrap raw kernels on
 coefficient and 2x2 arrays (an algebra class tags the sector), which
-internal hot paths such as the string chart call directly.
+internal hot paths such as the string chart call directly.  The library's own results are
+projected or rebuilt through exact angle charts, never re-checked, as from_coeffs checks input.
 """
 
 from __future__ import annotations
@@ -191,10 +192,6 @@ class _AlgebraElement:
     def matrix(self):
         return self._matrix(self.coeffs)
 
-    @classmethod
-    def from_matrix(cls, m):
-        return cls(cls._coeffs_from_matrix(m))
-
     def __rmul__(self, scalar):
         return type(self)(float(scalar) * self.coeffs)
 
@@ -213,13 +210,6 @@ class AdsAlgebraElement(_AlgebraElement):
         # v^0 = -<t0 m>, v^1 = <t1 m>, v^2 = <t2 m>
         return 0.5 * np.array([m[0, 1] - m[1, 0], m[0, 1] + m[1, 0], m[0, 0] - m[1, 1]])
 
-    @classmethod
-    def _coeffs_from_matrix(cls, m):
-        m = np.asarray(m, dtype=float)
-        if abs(m[0, 0] + m[1, 1]) > VALIDATION_TOL:
-            raise ValidationError("sl(2,R) element must be traceless")
-        return cls._project(m)
-
 
 @dataclass(frozen=True, eq=False)
 class SphereAlgebraElement(_AlgebraElement):
@@ -236,13 +226,6 @@ class SphereAlgebraElement(_AlgebraElement):
         # inside the brackets give the same sign of zero in the real part as the trace
         return -0.5 * np.array([1j * (m[1, 0] + m[0, 1]), m[1, 0] - m[0, 1],
                                 1j * (m[0, 0] - m[1, 1])])
-
-    @classmethod
-    def _coeffs_from_matrix(cls, m):
-        coeffs = cls._project(np.asarray(m, dtype=complex))
-        if np.max(np.abs(coeffs.imag)) > VALIDATION_TOL:
-            raise ValidationError("matrix is not in su(2)")
-        return coeffs.real
 
 
 # the sectors in the order (AdS, sphere) used by every per-sector tuple, and
@@ -320,7 +303,7 @@ def adjoint(g, v):
     if not (isinstance(v, _AlgebraElement) and isinstance(g, v._group)):
         raise SectorMismatchError(
             f"mixed sectors: {type(g).__name__} acting on {type(v).__name__}")
-    return type(v).from_matrix(g.matrix @ v.matrix @ g.inverse().matrix)
+    return type(v)(v._project(g.matrix @ v.matrix @ _adjugate(g.matrix)).real)
 
 
 def normalized_commutator(lhat, rhat):

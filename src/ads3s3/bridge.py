@@ -16,7 +16,7 @@ The cross identities 4 mu mubar cosh alpha = E^2 and 4 mu mubar cos beta = A^2
 work in products, finite on the b = 1 edge where mu mubar = 0 and the ratios are not.
 The relations, the two sides and the band margins (_band_margins) take floats (through
 math) or arrays (scan_region, once per grid), bit for bit alike.  Each input check is written
-once: _winding is the one winding rule and SimpleFamilyPoint the one validated family point.
+once: the winding rule _winding, the number rule _numbers, the family point SimpleFamilyPoint.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import math
 import numbers
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -86,6 +87,17 @@ def _winding(w, name, positive=False):
     return int(w)
 
 
+def _numbers(value, name):
+    """A JSON number (or lists and objects of them) as floats; bool, str or null raise by name."""
+    if isinstance(value, dict):
+        return {k: _numbers(v, f"{name}.{k}") for k, v in value.items()}
+    if isinstance(value, list):
+        return [_numbers(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number")
+    return float(value)
+
+
 def check_winding(n):
     """n as an int; ValidationError unless it is a positive winding."""
     return _winding(n, "n", positive=True)
@@ -102,8 +114,13 @@ def check_windings(m, n, m_s, n_s):
 
 
 def f_max(b):
-    """Upper edge of the admissible band, where cos 2theta_s reaches +1."""
-    return 0.5 * (b + math.sqrt(b * b + 8.0))
+    """Upper edge of the band, where cos 2theta_s reaches +1: the largest admissible float f."""
+    f = 0.5 * (b + math.sqrt(b * b + 8.0))
+    while _band_margins(f, b)[-1] < 0.0:
+        f = math.nextafter(f, -math.inf)
+    while _band_margins(math.nextafter(f, math.inf), b)[-1] >= 0.0:
+        f = math.nextafter(f, math.inf)
+    return f
 
 
 class FamilyRelations(namedtuple("FamilyRelations", (
@@ -190,25 +207,14 @@ def _sector_invariants(rel):
     return out
 
 
+_POINT_FIELDS = tuple("n f b e a E F A B lam rho lam_s rho_s cosh2theta cos2theta_s".split())
+
+
 @dataclass(frozen=True)
 class InvariantBlock:
-    """Gauge-invariant data of a one-winding family point."""
+    """A family point's _POINT_FIELDS (read through), angles, invariants and degenerate flags."""
 
-    n: int
-    f: float
-    b: float
-    e: float
-    a: float
-    E: float
-    F: float
-    A: float
-    B: float
-    lam: float
-    rho: float
-    lam_s: float
-    rho_s: float
-    cosh2theta: float
-    cos2theta_s: float
+    point: SimpleFamilyPoint
     theta: float
     theta_s: float
     mu2: float
@@ -217,50 +223,35 @@ class InvariantBlock:
     mubar: float
     coshalpha: float
     cosbeta: float
-    degenerate: tuple = field(default_factory=tuple)
+    degenerate: tuple = ()
 
     def as_dict(self):
-        return {k.name: getattr(self, k.name) for k in fields(self)} | {
-            "degenerate": list(self.degenerate)}
+        return ({k: getattr(self.point, k) for k in _POINT_FIELDS}
+                | {k.name: getattr(self, k.name) for k in fields(self)[1:]}
+                | {"degenerate": list(self.degenerate)})
+
+
+for _name in _POINT_FIELDS:
+    setattr(InvariantBlock, _name, property(attrgetter(f"point.{_name}")))
 
 
 def bridge(f, b, n=1):
     """Solve the invariant bridge at (f, b) for winding n >= 1.
 
-    Evaluates the AdS-side and sphere-side expressions independently and
-    requires them to agree to 1e-12; degenerate boundary points are returned
-    with flags instead of errors so that scans can traverse them.
+    mu^2, mubar^2, cosh alpha from the AdS side of _sector_invariants, cos beta from the sphere
+    side; degenerate boundary points carry flags instead of errors, so that scans traverse them.
     """
-    rel = SimpleFamilyPoint(f, b, n)
-    c2ts = rel.cos2theta_s
-    theta, theta_s = family_angles(rel.cosh2theta, c2ts)
-    (mu2_a, mubar2_a, coshalpha), (mu2_s, mubar2_s, cosbeta) = _sector_invariants(rel)
-    gap = max(abs(mu2_a - mu2_s), abs(mubar2_a - mubar2_s))
-    scale = max(1.0, abs(mu2_a), abs(mubar2_a))
-    if gap > 1e-12 * scale:
-        raise RegionError(f"AdS/sphere invariant mismatch {gap}")
-
-    mu2 = max(0.0, mu2_a)
-    mubar2 = max(0.0, mubar2_a)
-
-    flags = []
-    if f <= b:
-        flags.append("theta=0 (AdS center worldline)")
-    if c2ts >= 1.0 - 1e-15:
-        flags.append("theta_s=0 (sphere circle)")
-    if c2ts <= -1.0 + 1e-15:
-        flags.append("theta_s=pi/2 (sphere circle)")
-    if mu2 * mubar2 <= 1e-30:
-        flags.append("mu*mubar=0 (alpha/beta undefined)")
-
-    return InvariantBlock(
-        n=rel.n, f=f, b=b, e=rel.e, a=rel.a, E=rel.E, F=rel.F, A=rel.A, B=rel.B,
-        lam=rel.lam, rho=rel.rho, lam_s=rel.lam_s, rho_s=rel.rho_s,
-        cosh2theta=rel.cosh2theta, cos2theta_s=c2ts, theta=theta, theta_s=theta_s,
-        mu2=mu2, mubar2=mubar2, mu=math.sqrt(mu2), mubar=math.sqrt(mubar2),
-        coshalpha=coshalpha, cosbeta=cosbeta,
-        degenerate=tuple(flags),
-    )
+    point = SimpleFamilyPoint(f, b, n)
+    c2ts = point.cos2theta_s
+    (mu2, mubar2, coshalpha), (*_, cosbeta) = _sector_invariants(point)
+    mu2, mubar2 = max(0.0, mu2), max(0.0, mubar2)
+    flags = tuple(flag for flag, hit in (
+        ("theta=0 (AdS center worldline)", f <= b),
+        ("theta_s=0 (sphere circle)", c2ts >= 1.0 - 1e-15),
+        ("theta_s=pi/2 (sphere circle)", c2ts <= -1.0 + 1e-15),
+        ("mu*mubar=0 (alpha/beta undefined)", mu2 * mubar2 <= 1e-30)) if hit)
+    return InvariantBlock(point, *family_angles(point.cosh2theta, c2ts), mu2, mubar2,
+                          math.sqrt(mu2), math.sqrt(mubar2), coshalpha, cosbeta, flags)
 
 
 def scan_region(f_range, b_range, n=1):

@@ -9,8 +9,8 @@ generic windings the averages collapse onto the solution directions,
 
 and similarly with cos 2theta_s on the sphere; the coefficients are the
 left/right Casimir magnitudes.  The closed-form currents read the phases and field
-product of solutions, both sectors at once.  Both charges are checked raw coefficient
-rows: verify_solution and the charges command read them, charges_* wrap them.
+product of solutions, both sectors at once.  Currents and charges are projected by _project,
+never re-checked: raw coefficient rows that verify_solution and the charges command read.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ def current_matrices(sol, tau, sigma):
 def currents(sol, tau, sigma):
     """Currents at a worldsheet point as algebra elements."""
     pairs = zip(SECTOR_ALGEBRAS, current_matrices(sol, float(tau), float(sigma)))
-    return tuple(SectorCurrents(*map(cls.from_matrix, vars(cur).values())) for cls, cur in pairs)
+    return tuple(SectorCurrents(*(cls(cls._project(m).real) for m in vars(cur).values()))
+                 for cls, cur in pairs)
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,7 @@ def charge_gap(a, b):
 def _sigma_mean_coeffs(cur):
     """Charge rows (L, R, L_s, R_s) per tau row of _currents over tau x the sigma-nodes.
 
-    Each current carries only e^0 and the e^{+-i w sigma} of its factor's winding w, which the
-    nodes cancel; the means skip from_matrix, whose trace check rejects n-sized entries.
+    Each current carries only e^0 and the e^{+-i w sigma} of its winding w, which the nodes cancel.
     """
     means = _unstack(np.array([cur.L_tau, cur.R_tau]).mean(axis=-3).swapaxes(0, 1))
     out = np.concatenate([cls._project(m.transpose(2, 3, 0, 1)).real.T
@@ -131,7 +131,7 @@ def charges_numeric(sol, tau=0.0):
 
 
 def _analytic_coeffs(sol):
-    """Closed-form charge rows (L, R, L_s, R_s), as from_matrix would store them.
+    """Closed-form charge rows (L, R, L_s, R_s), projected onto each sector's basis.
 
     For m != 0 the sigma-average projects the left integrand onto l with
     weight cosh 2theta (and likewise for n and r); a vanishing winding makes
@@ -148,7 +148,7 @@ def _analytic_coeffs(sol):
         for k in np.nonzero(winding == 0)[0]:
             partner[k] = other[k] * (conj[0][k] @ conj[1][k] @ conj[2][k])
         sides.append(_unstack(own[:, None, None] * mat + partner))
-    out = np.array([cls._coeffs_from_matrix(side[k])
+    out = np.array([cls._project(side[k]).real
                     for k, cls in enumerate(SECTOR_ALGEBRAS) for side in sides])
     _check_finite(out, "algebra coefficients")
     return out

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bridge import SimpleFamilyPoint, _winding, check_windings, family_angles
+from .bridge import SimpleFamilyPoint, _numbers, _winding, check_windings, family_angles
 from .algebra import (
     AdsGroupElement,
     DegenerateConfigurationError,
@@ -199,25 +199,20 @@ def apply_isometry(sol, g_left=None, g_right=None, h_left=None, h_right=None):
 
     The direction vectors go to Ad_{g_L} l and Ad_{g_R^{-1}} r while the
     frequencies and windings are untouched, so that evaluating the returned
-    parameters reproduces g_L g(tau, sigma) g_R pointwise.
+    parameters reproduces g_L g(tau, sigma) g_R pointwise; each is rebuilt by its angle chart.
     """
-    g_left = g_left if g_left is not None else AdsGroupElement.identity()
-    g_right = g_right if g_right is not None else AdsGroupElement.identity()
-    h_left = h_left if h_left is not None else SphereGroupElement.identity()
-    h_right = h_right if h_right is not None else SphereGroupElement.identity()
+    g_left, g_right = (AdsGroupElement.identity() if g is None else g for g in (g_left, g_right))
+    h_left, h_right = (SphereGroupElement.identity() if h is None else h for h in (h_left, h_right))
 
     def moved(g, vhat):
-        return type(vhat).from_coeffs(adjoint(g, vhat.element).coeffs)
+        unit = type(vhat)
+        return unit(*unit._to_angles(adjoint(g, vhat.element).coeffs))
 
     return replace(
-        sol,
-        lhat=moved(g_left, sol.lhat),
-        rhat=moved(g_right.inverse(), sol.rhat),
+        sol, lhat=moved(g_left, sol.lhat), rhat=moved(g_right.inverse(), sol.rhat),
         g0=AdsGroupElement(g_left.matrix @ sol.g0.matrix @ g_right.matrix),
-        lhat_s=moved(h_left, sol.lhat_s),
-        rhat_s=moved(h_right.inverse(), sol.rhat_s),
-        h0=SphereGroupElement(h_left.matrix @ sol.h0.matrix @ h_right.matrix),
-    )
+        lhat_s=moved(h_left, sol.lhat_s), rhat_s=moved(h_right.inverse(), sol.rhat_s),
+        h0=SphereGroupElement(h_left.matrix @ sol.h0.matrix @ h_right.matrix))
 
 
 def theta_invariants(sol):
@@ -375,21 +370,21 @@ def params_from_dict(data, strict=True):
     strict=False skips the frequency/parity relations (group validity is
     always enforced) so that verification can probe invalid parameters.
     Windings follow bridge's one winding rule in both modes; a fractional, non-finite or
-    boolean one is rejected, not truncated.
+    boolean one is rejected, not truncated; every other number must be a JSON number (_numbers).
     """
     try:
-        h0 = np.array([[complex(re, im) for re, im in row] for row in data["h0"]])
+        num = {k: _numbers(data[k], k) for k in ("lam", "rho", "lhat", "rhat", "g0",
+                                                 "lam_s", "rho_s", "lhat_s", "rhat_s", "h0")}
         kwargs = dict(
-            lam=float(data["lam"]), rho=float(data["rho"]),
+            lam=float(num["lam"]), rho=float(num["rho"]),
             m=_winding(data["m"], "m"), n=_winding(data["n"], "n"),
-            lhat=UnitTimelikeVector(**{k: float(v) for k, v in data["lhat"].items()}),
-            rhat=UnitTimelikeVector(**{k: float(v) for k, v in data["rhat"].items()}),
-            g0=AdsGroupElement(np.array(data["g0"], dtype=float)),
-            lam_s=float(data["lam_s"]), rho_s=float(data["rho_s"]),
+            lhat=UnitTimelikeVector(**num["lhat"]), rhat=UnitTimelikeVector(**num["rhat"]),
+            g0=AdsGroupElement(np.array(num["g0"])),
+            lam_s=float(num["lam_s"]), rho_s=float(num["rho_s"]),
             m_s=_winding(data["m_s"], "m_s"), n_s=_winding(data["n_s"], "n_s"),
-            lhat_s=UnitSphereVector(**{k: float(v) for k, v in data["lhat_s"].items()}),
-            rhat_s=UnitSphereVector(**{k: float(v) for k, v in data["rhat_s"].items()}),
-            h0=SphereGroupElement(h0),
+            lhat_s=UnitSphereVector(**num["lhat_s"]), rhat_s=UnitSphereVector(**num["rhat_s"]),
+            h0=SphereGroupElement(np.array([[complex(re, im) for re, im in row]
+                                            for row in num["h0"]])),
         )
     except ValidationError:
         raise

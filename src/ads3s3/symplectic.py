@@ -33,12 +33,12 @@ inputs along the twelve chart directions give d_j g and d_j R_tau.  Its orbit
 blocks reproduce the charge coefficients and its phase rows d(m_L - m_R), d(m_R^s - m_L^s);
 only the 16 (f, b) x direction entries have no closed form here.
 
-Validation happens at the boundary: chart points and StringChart.solution
-are validated types.  StringChart._raw_solution builds one solution and its
-tangents as raw 2x2 arrays, with the chart conditions checked on them; the
-form pushes them through the sigma-nodes 0, pi/n of solutions._periodic_sigmas by the
-phase product of solutions.  With m = -n, theta_j and omega_ij carry only e^0 and
-e^{+-i n sigma}, which the two nodes cancel (<X_i, V_j>'s e^{+-2i n sigma} is symmetric).
+Validation happens at the boundary: chart points are validated types.  _raw_solution builds
+one solution and its tangents as raw 2x2 arrays, with the chart conditions checked on them;
+solution wraps it, the directions through their exact angle charts, and the form pushes them
+through the sigma-nodes 0, pi/n of solutions._periodic_sigmas by the phase product of
+solutions.  With m = -n, theta_j and omega_ij carry only e^0 and e^{+-i n sigma}, which the
+two nodes cancel (<X_i, V_j>'s e^{+-2i n sigma} is symmetric).
 
 Poisson brackets use {F, G} = -grad(F)^T omega^{-1} grad(G).  Each chart's
 charges(x) is the vector Q of the twelve CHARGE_NAMES and orbit_coefficients(x)
@@ -498,17 +498,16 @@ class StringChart(_OrbitChart):
     def solution(self, x):
         """Solution parameters at chart vector x.
 
-        g0 = exp(phi1 l) exp(-(gamma+theta) n) exp(-phi1 r) and the sphere
-        analogue with the gauge-sign on the right phase; theta, theta_s come
-        from the invariant bridge at (f, b).  These are the numbers of
-        _raw_solution, wrapped in validated types.
+        g0 = exp(phi1 l) exp(-(gamma+theta) n) exp(-phi1 r) and the sphere analogue with the
+        gauge-sign on the right phase; theta, theta_s come from the invariant bridge at (f, b).
+        These are the numbers of _raw_solution in validated types, directions by angle charts.
         """
         x = np.asarray(x, dtype=float)
         sectors, _ = self._raw_solution(x)
         dirs, fields = self._directions(x), []
         for k, (*freqs, _, _, x0), unit in zip((0, 2), sectors,
                                                 (UnitTimelikeVector, UnitSphereVector)):
-            fields += [*freqs, unit.from_coeffs(dirs[k]), unit.from_coeffs(dirs[k + 1]),
+            fields += [*freqs, *(unit(*unit._to_angles(d)) for d in dirs[k:k + 2]),
                        unit._algebra._group(x0)]
         return SolutionParams(*fields)
 

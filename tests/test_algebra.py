@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +188,19 @@ class TestAdjoint:
             w = al.SphereAlgebraElement(rng.uniform(-1, 1, 3))
             assert abs(al.inner(al.adjoint(h, w), al.adjoint(h, w))
                        - al.inner(w, w)) <= 1e-12
+
+
+    def test_strong_boost_preserves_inner_relative_to_entries(self):
+        # at boost 10 the entries reach 1e8 and <v,v> moves by far more than 1e-10 in absolute
+        # terms; adjoint projects g v g^{-1} onto the basis rather than refusing it
+        g = al.exp_algebra(al.AdsAlgebraElement([0.3, 10.0, 0.2]))
+        for u, w in (([1.0, 0.2, 0.1], [0.4, -1.0, 0.7]), ([1.0, 0.2, 0.1], [1.0, 0.2, 0.1]),
+                     ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])):
+            u, w = al.AdsAlgebraElement(u), al.AdsAlgebraElement(w)
+            au, aw = al.adjoint(g, u), al.adjoint(g, w)
+            scale = float(np.max(np.abs(au.coeffs)) * np.max(np.abs(aw.coeffs)))
+            assert scale > 1e14
+            assert abs(al.inner(au, aw) - al.inner(u, w)) <= 1e-13 * scale
 
 
 class TestNormalizedCommutator:
@@ -399,3 +414,25 @@ class TestSphereProjection:
         got, want = al.SphereAlgebraElement._project(m), trace_projection(m)
         assert got.real.tobytes() == want.real.tobytes()
         assert np.array_equal(got.imag, want.imag)
+
+
+class TestInternalResultsAreProjected:
+    """Validation happens at the boundary: the library's own results are projected onto the
+    basis or rebuilt through an angle chart, never passed back through a converter that
+    re-checks them against an absolute tolerance."""
+
+    CHECKED_CONVERTERS = {"from_coeffs", "from_matrix", "_coeffs_from_matrix"}
+
+    def test_no_module_uses_a_checked_converter(self):
+        uses = []
+        for path in sorted(Path(al.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                name = getattr(node, "attr", None) if isinstance(node, ast.Attribute) else (
+                    getattr(node, "id", None))
+                if name in self.CHECKED_CONVERTERS:
+                    uses.append(f"{path.name}:{node.lineno} {name}")
+        assert uses == []
+
+    def test_matrix_converters_are_gone(self):
+        for cls in (al.AdsAlgebraElement, al.SphereAlgebraElement):
+            assert not hasattr(cls, "from_matrix") and not hasattr(cls, "_coeffs_from_matrix")

@@ -12,8 +12,10 @@ from ads3s3.algebra import (
     ValidationError,
 )
 from ads3s3.bridge import (
+    _POINT_FIELDS,
     FeasibilityResult,
     RegionError,
+    SimpleFamilyPoint,
     _sector_invariants,
     admissible,
     bridge,
@@ -132,6 +134,25 @@ class TestDualSideOracle:
                 assert abs(blk.cosbeta) <= 1.0 + 1e-12
 
 
+class TestBridgeReadsOneSide:
+    """Both sides of _sector_invariants are one form of a validated (f, b); bridge reads them
+    without comparing, which used to refuse admissible points at large b by roundoff alone."""
+
+    @given(st.floats(3.0, 8.0), st.floats(0.0, 1.0), st.sampled_from([1, 1000]))
+    @example(math.log10(8653.471834178601), 0.5, 1)
+    def test_large_b_returns_the_points_fields(self, log_b, t, n):
+        b = 10.0 ** log_b
+        f = b + t * (f_max(b) - b)
+        blk, point = bridge(f, b, n), SimpleFamilyPoint(f, b, n)
+        for k in _POINT_FIELDS:
+            assert getattr(blk, k) == getattr(point, k), k
+        assert list(blk.as_dict())[:len(_POINT_FIELDS)] == list(_POINT_FIELDS)
+
+    def test_reported_point(self):
+        blk = bridge(8653.471880321717, 8653.471834178601)
+        assert blk.mu2 > 0.0 and blk.mubar2 > 0.0 and not blk.degenerate
+
+
 class TestAdmissibility:
     def test_examples(self):
         assert admissible(F0, B0)
@@ -229,6 +250,13 @@ class TestBoundaries:
         blk = bridge(f_max(b), b, 1)
         assert abs(blk.cos2theta_s - 1.0) <= 1e-12
         assert blk.degenerate
+
+    @given(st.floats(1.0, 1e6))
+    @example(1.4533177527746808)
+    def test_f_max_is_the_largest_admissible_float(self, b):
+        top = f_max(b)
+        assert admissible(top, b)
+        assert not admissible(math.nextafter(top, math.inf), b)
 
     def test_corner_fully_degenerate(self):
         blk = bridge(1.0, 1.0, 1)

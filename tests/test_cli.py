@@ -586,7 +586,15 @@ class TestOptionsPerSubcommand:
 class TestParameterFileMisuse:
     @pytest.mark.parametrize("command", ["verify", "charges"])
     @pytest.mark.parametrize("field, value, text", [
-        ("lam", '"abc"', "could not convert"),
+        ("lam", '"abc"', "error: lam must be a number\n"),
+        # float(), complex() and numpy would convert these; a parameter file holds JSON numbers
+        ("lam", '"1.5"', "error: lam must be a number\n"),
+        ("rho_s", "false", "error: rho_s must be a number\n"),
+        ("lam_s", "null", "error: lam_s must be a number\n"),
+        ("lhat", '{"rapidity": "0.5", "angle": 0.0}', "error: lhat.rapidity must be a number\n"),
+        ("rhat_s", '{"polar": 1.0, "azimuth": true}', "error: rhat_s.azimuth must be a number\n"),
+        ("g0", '[["1", 0], [0, 1]]', "error: g0[0][0] must be a number\n"),
+        ("h0", '[[[1, "0"], [0, 0]], [[0, 0], [1, 0]]]', "error: h0[0][0][1] must be a number\n"),
         ("n", "1e400", "error: winding n must be an integer\n"),
         ("g0", "[[1, 2], [3]]", "inhomogeneous"),
         ("n", "1.5", "error: winding n must be an integer\n"),

@@ -213,6 +213,21 @@ class TestEvaluate:
             assert np.max(np.abs(hm - h_l.matrix @ h @ h_r.matrix)) <= 1e-12
 
 
+    @pytest.mark.parametrize("boost", [4.0, 6.0])
+    def test_strongly_boosted_frame(self, boost):
+        # the adjoint of a boost this strong misses <v,v> = -1 by more than 1e-10; the moved
+        # directions are rebuilt through their angle charts instead of being refused
+        sol = reference_solution()
+        g_l = exp_algebra(al.AdsAlgebraElement([0.0, boost, 0.0]), 1.0)
+        g_r = exp_algebra(al.AdsAlgebraElement([0.2, 0.3, 0.5]), 1.0)
+        moved = apply_isometry(sol, g_l, g_r)
+        for tau, sig in ((0.0, 0.0), (0.8, 2.5), (1.3, 4.0)):
+            g, _ = evaluate_matrices(sol, tau, sig)
+            gm, _ = evaluate_matrices(moved, tau, sig)
+            want = g_l.matrix @ g @ g_r.matrix
+            assert np.max(np.abs(gm - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 class TestRawSectors:
     """SolutionParams.matrices: derived once per instance, read-only, fresh per replace."""
 

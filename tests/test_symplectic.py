@@ -490,6 +490,21 @@ class TestStringChart:
         ra, rs = eom_residual(sol, 0.4, 2.0)
         assert ra <= 1e-6 and rs <= 1e-6
 
+    def test_solution_at_rapidity_eight_matches_raw_solution(self):
+        # the direction's coefficients miss <v,v> = -1 by 5e-10 at rapidity 8; solution()
+        # rebuilds them through the angle chart, as the form's raw build uses them
+        point = StringChartPoint(UnitTimelikeVector(8.0, 0.3), UnitTimelikeVector(0.5, 1.0),
+                                 UnitSphereVector(0.8, 0.1), UnitSphereVector(2.0, 0.5),
+                                 f=F0, b=B0)
+        chart = StringChart(point)
+        x = chart.coords(point)
+        sol, (sectors, _) = chart.solution(x), chart._raw_solution(x)
+        for fields, (*freqs, l, r, x0) in zip(sol.sectors, sectors):
+            assert fields[:4] == tuple(freqs)
+            for direction, raw in ((fields[4], l), (fields[5], r)):
+                assert np.max(np.abs(direction.matrix - raw)) <= 1e-15 * np.max(np.abs(raw))
+            assert np.array_equal(fields[6].matrix, x0)
+
     def test_degenerate_points_rejected(self):
         v = UnitTimelikeVector(0.4, 1.0)
         with pytest.raises(ValidationError):
