@@ -3,15 +3,22 @@
 Subcommands: bridge, verify, sample, scan, charges, brackets.  Exit codes:
 0 success, 1 validation or usage error (also an arithmetic overflow or an
 allocation that does not fit in memory), 2 numeric verification failure.
-Outputs are deterministic.  One strict-JSON writer writes every payload;
-scan and sample write tables with one row template each for CSV (floats to
-17 significant digits, so goldens round-trip) and for JSON.
+Outputs are deterministic.  One strict-JSON writer writes every payload.  scan
+and sample write tables (_table) a block of rows at a time: CSV floats as '%.17g'
+writes them (17 significant digits, so goldens round-trip), JSON floats as
+float.__repr__ does.  One numpy kernel makes the exact digits of a whole block of
+floats, from Dekker's error-free product and Clinger's exact read-back test, in the
+exact range |x| in [1e-6, 1e17) for CSV and [1e-4, 1e16) for JSON; only the other
+floats (+-0, nan and inf among them) go through Python's formatter.  Each block is
+written as soon as it is made.
 The parser is built once per process, at import; main only parses with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -57,40 +64,169 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write text, a str or the str pieces of a table in order, to the file out or to stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines((text,) if isinstance(text, str) else text)
+
+
+_BLOCK_ROWS = 2048
+# A float cell: a sign, the "0.000" that leads a fixed number below 1, digits d0..d16 each
+# followed by a point slot, and CSV's exponent e-05 or e-06 as "e-056"
+_FLOAT_CELL = b"-0.000" + b"0." * 17 + b"e-056"
 
 
 def _table(columns, fmt):
-    """Named equal-length columns as CSV or JSON, one %-template per row.
+    """Named equal-length columns as CSV or JSON text, yielded in pieces of _BLOCK_ROWS rows.
 
-    CSV floats carry 17 significant digits, bools read true/false and every
-    other cell (int, CSV-only str) reads as str() does; JSON is the bytes of
-    json.dumps(list_of_row_dicts, indent=2), non-finite floats as null.  Tables keep the
-    template: through _json, the same bytes take over twice the time (a 128x128 JSON sample
-    447 ms against 180 ms, a 120x120 scan 277 ms against 98 ms, best of 3 on a 2-core VM).
+    CSV floats read as '%.17g' writes them, bools true/false and every other cell (int,
+    CSV-only str) as str() does; JSON is the bytes of json.dumps(list_of_row_dicts, indent=2),
+    floats as float.__repr__ writes them and non-finite ones as null.  A block is a uint8 grid
+    of rows of separators, keys and cells, each cell's text padded with NUL bytes, which no
+    cell holds: its text is the grid with the NULs deleted.  _emit writes each in turn.
+    Floats of the exact range come from one kernel per block (_float_cells, _digits), other
+    floats from Python's formatter, once per distinct value in the block.
     """
-    cells, slots = [], []
-    for values in map(np.asarray, columns.values()):
-        floats = values.dtype.kind == "f"
-        # %s writes a float as its repr, which is what json writes
-        slots.append("%.17g" if fmt == "csv" and floats else "%s")
-        if values.dtype == bool:
-            values = np.where(values, "true", "false")
-        elif fmt == "json" and floats and not np.isfinite(values).all():
-            values = np.where(np.isfinite(values), values.astype(object), "null")
-        cells.append(values.tolist())
-    rows = zip(*cells)
-    if fmt == "csv":
-        template = ",".join(slots)
-        return "\n".join([",".join(columns), *(template % row for row in rows)]) + "\n"
-    names = (json.dumps(name).replace("%", "%%") for name in columns)
-    template = "  {\n" + ",\n".join(f"    {name}: {slot}" for name, slot in zip(names, slots)) + "\n  }"
-    body = ",\n".join([template % row for row in rows])
-    return f"[\n{body}\n]\n" if body else "[]\n"
+    json_rows = fmt == "json"
+    values = [np.asarray(column) for column in columns.values()]
+    rows = len(values[0])
+    if json_rows:
+        yield "[\n" if rows else "[]\n"
+        heads = [("  {\n" if i == 0 else ",\n") + f"    {json.dumps(name)}: "
+                 for i, name in enumerate(columns)]
+        tail = "\n  },\n"  # the last row's ",\n" becomes "\n]\n"
+    else:
+        yield ",".join(columns) + "\n"
+        heads, tail = [""] + [","] * (len(values) - 1), "\n"
+    template, cells = bytearray(), []  # cells: (section of a row, column, its text or None)
+    for head, column in zip(heads, values):
+        template += head.encode()
+        text = None if column.dtype.kind == "f" else _texts(
+            *((column.astype(np.intp), ["false", "true"]) if column.dtype == bool
+              else (np.arange(rows), list(map(str, column.tolist())))))
+        width = len(_FLOAT_CELL) if text is None else text.shape[1]
+        cells.append((slice(len(template), len(template) + width), column, text))
+        template += bytes(width)
+    template = np.frombuffer(bytes(template + tail.encode()), np.uint8)
+    floats = [(section.start, column) for section, column, text in cells if text is None]
+    for first in range(0, rows, _BLOCK_ROWS):
+        block = slice(first, min(first + _BLOCK_ROWS, rows))
+        grid = np.tile(template, (block.stop - first, 1))
+        for section, _, text in cells:
+            if text is not None:
+                grid[:, section] = text[block]
+        if floats:
+            _float_cells(grid, [start for start, _ in floats], json_rows,
+                         np.stack([column[block] for _, column in floats], dtype=np.float64))
+        text = grid.tobytes().translate(None, b"\0").decode()
+        yield text[:-2] + "\n]\n" if json_rows and block.stop == rows else text
+
+
+def _texts(index, texts, width=1):
+    """The cells texts[index] as rows of bytes, NUL-padded to width or more; texts encoded once."""
+    encoded = [text.encode() for text in texts]
+    width = max([width, *map(len, encoded)])
+    return np.array(encoded, f"S{width}").view(np.uint8).reshape(len(encoded), width)[index]
+
+
+@functools.cache
+def _float_templates(json_cells):
+    """_FLOAT_CELL with the bytes it does not show as NUL, at key (e + 6) 34 + 2 (digits - 1) +
+    negative, for the decimal exponent e and the count of significant digits; read-only.
+
+    repr writes 1.0 where %g writes 1, and %g's exponent form starts below 1e-4.
+    """
+    e, count, negative = (k.ravel() for k in np.meshgrid(
+        np.arange(-6, 17), np.arange(1, 18), [False, True], indexing="ij"))
+    exponent = (e < -4) & (not json_cells)
+    point = np.where(exponent, 0, np.maximum(e, -1))  # the digit before the point, -1: "0."
+    digits = np.maximum(count, point + 1 + json_cells)
+    shown = np.zeros((e.size, len(_FLOAT_CELL)), bool)
+    shown[:, 0] = negative
+    shown[:, 1:6] = np.arange(5) < np.where((e < 0) & ~exponent, 1 - e, 0)[:, None]
+    shown[:, 6:40:2] = np.arange(17) < digits[:, None]
+    shown[:, 7:40:2] = np.arange(17) == np.where(digits > point + 1, point, -1)[:, None]
+    shown[:, 40:43] = exponent[:, None]
+    shown[:, 43:] = exponent[:, None] & (e[:, None] == [-5, -6])
+    templates = np.where(shown, np.frombuffer(_FLOAT_CELL, np.uint8), 0)
+    templates.flags.writeable = False
+    return templates
+
+
+def _float_cells(grid, starts, json_cells, values):
+    """Write float columns `values` of a block into their cells at byte `starts` of its rows.
+
+    A float of the exact range, |x| in [1e-6, 1e17) for CSV and [1e-4, 1e16) for JSON, is the
+    template its exponent, digit count and sign select, its digits or-ed into the "0" slots (a
+    hidden slot's digit is 0); any other, +-0, nan and inf too, is Python's text of its value.
+    """
+    a = np.abs(values)
+    fast = (1e-4 <= a) & (a < 1e16) if json_cells else (1e-6 < a) & (a < 1e17)
+    d, e, slow = _digits(np.where(fast, a, 1.0).ravel(), json_cells)
+    high = d // 10 ** 9
+    halves = np.array([high, d - high * 10 ** 9], np.uint32)  # 8 and 9 digits
+    digits = np.empty((18, d.size), np.uint8)  # one row per digit; row 0 is a leading 0
+    for k in range(8, -1, -1):
+        quotient = halves // np.uint32(10)
+        digits[k::9] = halves - quotient * np.uint32(10)
+        halves = quotient
+    count = ((digits[1:] != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
+    keys = ((e + 6) * 34 + 2 * count - 2 + np.signbit(values).ravel()).reshape(values.shape)
+    digits, templates = digits[1:].reshape(17, *values.shape), _float_templates(json_cells)
+    for column, start in enumerate(starts):
+        cells = grid[:, start:start + len(_FLOAT_CELL)]
+        cells[:] = np.take(templates, keys[column], axis=0)
+        cells[:, 6:40:2] |= digits[:, column].T
+    column, row = np.nonzero(~fast | slow.reshape(values.shape))
+    bits, index = np.unique(values[column, row].view(np.int64), return_inverse=True)
+    at = (row * grid.shape[1] + np.array(starts)[column])[:, None] + np.arange(len(_FLOAT_CELL))
+    grid.ravel()[at] = _texts(index, [
+        (float.__repr__(v) if math.isfinite(v) else "null") if json_cells else "%.17g" % v
+        for v in bits.view(np.float64).tolist()], len(_FLOAT_CELL))
+
+
+def _two_product(a, b):
+    """hi, lo with hi + lo == a * b exactly: Dekker's product of factors split by Veltkamp."""
+    hi = a * b
+    a_split, b_split = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1
+    a1, b1 = a_split - (a_split - a), b_split - (b_split - b)
+    a2, b2 = a - a1, b - b1
+    return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _digits(a, shortest):
+    """(d, e, slow): a > 0 of the exact range reads d 10**(e - 16), d in [1e16, 1e17).
+
+    d is a rounded half-even to 17 digits, from one exact product hi + lo = a 10**(16 - e);
+    with `shortest` (repr's digits), to 15 or else 16 digits and padded with zeros where
+    that reads back as a.  The reading back is exact, Clinger's fast path: a float below
+    2**53 times or over an exact power of ten.  slow marks an odd 16-digit d above 2**53.
+    No d rounds up to 1e17: no float of the exact ranges lies within half a 17-digit unit
+    below a power of ten, or is the float nearest to one from below (1e-5 to 1e-1 lie above).
+    """
+    pow10 = np.array([float(10 ** k) for k in range(23)])
+    e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
+    hi, lo = _two_product(a, pow10[16 - e])
+    # log10 may be one off next to a power of ten: compare hi + lo with 1e16 and 1e17 exactly
+    off = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.intp)
+    off -= (hi < 1e16) | (hi == 1e16) & (lo < 0)
+    if off.any():
+        e += off
+        hi, lo = _two_product(a, pow10[16 - e])
+    floor_lo = np.floor(lo)  # hi >= 2**53 is an integer and |lo| <= 8
+    frac = lo - floor_lo  # exact: lo is a multiple of 2**-52
+    n = hi.astype(np.int64) + floor_lo.astype(np.int64)  # the integer part of a 10**(16 - e)
+    d = n + ((frac > 0.5) | (frac == 0.5) & (n & 1 == 1))
+    slow, found = np.zeros(a.shape, bool), np.zeros(a.shape, bool)
+    for unit, p in ((100, e - 14), (10, e - 15)) if shortest else ():
+        q = n // unit  # floor division by a scalar is fast, np.divmod and % are not
+        r = n - q * unit
+        q += (r > unit // 2) | (r == unit // 2) & ((frac != 0) | (q & 1 == 1))
+        exact = (q <= 2 ** 53) | (q & 1 == 0)  # float(q) == q
+        back = q.astype(np.float64)
+        back = np.where(p < 0, back / pow10[np.maximum(-p, 0)], back * pow10[np.maximum(p, 0)])
+        ok, slow = ~found & exact & (back == a), slow | ~found & ~exact
+        d, found = np.where(ok, q * unit, d), found | ok
+    return d, e, slow
 
 
 def _json(payload):

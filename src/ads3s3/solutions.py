@@ -19,6 +19,7 @@ Inputs are checked by bridge: family points by SimpleFamilyPoint, windings by it
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -304,8 +305,11 @@ def canonical_form(sol):
 
 def family_solution(f, b, n=1):
     """Canonical-frame solution of the one-winding family at (f, b), at the bridge angles."""
+    # validated, and its relations hold by construction; 4 lam rho = m n cancels from b ~ 30 on
     pt = SimpleFamilyPoint(f, b, n)
-    return make_solution(
+    if pt.n * pt.n > sys.float_info.max:
+        raise ValidationError("winding n is too large: m n = -n**2 is beyond 1.8e308")
+    return SolutionParams(
         lam=pt.lam, rho=pt.rho, m=pt.m, n=pt.n,
         lam_s=pt.lam_s, rho_s=pt.rho_s, m_s=pt.m_s, n_s=pt.n_s,
         **_canonical_frame(*family_angles(pt.cosh2theta, pt.cos2theta_s)),

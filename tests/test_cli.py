@@ -179,6 +179,14 @@ class TestSampleCommand:
                 assert len(err.strip().splitlines()) == 1
                 assert "at least 1" in err
 
+    def test_far_band_point_builds(self, capsys):
+        # a family point that a 1e-12 re-check of 4 lam rho = m n refused
+        point = ["--f", "99.04329197272283", "--b", "99.04321856149937", "--n", "1000"]
+        code, out, err = run(capsys, "sample", *point, "--tau-steps", "4", "--sigma-steps", "4")
+        assert (code, err, out.count("\n")) == (0, "", 17)
+        assert run(capsys, "charges", *point)[:1] == (0,)
+        assert run(capsys, "verify", *point)[0] in (0, 2)  # a verdict, not a refusal
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -297,8 +305,111 @@ class TestTableWriter:
     def test_matches_row_dict_writers(self, columns):
         rows = [dict(zip(columns, values))
                 for values in zip(*(column.tolist() for column in columns.values()))]
-        assert _table(columns, "json") == json_oracle(rows)
-        assert _table(columns, "csv") == csv_oracle(rows, list(columns))
+        assert "".join(_table(columns, "json")) == json_oracle(rows)
+        assert "".join(_table(columns, "csv")) == csv_oracle(rows, list(columns))
+
+
+def kernel_values():
+    """Over 10**6 seeded floats across the classes the float kernel of _table writes.
+
+    Random 64-bit patterns; uniform mantissas scaled by 10**k; short decimals; dyadic values
+    j 2**-k whose decimal expansion ends in a 5 at the 16th, 17th or 18th digit (the halfway
+    cases of the 15, 16 and 17 digit roundings); the neighbours of every power of ten, which
+    include the edges 1e-6, 1e-4, 1e16 and 1e17 of the exact ranges; subnormals, +-0, nan
+    and +-inf.  Every class but the bit patterns gets random signs.
+    """
+    rng = np.random.default_rng(25)
+    bits = rng.integers(0, 2 ** 64, 310_000, dtype=np.uint64).view(np.float64)
+    scaled = rng.random(270_000) * 10.0 ** rng.integers(-8, 19, 270_000)
+    short = rng.integers(1, 10 ** 7, 150_000) / 10.0 ** rng.integers(0, 12, 150_000)
+    dyadic = []
+    for k in range(1, 27):
+        for digits in (16, 17, 18):
+            low, high = -(-10 ** (digits - 1) // 5 ** k), min(10 ** digits // 5 ** k, 2 ** 53)
+            if low < high:
+                dyadic.append(np.ldexp((rng.integers(low, high, 4_000) | 1).astype(float), -k))
+    below = above = [np.array([10.0 ** k for k in range(-323, 309)])]
+    for _ in range(4):  # up to 4 ulps on either side
+        below = below + [np.nextafter(below[-1], 0.0)]
+        above = above + [np.nextafter(above[-1], np.inf)]
+    neighbours = np.concatenate(below + above[1:])
+    subnormals = rng.integers(1, 2 ** 52, 10_000, dtype=np.uint64).view(np.float64)
+    signed = np.concatenate([scaled, short, *dyadic, neighbours, subnormals,
+                             [0.0, math.nan, math.inf]])
+    signed *= rng.choice([-1.0, 1.0], signed.size)
+    return np.concatenate([bits, signed])
+
+
+def mismatched_lines(got, want):
+    """The first few differing lines of two texts, and a note if their line counts differ."""
+    got, want = got.splitlines(), want.splitlines()
+    bad = [(g, w) for g, w in zip(got, want) if g != w][:5]
+    return bad + ([f"{len(got)} lines against {len(want)}"] if len(got) != len(want) else [])
+
+
+def row_dicts(columns):
+    return [dict(zip(columns, values))
+            for values in zip(*(column.tolist() for column in columns.values()))]
+
+
+class TestFloatKernelOracle:
+    """Every float cell of _table against the row-dict writers, over 10**6 seeded floats."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_cell_matches(self, fmt):
+        values = kernel_values()
+        assert values.size >= 10 ** 6
+        table = np.resize(values, (-(-values.size // 8), 8))  # eight columns; the last row wraps
+        for first in range(0, len(table), 10_000):
+            columns = {f"c{k}": column for k, column in enumerate(table[first:first + 10_000].T)}
+            got = "".join(_table(columns, fmt))
+            want = (json_oracle(row_dicts(columns)) if fmt == "json"
+                    else csv_oracle(row_dicts(columns), list(columns)))
+            assert mismatched_lines(got, want) == []
+
+
+class TestTableBlocks:
+    """_table writes a header piece, then one piece per block of cli._BLOCK_ROWS rows."""
+
+    @staticmethod
+    def columns(rows):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=rows) * 10.0 ** rng.integers(-8, 18, rows)
+        x[::97] = math.nan
+        return {"x": x, "ok": rng.random(rows) < 0.5, "y": -x[::-1]}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_around_a_block(self, fmt, extra):
+        columns = self.columns(cli._BLOCK_ROWS + extra)
+        pieces = list(_table(columns, fmt))
+        assert len(pieces) == (3 if extra > 0 else 2)
+        want = (json_oracle(row_dicts(columns)) if fmt == "json"
+                else csv_oracle(row_dicts(columns), list(columns)))
+        assert mismatched_lines("".join(pieces), want) == []
+
+    @pytest.mark.parametrize("fmt, text", [("csv", "x,ok,y\n"), ("json", "[]\n")])
+    def test_zero_rows(self, fmt, text):
+        assert list(_table(self.columns(0), fmt)) == [text]
+
+
+class TestStreamedTables:
+    """scan and sample write the same bytes to stdout and to --out over several blocks."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--grid", "1:3:70,1:2:65", "--n", "2"],
+        ["scan", "--grid", "1:3:70,1:2:65", "--n", "2", "--format", "json"],
+        ["sample", "--f", F_REF, "--b", B_REF, "--tau-steps", "64", "--sigma-steps", "80"],
+        ["sample", "--f", F_REF, "--b", B_REF, "--tau-steps", "64", "--sigma-steps", "80",
+         "--format", "json"],
+    ])
+    def test_stdout_matches_out_file(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.count("\n") > 2 * cli._BLOCK_ROWS
+        path = tmp_path / "table"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_text() == out
 
 
 def nulls(value):

@@ -405,6 +405,16 @@ class TestSimpleFamily:
             assert abs(pt.F ** 2 - pt.E ** 2 - n * n) <= 1e-11
             assert abs(pt.B ** 2 - pt.A ** 2 - n * n) <= 1e-11
 
+    def test_family_solution_builds_far_into_the_band(self):
+        # 4 lam rho = m n cancels to about eps f^2 relative: a 1e-12 re-check of the
+        # library's own point refused valid ones from b ~ 30 on
+        rng = np.random.default_rng(25)
+        for b in 10.0 ** rng.uniform(0.0, 4.0, 2000):
+            f = rng.uniform(b, f_max(b))
+            n = int(rng.integers(1, 1001))
+            sol = family_solution(f, b, n)
+            assert (sol.m, sol.n, sol.m_s, sol.n_s) == (-n, n, n, n)
+
     def test_inadmissible_rejected(self):
         with pytest.raises(ValidationError):
             SimpleFamilyPoint(3.0, 1.1, 1)
