@@ -9,8 +9,9 @@ writes them (17 significant digits, so goldens round-trip), JSON floats as
 float.__repr__ does.  One numpy kernel makes the exact digits of a whole block of
 floats, from Dekker's error-free product and Clinger's exact read-back test, in the
 exact range |x| in [1e-6, 1e17) for CSV and [1e-4, 1e16) for JSON; only the other
-floats (+-0, nan and inf among them) go through Python's formatter.  Each block is
-written as soon as it is made.
+floats (+-0, nan and inf among them) go through Python's formatter, _float_text.  A grid
+axis is a column (values, index) that stands for values[index]: each of its values is
+formatted once and gathered by index.  Each block is written as soon as it is made.
 The parser is built once per process, at import; main only parses with it.
 """
 
@@ -78,42 +79,48 @@ _FLOAT_CELL = b"-0.000" + b"0." * 17 + b"e-056"
 def _table(columns, fmt):
     """Named equal-length columns as CSV or JSON text, yielded in pieces of _BLOCK_ROWS rows.
 
+    A column is an array or a pair (values, index) of floats, which stands for values[index].
     CSV floats read as '%.17g' writes them, bools true/false and every other cell (int,
     CSV-only str) as str() does; JSON is the bytes of json.dumps(list_of_row_dicts, indent=2),
-    floats as float.__repr__ writes them and non-finite ones as null.  A block is a uint8 grid
-    of rows of separators, keys and cells, each cell's text padded with NUL bytes, which no
-    cell holds: its text is the grid with the NULs deleted.  _emit writes each in turn.
-    Floats of the exact range come from one kernel per block (_float_cells, _digits), other
-    floats from Python's formatter, once per distinct value in the block.
+    floats as float.__repr__ writes them and non-finite ones as null (_float_text).  A block
+    is a uint8 grid of rows of separators, keys and cells, each cell's text padded with NUL
+    bytes, which no cell holds: its text is the grid with the NULs deleted.  _emit writes
+    each in turn.  Floats of the exact range come from one kernel per block (_float_cells,
+    _digits), other floats from _float_text, once per distinct value in the block; every
+    other cell is gathered from its column's texts, each encoded once: a pair's values,
+    false and true, or an int or str column's cells.
     """
     json_rows = fmt == "json"
-    values = [np.asarray(column) for column in columns.values()]
-    rows = len(values[0])
     if json_rows:
-        yield "[\n" if rows else "[]\n"
         heads = [("  {\n" if i == 0 else ",\n") + f"    {json.dumps(name)}: "
                  for i, name in enumerate(columns)]
         tail = "\n  },\n"  # the last row's ",\n" becomes "\n]\n"
     else:
-        yield ",".join(columns) + "\n"
-        heads, tail = [""] + [","] * (len(values) - 1), "\n"
-    template, cells = bytearray(), []  # cells: (section of a row, column, its text or None)
-    for head, column in zip(heads, values):
+        heads, tail = [""] + [","] * (len(columns) - 1), "\n"
+    template, cells = bytearray(), []  # cells: (section of a row, floats or index, texts or None)
+    for head, column in zip(heads, columns.values()):
         template += head.encode()
-        text = None if column.dtype.kind == "f" else _texts(
-            *((column.astype(np.intp), ["false", "true"]) if column.dtype == bool
-              else (np.arange(rows), list(map(str, column.tolist())))))
-        width = len(_FLOAT_CELL) if text is None else text.shape[1]
-        cells.append((slice(len(template), len(template) + width), column, text))
+        if isinstance(column, tuple):
+            values, index = column
+            texts = _texts([_float_text(v, json_rows) for v in values.tolist()])
+        else:
+            column = np.asarray(column)
+            index, texts = (column, None) if column.dtype.kind == "f" else (
+                (column.astype(np.intp), _texts(["false", "true"])) if column.dtype == bool
+                else (np.arange(len(column)), _texts(list(map(str, column.tolist())))))
+        width = len(_FLOAT_CELL) if texts is None else texts.shape[1]
+        cells.append((slice(len(template), len(template) + width), index, texts))
         template += bytes(width)
+    rows = len(cells[0][1])
+    yield ("[\n" if rows else "[]\n") if json_rows else ",".join(columns) + "\n"
     template = np.frombuffer(bytes(template + tail.encode()), np.uint8)
-    floats = [(section.start, column) for section, column, text in cells if text is None]
+    floats = [(section.start, column) for section, column, texts in cells if texts is None]
     for first in range(0, rows, _BLOCK_ROWS):
         block = slice(first, min(first + _BLOCK_ROWS, rows))
         grid = np.tile(template, (block.stop - first, 1))
-        for section, _, text in cells:
-            if text is not None:
-                grid[:, section] = text[block]
+        for section, index, texts in cells:
+            if texts is not None:
+                grid[:, section] = texts[index[block]]
         if floats:
             _float_cells(grid, [start for start, _ in floats], json_rows,
                          np.stack([column[block] for _, column in floats], dtype=np.float64))
@@ -121,11 +128,16 @@ def _table(columns, fmt):
         yield text[:-2] + "\n]\n" if json_rows and block.stop == rows else text
 
 
-def _texts(index, texts, width=1):
-    """The cells texts[index] as rows of bytes, NUL-padded to width or more; texts encoded once."""
+def _texts(texts, width=1):
+    """The strings texts encoded once, as rows of bytes NUL-padded to width or more."""
     encoded = [text.encode() for text in texts]
     width = max([width, *map(len, encoded)])
-    return np.array(encoded, f"S{width}").view(np.uint8).reshape(len(encoded), width)[index]
+    return np.array(encoded, f"S{width}").view(np.uint8).reshape(len(encoded), width)
+
+
+def _float_text(v, json_cells):
+    """The float v as a CSV cell, '%.17g', or a JSON one, float.__repr__ or null if not finite."""
+    return (float.__repr__(v) if math.isfinite(v) else "null") if json_cells else "%.17g" % v
 
 
 @functools.cache
@@ -179,9 +191,8 @@ def _float_cells(grid, starts, json_cells, values):
     column, row = np.nonzero(~fast | slow.reshape(values.shape))
     bits, index = np.unique(values[column, row].view(np.int64), return_inverse=True)
     at = (row * grid.shape[1] + np.array(starts)[column])[:, None] + np.arange(len(_FLOAT_CELL))
-    grid.ravel()[at] = _texts(index, [
-        (float.__repr__(v) if math.isfinite(v) else "null") if json_cells else "%.17g" % v
-        for v in bits.view(np.float64).tolist()], len(_FLOAT_CELL))
+    grid.ravel()[at] = _texts([_float_text(v, json_cells) for v in bits.view(np.float64).tolist()],
+                              len(_FLOAT_CELL))[index]
 
 
 def _two_product(a, b):
@@ -241,7 +252,7 @@ def _json_value(value, indent):
     reads np.float64(...)); str keys, strings, ints, bools, None and {} or [] by json's C encoder.
     """
     if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
+        return _float_text(value, True)
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value)
     inner = indent + "  "
@@ -316,11 +327,12 @@ def cmd_sample(args):
     y, x = embedding_surface(sol, taus, sigmas)
     with np.errstate(divide="ignore", invalid="ignore"):
         proj = x[..., :3] / (1.0 + x[..., 3])[..., None]
-    tau, sigma = np.meshgrid(taus, sigmas, indexing="ij")
-    mesh = np.concatenate([tau[..., None], sigma[..., None], y, x, proj], axis=-1)
-    names = ["tau", "sigma", "Y0p", "Y0", "Y1", "Y2",
-             "X1", "X2", "X3", "X4", "P1", "P2", "P3"]
-    _emit(_table(dict(zip(names, mesh.reshape(-1, len(names)).T)), args.format), args.out)
+    mesh = np.concatenate([y, x, proj], axis=-1)
+    names = ["Y0p", "Y0", "Y1", "Y2", "X1", "X2", "X3", "X4", "P1", "P2", "P3"]
+    i_tau, i_sigma = np.indices(mesh.shape[:2]).reshape(2, -1)
+    columns = {"tau": (taus, i_tau), "sigma": (sigmas, i_sigma),
+               **dict(zip(names, mesh.reshape(-1, len(names)).T))}
+    _emit(_table(columns, args.format), args.out)
     return 0
 
 
@@ -333,7 +345,10 @@ def cmd_scan(args):
         raise ValidationError(f"bad --grid {args.grid!r}") from exc
     f_range = _parse_range(f_spec, "f")
     b_range = _parse_range(b_spec, "b")
-    _emit(_table(scan_region(f_range, b_range, args.n), args.format), args.out)
+    columns, nb = scan_region(f_range, b_range, args.n), b_range[2]
+    i_f, i_b = np.indices((columns["f"].size // nb, nb)).reshape(2, -1)  # f-major, as the rows
+    columns.update(f=(columns["f"][::nb], i_f), b=(columns["b"][:nb], i_b))
+    _emit(_table(columns, args.format), args.out)
     return 0
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from ads3s3 import cli
 from ads3s3.algebra import ads_basis, exp_algebra
+from ads3s3.bridge import scan_region
 from ads3s3.cli import _json, _table, main
 from ads3s3.solutions import apply_isometry, family_solution, params_to_dict
 
@@ -353,7 +354,27 @@ def row_dicts(columns):
 
 
 class TestFloatKernelOracle:
-    """Every float cell of _table against the row-dict writers, over 10**6 seeded floats."""
+    """Every float cell of _table against its own oracle text, over 10**6 seeded floats.
+
+    The oracle of a CSV cell is format(v, ".17g"), of a JSON cell float.__repr__(v), or null
+    when v is not finite: the texts the row-dict writers give each float.  TestTableWriter and
+    TestTableBlocks check the rows these cells sit in.
+    """
+
+    @staticmethod
+    def cells(text, fmt):
+        """The cells of a table of single-digit keys, one a line, in row-major order."""
+        if fmt == "csv":
+            return text.partition("\n")[2].replace(",", "\n")
+        return "".join(line[10:].rstrip(",") + "\n" for line in text.splitlines()
+                       if line.startswith('    "'))  # '    "c0": ' is 10 characters
+
+    @staticmethod
+    def oracle(values, fmt):
+        if fmt == "csv":
+            return "".join(format(v, ".17g") + "\n" for v in values)
+        return "".join((float.__repr__(v) if math.isfinite(v) else "null") + "\n"
+                       for v in values)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_every_cell_matches(self, fmt):
@@ -361,11 +382,11 @@ class TestFloatKernelOracle:
         assert values.size >= 10 ** 6
         table = np.resize(values, (-(-values.size // 8), 8))  # eight columns; the last row wraps
         for first in range(0, len(table), 10_000):
-            columns = {f"c{k}": column for k, column in enumerate(table[first:first + 10_000].T)}
-            got = "".join(_table(columns, fmt))
-            want = (json_oracle(row_dicts(columns)) if fmt == "json"
-                    else csv_oracle(row_dicts(columns), list(columns)))
-            assert mismatched_lines(got, want) == []
+            chunk = table[first:first + 10_000]
+            got = self.cells("".join(_table({f"c{k}": column for k, column in enumerate(chunk.T)},
+                                            fmt)), fmt)
+            want = self.oracle(chunk.ravel().tolist(), fmt)
+            assert got == want, mismatched_lines(got, want)
 
 
 class TestTableBlocks:
@@ -391,6 +412,43 @@ class TestTableBlocks:
     @pytest.mark.parametrize("fmt, text", [("csv", "x,ok,y\n"), ("json", "[]\n")])
     def test_zero_rows(self, fmt, text):
         assert list(_table(self.columns(0), fmt)) == [text]
+
+
+class TestIndexedColumns:
+    """A (values, index) column writes the same bytes as the plain column values[index]."""
+
+    EDGES = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308, 0.1, 1.0, 1.5e300,
+             *(np.nextafter(x, toward) for x in (1e-6, 1e-4, 1e16, 1e17)
+               for toward in (0.0, math.inf)), 1e-6, 1e-4, 1e16, 1e17]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [0, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS,
+                                      cli._BLOCK_ROWS + 1])
+    def test_matches_gathered_column(self, fmt, rows):
+        rng = np.random.default_rng(rows)
+        values = np.array(self.EDGES + [-x for x in self.EDGES])  # -0.0, -nan and -inf too
+        values = np.concatenate([values, rng.normal(size=16) * 10.0 ** rng.integers(-8, 18, 16)])
+        index = rng.integers(0, values.size, rows)
+        x, ok = rng.normal(size=rows), rng.random(rows) < 0.5
+        pairs = {"t": (values, index), "x": x, "ok": ok, "s": (values[::-1], index[::-1])}
+        plain = {"t": values[index], "x": x, "ok": ok, "s": values[::-1][index[::-1]]}
+        assert "".join(_table(pairs, fmt)) == "".join(_table(plain, fmt))
+
+
+class TestScanAxes:
+    """scan writes the table of scan_region's columns, its f and b axes rebuilt from them."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("f_range, b_range", [
+        ((1.2, 1.8, 1), (1.1, 1.4, 7)), ((1.2, 1.8, 7), (1.1, 1.4, 1)),
+        ((1.5, 1.5, 1), (1.2, 1.2, 1)), ((1.5, 1.5, 4), (1.2, 1.2, 3)),
+        ((1.0, 3.0, 70), (1.0, 2.0, 65)),  # three blocks
+    ])
+    def test_matches_unfactored_columns(self, capsys, fmt, f_range, b_range):
+        grid = ",".join(":".join(map(repr, r)) for r in (f_range, b_range))
+        code, out, err = run(capsys, "scan", "--grid", grid, "--n", "2", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == "".join(_table(scan_region(f_range, b_range, 2), fmt))
 
 
 class TestStreamedTables:
